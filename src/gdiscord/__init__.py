@@ -12,9 +12,7 @@ from .channels import (
     CanonicalForm,
     ChannelClass,
     GaussianChannelParams,
-    apply_single_mode,
     apply_to_mode_A,
-    apply_to_mode_B,
     classify,
     min_output_entropy,
     pathological_form_matrices,
@@ -47,7 +45,6 @@ from .errors import (
 from .family import (
     FamilyParams,
     FamilySample,
-    SamplePoint,
     decompose_squeezed_thermal,
     eta_from_a,
     family_cm_from_params,

@@ -149,24 +149,6 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     return assemble_cm(A, block_b(V), C)
 
 
-def apply_to_mode_B(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
-    """Same transformation acting on mode B."""
-    V = np.asarray(V, float)
-    if V.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
-    K = params.K
-    B = K @ block_b(V) @ K.T + params.N
-    C = block_c(V) @ K.T
-    return assemble_cm(block_a(V), B, C)
-
-
-def apply_single_mode(params: GaussianChannelParams, cm: np.ndarray) -> np.ndarray:
-    """Channel action on a single-mode 2x2 CM."""
-    cm = np.asarray(cm, float)
-    K = params.K
-    return K @ cm @ K.T + params.N
-
-
 def min_output_entropy(params: GaussianChannelParams) -> float:
     """Minimum output entropy of the extended channel, in bits.
 

@@ -6,13 +6,19 @@ Two routes are provided and cross-checked:
   measurement is known and the minimal conditional entropy is the channel's
   minimum output entropy ``h(|tau| + eta)``;
 * an independent numerical scan over the full rank-one Gaussian POVM family
-  (seed ``R(phi) diag(u, 1/u) R(phi)^T``), with the homodyne limits u -> 0
-  and u -> inf evaluated analytically.
+  (seed ``R(phi) diag(u, 1/u) R(phi)^T``), homodyne limits included.
 
-The scan uses a fixed logarithmic grid u in [1e-4, 1e4] (401 points) times
-phi in [0, pi) (64 points), followed by golden-section refinement in u and
-phi separately.  Ties are broken lexicographically on (u, phi), so the
-result does not depend on evaluation order.
+The scan has one objective, ``det(A - C (B + V0)^{-1} C^T)``: the measured
+conditional entropy is ``h`` of its square root, which increases with it.
+``(B + V0)^{-1}`` comes from :func:`remote_prep.inverse_b_plus_seed` with
+the seed written as homogeneous weights ``u = x/y``, so the homodyne limits
+``(x, y) = (0, 1)`` (u -> 0) and ``(1, 0)`` (u -> inf) are two more rows of
+the grid, and the same code evaluates one point and a whole grid.
+
+The grid is u in [1e-4, 1e4] (401 log-spaced points) plus the two homodyne
+rows, times phi in [0, pi) (64 points).  Golden-section refinement in u and
+phi separately follows.  Ties are broken lexicographically on (u, phi), so
+the result does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -23,24 +29,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import entropy_single_mode, entropy_two_mode, h, h_array
-from .errors import NumericalFailure
+from .entropy import entropy_single_mode, entropy_two_mode, h
+from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
-from .remote_prep import GaussianMeasurement, conditional_cm
+from .remote_prep import GaussianMeasurement, inverse_b_plus_seed
 from .symplectic import (
     block_a,
     block_b,
     block_c,
     embed_normal_form,
     symplectic_spectrum,
+    validate_bona_fide,
 )
 
 U_GRID = np.logspace(-4.0, 4.0, 401)
 PHI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
-_COS2 = np.cos(PHI_GRID) ** 2
-_SIN2 = np.sin(PHI_GRID) ** 2
-_CS = np.cos(PHI_GRID) * np.sin(PHI_GRID)
+# seed weights (x, y) of the scan rows: homodyne q, U_GRID, homodyne p
+_ROW_X = np.concatenate(([0.0], U_GRID, [1.0]))[:, None]
+_ROW_Y = np.concatenate(([1.0], np.ones_like(U_GRID), [0.0]))[:, None]
+_U_MIN, _U_MAX = float(U_GRID[0]) * 1e-3, float(U_GRID[-1]) * 1e3
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_MAX_ITER = 200
 _PARAM_TOL = 1e-10
 
 
@@ -65,17 +74,46 @@ class DiscordReport:
     phi_opt: float | None = None
 
 
+def _blocks(V: np.ndarray):
+    """Entries of the A, B and C blocks as plain floats."""
+    A, B, C = block_a(V), block_b(V), block_c(V)
+    return (
+        (float(A[0, 0]), float(A[0, 1]), float(A[1, 1])),
+        (float(B[0, 0]), float(B[0, 1]), float(B[1, 1])),
+        (float(C[0, 0]), float(C[0, 1]), float(C[1, 0]), float(C[1, 1])),
+    )
+
+
+def _conditional_det(blocks, x, y, cos_phi, sin_phi):
+    """``det(A - C (B + V0)^{-1} C^T)`` for the seed ``u = x/y`` at angle phi.
+
+    Floats or broadcast arrays, like :func:`inverse_b_plus_seed`.
+    """
+    (a00, a01, a11), b, (c00, c01, c10, c11) = blocks
+    i00, i01, i11 = inverse_b_plus_seed(b, x, y, cos_phi, sin_phi)
+    # rows of L = C (B + V0)^{-1}
+    l00, l01 = c00 * i00 + c01 * i01, c00 * i01 + c01 * i11
+    l10, l11 = c10 * i00 + c11 * i01, c10 * i01 + c11 * i11
+    d00 = a00 - (l00 * c00 + l01 * c01)
+    d01 = a01 - (l00 * c10 + l01 * c11)
+    d11 = a11 - (l10 * c10 + l11 * c11)
+    return d00 * d11 - d01 * d01
+
+
+def _entropy(det: float) -> float:
+    if not math.isfinite(det):
+        raise NumericalFailure("conditional CM is not finite")
+    return h(math.sqrt(max(det, 0.0)))
+
+
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
     """Average entropy of mode A after measuring mode B with ``m``.
 
     The conditional CM is outcome-independent, so no averaging is needed:
     the value is ``h`` of its symplectic eigenvalue.
     """
-    cm = conditional_cm(V, m)
-    det = float(cm[0, 0] * cm[1, 1] - cm[0, 1] * cm[1, 0])
-    if not math.isfinite(det):
-        raise NumericalFailure("conditional CM is not finite")
-    return h(math.sqrt(max(det, 0.0)) if det < 1.0 else math.sqrt(det))
+    det = _conditional_det(_blocks(V), *m.weights, math.cos(m.phi), math.sin(m.phi))
+    return _entropy(det)
 
 
 class MinimizeResult(NamedTuple):
@@ -84,85 +122,19 @@ class MinimizeResult(NamedTuple):
     entropy: float
 
 
-def _scalar_objective(blocks, u: float, phi: float) -> float:
-    """Conditional entropy at one (u, phi); plain-float fast path."""
-    (a00, a01, a11), (b00, b01, b11), (c00, c01, c10, c11) = blocks
-    cph = math.cos(phi)
-    sph = math.sin(phi)
-    iu = 1.0 / u
-    v00 = u * cph * cph + iu * sph * sph
-    v11 = u * sph * sph + iu * cph * cph
-    v01 = (u - iu) * cph * sph
-    m00 = b00 + v00
-    m01 = b01 + v01
-    m11 = b11 + v11
-    det_m = m00 * m11 - m01 * m01
-    if det_m <= 0.0:
-        raise NumericalFailure("B + V0 is singular; cannot condition")
-    i00 = m11 / det_m
-    i01 = -m01 / det_m
-    i11 = m00 / det_m
-    # T = C (B + V0)^{-1} C^T
-    t00 = c00 * (c00 * i00 + c01 * i01) + c01 * (c00 * i01 + c01 * i11)
-    t01 = c10 * (c00 * i00 + c01 * i01) + c11 * (c00 * i01 + c01 * i11)
-    t11 = c10 * (c10 * i00 + c11 * i01) + c11 * (c10 * i01 + c11 * i11)
-    d00 = a00 - t00
-    d01 = a01 - t01
-    d11 = a11 - t11
-    det = d00 * d11 - d01 * d01
-    return _h_scalar(math.sqrt(max(det, 0.0)))
-
-
-def _h_scalar(x: float) -> float:
-    if x <= 1.0:
-        return 0.0
-    xp = 0.5 * (x + 1.0)
-    xm = 0.5 * (x - 1.0)
-    return xp * math.log2(xp) - xm * math.log2(xm)
-
-
-def _homodyne_objective(V: np.ndarray, phi: float, which: str) -> float:
-    m = GaussianMeasurement(0.0 if which == "q" else math.inf, phi)
-    cm = conditional_cm(V, m)
-    det = float(cm[0, 0] * cm[1, 1] - cm[0, 1] * cm[1, 0])
-    return _h_scalar(math.sqrt(max(det, 0.0)))
-
-
-def _grid_scan(V: np.ndarray) -> tuple[float, float, float]:
-    """Vectorized objective over the (u, phi) grid; lexicographic argmin."""
-    A = block_a(V)
-    B = block_b(V)
-    C = block_c(V)
-    u = U_GRID[:, None]
-    iu = 1.0 / u
-    v00 = u * _COS2 + iu * _SIN2
-    v11 = u * _SIN2 + iu * _COS2
-    v01 = (u - iu) * _CS
-    m00 = B[0, 0] + v00
-    m01 = B[0, 1] + v01
-    m11 = B[1, 1] + v11
-    det_m = m00 * m11 - m01 * m01
-    i00 = m11 / det_m
-    i01 = -m01 / det_m
-    i11 = m00 / det_m
-    c00, c01 = C[0, 0], C[0, 1]
-    c10, c11 = C[1, 0], C[1, 1]
-    t00 = c00 * (c00 * i00 + c01 * i01) + c01 * (c00 * i01 + c01 * i11)
-    t01 = c10 * (c00 * i00 + c01 * i01) + c11 * (c00 * i01 + c01 * i11)
-    t11 = c10 * (c10 * i00 + c11 * i01) + c11 * (c10 * i01 + c11 * i11)
-    det = (A[0, 0] - t00) * (A[1, 1] - t11) - (A[0, 1] - t01) ** 2
-    s = h_array(np.sqrt(np.maximum(det, 0.0)))
-    flat = int(np.argmin(s))
-    ui, pi_ = divmod(flat, PHI_GRID.size)
-    return float(U_GRID[ui]), float(PHI_GRID[pi_]), float(s.flat[flat])
-
-
 def _golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal scalar function."""
+    """Golden-section minimization of a unimodal scalar function.
+
+    Stops when the bracket is within ``tol`` or four ulps of ``hi``,
+    whichever is wider, so brackets at large magnitude terminate too.
+    """
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    for _ in range(_GOLDEN_MAX_ITER):
+        if hi - lo <= max(tol, 4.0 * math.ulp(hi)):
+            x = 0.5 * (lo + hi)
+            return x, f(x)
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -171,70 +143,73 @@ def _golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    raise NumericalFailure(
+        f"golden-section search did not converge in {_GOLDEN_MAX_ITER} iterations"
+        f" (bracket [{lo!r}, {hi!r}])"
+    )
 
 
 def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     """Global minimum of the measured conditional entropy over (u, phi).
 
-    Deterministic: fixed grid, analytic homodyne candidates at every grid
-    phi, then two alternating golden-section passes on u and phi.  Homodyne
-    winners are reported with u = 0 or u = inf.
+    Deterministic: one pass over the grid with its two homodyne rows, then
+    two alternating golden-section passes on u and phi from the grid winner,
+    and a phi refinement of each homodyne row's winner.  Homodyne winners are
+    reported with u = 0 or u = inf.  Raises DomainError for a CM that is not
+    bona fide.
     """
     V = np.asarray(V, float)
-    A = block_a(V)
-    B = block_b(V)
-    C = block_c(V)
-    blocks = (
-        (A[0, 0], A[0, 1], A[1, 1]),
-        (B[0, 0], B[0, 1], B[1, 1]),
-        (C[0, 0], C[0, 1], C[1, 0], C[1, 1]),
-    )
+    diag = validate_bona_fide(V)
+    if not diag.bona_fide:
+        raise DomainError(f"state is not bona fide: {diag.reason}")
+    blocks = _blocks(V)
+    det = _conditional_det(blocks, _ROW_X, _ROW_Y, np.cos(PHI_GRID), np.sin(PHI_GRID))
 
-    u_best, phi_best, s_best = _grid_scan(V)
+    flat = int(np.argmin(det[1:-1]))
+    ui, pj = divmod(flat, PHI_GRID.size)
+    u_best, phi_best = float(U_GRID[ui]), float(PHI_GRID[pj])
+    d_best = float(det[1 + ui, pj])
 
     # alternating golden-section refinement on u and phi; a refined point is
     # adopted only on strict improvement, so flat directions keep grid values.
     # Coordinate descent zigzags when u and phi are coupled (states away
     # from normal form), hence the generous sweep cap with an early exit.
     dphi = math.pi / PHI_GRID.size
-    step = U_GRID[1] / U_GRID[0]  # constant ratio of the log grid
+    step = float(U_GRID[1] / U_GRID[0])  # constant ratio of the log grid
     for _ in range(40):
-        s_before = s_best
+        d_before = d_best
         # one grid spacing to either side, centered on the current point so
-        # the descent direction is never clipped off
-        lo = u_best / (1e3 if u_best <= U_GRID[0] else step)
-        hi = u_best * (1e3 if u_best >= U_GRID[-1] else step)
-        u_new, s_new = _golden(
-            lambda x: _scalar_objective(blocks, x, phi_best), lo, hi, _PARAM_TOL,
+        # the descent direction is never clipped off; past a grid end the
+        # bracket reaches 1e3 further and no more, as the homodyne rows
+        # cover the limits
+        lo = max(u_best / (1e3 if u_best <= U_GRID[0] else step), _U_MIN)
+        hi = min(u_best * (1e3 if u_best >= U_GRID[-1] else step), _U_MAX)
+        cos_phi, sin_phi = math.cos(phi_best), math.sin(phi_best)
+        u_new, d_new = _golden(
+            lambda u: _conditional_det(blocks, u, 1.0, cos_phi, sin_phi), lo, hi, _PARAM_TOL,
         )
-        if s_new < s_best:
-            u_best, s_best = u_new, s_new
-        phi_new, s_new = _golden(
-            lambda x: _scalar_objective(blocks, u_best, x % math.pi),
+        if d_new < d_best:
+            u_best, d_best = u_new, d_new
+        phi_new, d_new = _golden(
+            lambda p: _conditional_det(blocks, u_best, 1.0, math.cos(p), math.sin(p)),
             phi_best - dphi, phi_best + dphi, _PARAM_TOL,
         )
-        if s_new < s_best:
-            phi_best, s_best = phi_new % math.pi, s_new
-        if s_before - s_best < 1e-14:
+        if d_new < d_best:
+            phi_best, d_best = phi_new % math.pi, d_new
+        if d_before - d_best < 1e-14:
             break
 
-    # analytic homodyne candidates, phi-refined
-    hom_candidates = []
-    for which, u_tag in (("q", 0.0), ("p", math.inf)):
-        vals = [_homodyne_objective(V, p, which) for p in PHI_GRID]
-        j = int(np.argmin(vals))
-        dphi = math.pi / PHI_GRID.size
-        phi_h, s_h = _golden(
-            lambda x: _homodyne_objective(V, x % math.pi, which),
-            PHI_GRID[j] - dphi, PHI_GRID[j] + dphi, _PARAM_TOL,
+    candidates = [(d_best, u_best, phi_best)]
+    for row, x, y, u_tag in ((0, 0.0, 1.0, 0.0), (-1, 1.0, 0.0, math.inf)):
+        p0 = float(PHI_GRID[int(np.argmin(det[row]))])
+        phi_h, d_h = _golden(
+            lambda p: _conditional_det(blocks, x, y, math.cos(p), math.sin(p)),
+            p0 - dphi, p0 + dphi, _PARAM_TOL,
         )
-        hom_candidates.append((s_h, u_tag, phi_h % math.pi))
+        candidates.append((d_h, u_tag, phi_h % math.pi))
 
-    candidates = [(s_best, u_best, phi_best)] + hom_candidates
-    s_min, u_min, phi_min = min(candidates, key=lambda t: (t[0], t[1], t[2]))
-    return MinimizeResult(u=u_min, phi=phi_min, entropy=s_min)
+    d_min, u_min, phi_min = min(candidates)
+    return MinimizeResult(u=u_min, phi=phi_min, entropy=_entropy(d_min))
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:

@@ -182,6 +182,21 @@ def _check_r(r: float, b: float) -> None:
 def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
     """Transmissivity interval on which ``eta_from_a(a, r, tau, b) >= |1-tau|``.
 
+    Validating scalar form of :func:`_tau_bounds_arrays`.
+    """
+    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
+        raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
+    _check_r(r, b)
+    if b <= 1.0 and a <= 1.0:
+        # both modes at the vacuum limit: product states only
+        return (0.0, 0.0)
+    tau_min, tau_max = _tau_bounds_arrays(a, b, r)
+    return (float(tau_min), float(tau_max))
+
+
+def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
+    """tau_bounds for fixed (a, b) at every r; assumes b > 1 or a > 1.
+
     Rationalized closed forms (no subtractive cancellation at the domain
     endpoints r = 1/b, r = b, where the textbook expressions become 0/0):
 
@@ -190,37 +205,9 @@ def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
         tau_max = (p+ + sqrt(q + 4 a^2 r g+)) / (2 g+)           for a >= b,
 
     with g+- = (r +- b)(r b +- 1), q = (r^2-1)^2 b^2 and
-    p+- = b (1 + r^2) +- 2 r.
+    p+- = b (1 + r^2) +- 2 r.  A radicand below zero by more than rounding
+    means r lies outside [1/b, b] and raises NumericalFailure.
     """
-    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
-        raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
-    _check_r(r, b)
-    if b <= 1.0 and a <= 1.0:
-        # both modes at the vacuum limit: product states only
-        return (0.0, 0.0)
-    q = (r * r - 1.0) ** 2 * b * b
-    g_plus = (r + b) * (r * b + 1.0)
-    p_plus = b * (1.0 + r * r) + 2.0 * r
-    root_plus = math.sqrt(q + 4.0 * a * a * r * g_plus)
-    tau_min = -2.0 * r * (a * a - 1.0) / (p_plus + root_plus)
-    if a <= b:
-        g_minus = (r - b) * (r * b - 1.0)
-        p_minus = b * (1.0 + r * r) - 2.0 * r
-        rad = q - 4.0 * a * a * r * g_minus
-        if rad < 0.0:
-            if rad < -1e-9 * max(1.0, q):
-                raise NumericalFailure(
-                    f"negative radicand {rad} in tau_max; r outside its domain?"
-                )
-            rad = 0.0
-        tau_max = 2.0 * r * (a * a - 1.0) / (p_minus + math.sqrt(rad))
-    else:
-        tau_max = (p_plus + root_plus) / (2.0 * g_plus)
-    return (tau_min, tau_max)
-
-
-def _tau_bounds_arrays(a: float, b: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized tau_bounds for fixed (a, b); assumes b > 1 or a > 1."""
     r = np.asarray(r, float)
     q = (r * r - 1.0) ** 2 * b * b
     g_plus = (r + b) * (r * b + 1.0)
@@ -230,28 +217,22 @@ def _tau_bounds_arrays(a: float, b: float, r: np.ndarray) -> tuple[np.ndarray, n
     if a <= b:
         g_minus = (r - b) * (r * b - 1.0)
         p_minus = b * (1.0 + r * r) - 2.0 * r
-        rad = np.maximum(q - 4.0 * a * a * r * g_minus, 0.0)
-        tau_max = 2.0 * r * (a * a - 1.0) / (p_minus + np.sqrt(rad))
+        rad = q - 4.0 * a * a * r * g_minus
+        if np.any(rad < -1e-9 * np.maximum(1.0, q)):
+            raise NumericalFailure(
+                f"negative radicand {np.min(rad)} in tau_max; r outside its domain?"
+            )
+        tau_max = 2.0 * r * (a * a - 1.0) / (p_minus + np.sqrt(np.maximum(rad, 0.0)))
     else:
         tau_max = (p_plus + root_plus) / (2.0 * g_plus)
     return tau_min, tau_max
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sampled correlation pair, with its decomposition witness."""
-
-    c: float
-    cp: float
-    member: bool = True
-    params: FamilyParams | None = None
-
-
 class FamilySample:
     """Columnar batch of sampled family states at fixed (a, b).
 
-    Behaves as a sequence of :class:`SamplePoint`; bulk consumers should use
-    the column arrays directly.
+    Row ``i`` of the columns (r, tau, eta, sign) is a decomposition witness
+    (with ``b``) of the sampled correlation pair (c[i], cp[i]).
     """
 
     def __init__(self, a, b, n, seed, c, cp, r, tau, eta, sign, redraws):
@@ -269,19 +250,6 @@ class FamilySample:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> SamplePoint:
-        params = FamilyParams(
-            b=self.b,
-            r=float(self.r[i]),
-            tau=float(self.tau[i]),
-            eta=float(self.eta[i]),
-            sign=int(self.sign[i]),
-        )
-        return SamplePoint(c=float(self.c[i]), cp=float(self.cp[i]), params=params)
-
-    def __iter__(self):
-        return (self[i] for i in range(self.n))
 
 
 def _sample_chunk(a: float, b: float, n: int, seed: int, chunk_index: int):

@@ -4,9 +4,7 @@ A rank-one Gaussian measurement is a displaced projection onto a pure
 Gaussian seed state with CM ``V0 = R(phi) diag(u, 1/u) R(phi)^T``.  The
 special cases are heterodyne detection (``u = 1``) and the two homodyne
 detections, reached as the limits ``u -> 0`` (measuring the ``phi``
-quadrature) and ``u -> +inf``.  The homodyne limits are evaluated
-analytically through the rank-deficient limit of ``(B + V0)^{-1}`` instead
-of plugging in a huge finite ``u``, which would lose precision.
+quadrature) and ``u -> +inf``.
 
 Measuring mode B with outcome ``k`` (a real 2-vector; the complex outcome
 ``alpha = (q + i p)/2`` is supported via conversion helpers):
@@ -14,6 +12,18 @@ Measuring mode B with outcome ``k`` (a real 2-vector; the complex outcome
 * outcome distribution: Gaussian with mean ``xB`` and covariance ``B + V0``,
 * conditional mean of A: ``xA - C (B + V0)^{-1} (xB - k)``,
 * conditional CM of A:   ``A - C (B + V0)^{-1} C^T`` (outcome-independent).
+
+Every conditioning formula goes through one kernel,
+:func:`inverse_b_plus_seed`, which writes ``u = x/y`` in homogeneous
+weights.  With ``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos phi)``,
+
+    (B + V0)^{-1} = (xy adj B + x^2 s s^T + y^2 r r^T)
+                    / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r).
+
+``(x, y) = (u, 1)`` is a finite seed, ``(0, 1)`` homodyne detection of the
+``r`` quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).
+For positive definite B every term is nonnegative, so no limit needs a
+branch and no term cancels at large or small u.
 """
 
 from __future__ import annotations
@@ -91,6 +101,11 @@ class GaussianMeasurement:
         return self.u == 0.0 or math.isinf(self.u)
 
     @property
+    def weights(self) -> tuple[float, float]:
+        """Homogeneous seed weights ``(x, y)`` with ``u = x/y``."""
+        return (1.0, 0.0) if math.isinf(self.u) else (self.u, 1.0)
+
+    @property
     def kind(self) -> str:
         if self.u == 0.0:
             return "homodyne_q"
@@ -108,29 +123,36 @@ class GaussianMeasurement:
         return R @ np.diag([self.u, 1.0 / self.u]) @ R.T
 
 
-def inverse_b_plus_seed(B: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
-    """``(B + V0)^{-1}``, with the homodyne limits handled analytically.
+def inverse_b_plus_seed(b, x, y, cos_phi, sin_phi):
+    """Entries ``(i00, i01, i11)`` of ``(B + V0)^{-1}`` for the seed ``u = x/y``.
 
-    For ``u -> 0`` the inverse collapses onto the measured quadrature
-    direction: in the frame rotated by ``phi`` it becomes
-    ``diag(1/B'[0,0], 0)``; for ``u -> inf`` it is ``diag(0, 1/B'[1,1])``.
+    ``b = (b00, b01, b11)`` are the entries of a positive definite B; the seed
+    is at angle phi, given as ``cos_phi`` and ``sin_phi``.  Plain arithmetic
+    only, so the weights and the angle may be floats or broadcast arrays.
     """
-    B = np.asarray(B, float)
-    if m.is_homodyne:
-        R = rotation_matrix(m.phi)
-        Bp = R.T @ B @ R
-        idx = 0 if m.u == 0.0 else 1
-        diag = Bp[idx, idx]
-        if diag <= 0.0:
-            raise NumericalFailure("B block is not positive definite")
-        lim = np.zeros((2, 2))
-        lim[idx, idx] = 1.0 / diag
-        return R @ lim @ R.T
-    M = B + m.seed_cm()
-    det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if det <= 0.0 or not math.isfinite(det):
-        raise NumericalFailure("B + V0 is singular; cannot condition")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    b00, b01, b11 = b
+    cc, ss, cs = cos_phi * cos_phi, sin_phi * sin_phi, cos_phi * sin_phi
+    xx, yy, xy = x * x, y * y, x * y
+    rbr = b00 * cc + 2.0 * b01 * cs + b11 * ss
+    sbs = b00 * ss - 2.0 * b01 * cs + b11 * cc
+    den = xy * (b00 * b11 - b01 * b01 + 1.0) + xx * sbs + yy * rbr
+    return (
+        (xy * b11 + xx * ss + yy * cc) / den,
+        ((yy - xx) * cs - xy * b01) / den,
+        (xy * b00 + xx * cc + yy * ss) / den,
+    )
+
+
+def _inverse_matrix(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
+    """``(B + V0)^{-1}`` of the B block of ``V`` as a 2x2 array."""
+    B = block_b(V)
+    b00, b01, b11 = float(B[0, 0]), float(B[0, 1]), float(B[1, 1])
+    if not (b00 > 0.0 and b00 * b11 - b01 * b01 > 0.0):
+        raise NumericalFailure("B block is not positive definite; cannot condition")
+    i00, i01, i11 = inverse_b_plus_seed(
+        (b00, b01, b11), *m.weights, math.cos(m.phi), math.sin(m.phi)
+    )
+    return np.array([[i00, i01], [i01, i11]])
 
 
 @dataclass(frozen=True)
@@ -191,13 +213,13 @@ def outcome_distribution(
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Linear map L = C (B + V0)^{-1} sending (k - xB) to the mean shift of A."""
-    return block_c(V) @ inverse_b_plus_seed(block_b(V), m)
+    return block_c(V) @ _inverse_matrix(V, m)
 
 
 def conditional_cm(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Outcome-independent conditional CM of mode A: ``A - C (B+V0)^{-1} C^T``."""
     C = block_c(V)
-    return block_a(V) - C @ inverse_b_plus_seed(block_b(V), m) @ C.T
+    return block_a(V) - C @ _inverse_matrix(V, m) @ C.T
 
 
 def condition_on_outcome(

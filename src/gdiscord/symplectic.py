@@ -272,9 +272,3 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
 def is_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
     return validate_bona_fide(V, tol=tol).bona_fide
 
-
-def require_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL, what: str = "state") -> None:
-    """Raise DomainError when ``V`` fails the uncertainty-principle check."""
-    diag = validate_bona_fide(V, tol=tol)
-    if not diag.bona_fide:
-        raise DomainError(f"{what} is not bona fide: {diag.reason}")

@@ -1,12 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from gdiscord import (
+    DomainError,
     FamilyParams,
     GaussianMeasurement,
     NormalFormCM,
+    NumericalFailure,
     conditional_entropy_measured,
     embed_normal_form,
     epr_cm,
@@ -20,10 +24,33 @@ from gdiscord import (
     rotation_matrix,
     squeezer_matrix,
 )
-from gdiscord.verification import random_family_params, random_squeezed_thermal
+from gdiscord.cli import main
+from gdiscord.discord import _golden
+from gdiscord.verification import (
+    random_family_params,
+    random_normal_forms,
+    random_squeezed_thermal,
+)
 
 SQRT6 = math.sqrt(6.0)
 WORKED = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+# bona fide (nu_min = 1.242); its grid winner sits on the last u point, so
+# the u refinement brackets [1e4 / step, 1e7]
+EDGE_CM = [
+    [2.2996542582770254, 0, 0.4390670376374667, 0.2851396594617031],
+    [0, 4.201636650263561, -0.01036061669447979, -0.7944371156548117],
+    [0.4390670376374667, -0.01036061669447979, 1.8493232464685119, 0],
+    [0.2851396594617031, -0.7944371156548117, 0, 1.031639623501059],
+]
+
+
+def local_symplectic(rng):
+    """Random rotation times squeezer on each mode."""
+    S = np.zeros((4, 4))
+    for k in (0, 2):
+        S[k:k + 2, k:k + 2] = rotation_matrix(rng.uniform(0, math.pi)) @ squeezer_matrix(
+            math.exp(rng.uniform(-math.log(3.0), math.log(3.0))))
+    return S
 
 
 class TestConditionalEntropy:
@@ -58,9 +85,10 @@ class TestMinimizer:
         fp = FamilyParams(b=2, r=2, tau=1, eta=1, sign=1)
         V = embed_normal_form(family_cm_from_params(fp))
         res = minimize_conditional_entropy(V)
-        assert res.entropy == pytest.approx(h(2.0), abs=1e-8)
+        assert res.entropy == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-9)
         # u -> inf at phi = 0 and u -> 0 at phi = pi/2 are the same projector
         assert res.u in (0.0, math.inf)
+        assert type(res.phi) is float
 
     def test_matched_measurement_identity(self):
         rng = np.random.default_rng(31)
@@ -86,6 +114,47 @@ class TestMinimizer:
             V = embed_normal_form(NormalFormCM(a[i], b[i], c[i], -c[i]))
             res = minimize_conditional_entropy(V)
             assert conditional_entropy_measured(V, het) - res.entropy <= 1e-8
+
+
+class TestTermination:
+    def test_golden_terminates_at_large_magnitude(self):
+        # one ulp at 1e7 is 1.9e-9, wider than the 1e-10 tolerance
+        x, fx = _golden(lambda x: -x, 1e4, 1e7, 1e-10)
+        assert x == pytest.approx(1e7, rel=1e-12)
+        assert fx == -x
+
+    def test_golden_iteration_cap(self):
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            _golden(lambda x: x, math.nan, 1.0, 1e-10)
+
+    def test_edge_state_through_cli(self):
+        res = CliRunner().invoke(
+            main, ["discord", "--state", json.dumps({"cm": EDGE_CM})], catch_exceptions=False,
+        )
+        assert res.exit_code == 0
+        assert math.isfinite(json.loads(res.output)["numeric"]["discord"])
+
+    def test_locally_transformed_states_match_normal_form(self):
+        rng = np.random.default_rng(37)
+        for nf in zip(*random_normal_forms(rng, 200)):
+            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+            S = local_symplectic(rng)
+            ref = gaussian_discord_numeric(V).discord
+            assert gaussian_discord_numeric(S @ V @ S.T).discord == pytest.approx(ref, abs=1e-6)
+
+
+class TestInputValidation:
+    def test_nan_entry_rejected(self):
+        V = WORKED.copy()
+        V[0, 1] = V[1, 0] = math.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            minimize_conditional_entropy(V)
+
+    def test_asymmetric_cm_rejected(self):
+        V = WORKED.copy()
+        V[0, 2] += 0.1
+        with pytest.raises(DomainError, match="not symmetric"):
+            gaussian_discord_numeric(V)
 
 
 class TestDiscordReports:

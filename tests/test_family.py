@@ -295,14 +295,15 @@ class TestSampler:
         assert (s.sign > 0).any() and (s.sign < 0).any()
         assert (s.tau > 0).any() and (s.tau < 0).any()
 
-    def test_point_view(self):
+    def test_witness_columns(self):
         s = sample_family(2.0, 2.0, 10, 6)
         assert len(s) == 10
-        pt = s[3]
-        nf = family_cm_from_params(pt.params)
-        assert nf.c == pytest.approx(pt.c, abs=1e-9)
-        assert nf.cp == pytest.approx(pt.cp, abs=1e-9)
-        assert pt.member
+        for i in range(s.n):
+            fp = FamilyParams(b=s.b, r=float(s.r[i]), tau=float(s.tau[i]),
+                              eta=float(s.eta[i]), sign=int(s.sign[i]))
+            nf = family_cm_from_params(fp)
+            assert nf.c == pytest.approx(s.c[i], abs=1e-9)
+            assert nf.cp == pytest.approx(s.cp[i], abs=1e-9)
 
     def test_degenerate_vacuum_pair(self):
         s = sample_family(1.0, 1.0, 50, 0)

@@ -143,6 +143,18 @@ class TestConditioning:
                 tiny = conditional_cm(V, GaussianMeasurement(1e-9, phi))
                 assert np.max(np.abs(lim - tiny)) <= 1e-6
 
+    def test_extreme_u_matches_homodyne_limits(self):
+        # no cancellation at large or small u: the finite seeds sit within
+        # O(1/u) = 1e-12 of their limits, not at rounding noise of order u * eps
+        rng = np.random.default_rng(45)
+        for nf in zip(*random_normal_forms(rng, 50)):
+            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+            for phi in (0.0, 0.7, 2.2):
+                for u, lim in ((1e-12, 0.0), (1e12, math.inf)):
+                    finite = conditional_cm(V, GaussianMeasurement(u, phi))
+                    limit = conditional_cm(V, GaussianMeasurement(lim, phi))
+                    assert np.max(np.abs(finite - limit)) <= 1e-10
+
     def test_matches_schur_oracle(self):
         rng = np.random.default_rng(42)
         for nf in zip(*random_normal_forms(rng, 200)):
