@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,16 +41,6 @@ _EXIT_CODES = [
     (DomainError, 2, "validation"),
     (GDiscordError, 2, "validation"),
 ]
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("GDISCORD_TOLERANCE")
-    if raw is None:
-        return 1e-9
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"GDISCORD_TOLERANCE is not a number: {raw!r}")
 
 
 def handles_errors(fn):
@@ -94,7 +83,7 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
         raise ValidationError(f"{what} contains a non-numeric entry: {text!r}")
 
 
-def _state_from_options(normal_form: str | None, state: str | None, tol: float):
+def _state_from_options(normal_form: str | None, state: str | None):
     if (normal_form is None) == (state is None):
         raise ValidationError("provide exactly one of --normal-form or --state")
     if normal_form is not None:
@@ -103,7 +92,7 @@ def _state_from_options(normal_form: str | None, state: str | None, tol: float):
         V = nf.to_matrix()
     else:
         V, nf = serialize.parse_cm_payload(_load_json(state))
-    diag = validate_bona_fide(V, tol=tol)
+    diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise ValidationError(f"state is not bona fide: {diag.reason}")
     if nf is None:
@@ -122,7 +111,7 @@ def main():
 @handles_errors
 def discord(normal_form, state):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
-    V, nf = _state_from_options(normal_form, state, _tolerance())
+    V, nf = _state_from_options(normal_form, state)
     numeric = gaussian_discord_numeric(V)
     out = {"numeric": serialize.discord_report_to_dict(numeric)}
     closed = None
@@ -148,7 +137,7 @@ def discord(normal_form, state):
 @handles_errors
 def decompose(normal_form, state):
     """EPR-plus-channel decomposition witness (b, r, tau, eta, sign, xi)."""
-    V, nf = _state_from_options(normal_form, state, _tolerance())
+    V, nf = _state_from_options(normal_form, state)
     if nf is None:
         raise ValidationError("decompose requires a normal-form state")
     fp = membership(nf)
@@ -205,7 +194,7 @@ def sample(a, b, n, seed, threads, out, grid_out, bins):
 def condition(state, measurement, outcome, mean, mode):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
     V, _ = serialize.parse_cm_payload(_load_json(state))
-    diag = validate_bona_fide(V, tol=_tolerance())
+    diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise ValidationError(f"state is not bona fide: {diag.reason}")
     m = serialize.parse_measurement_payload(_load_json(measurement))

@@ -6,19 +6,22 @@ Two routes are provided and cross-checked:
   measurement is known and the minimal conditional entropy is the channel's
   minimum output entropy ``h(|tau| + eta)``;
 * an independent numerical scan over the full rank-one Gaussian POVM family
-  (seed ``R(phi) diag(u, 1/u) R(phi)^T``), homodyne limits included.
+  (seed ``R(phi) diag(u, 1/u) R(phi)^T``).
+
+The seed at ``(u, phi)`` is the seed at ``(1/u, phi + pi/2)``, so u in
+[0, 1] with phi in [0, pi) covers every measurement once: u = 0 is homodyne
+detection (u -> inf is u = 0 at phi + pi/2) and u = 1 heterodyne.
 
 The scan has one objective, ``det(A - C (B + V0)^{-1} C^T)``: the measured
 conditional entropy is ``h`` of its square root, which increases with it.
-``(B + V0)^{-1}`` comes from :func:`remote_prep.inverse_b_plus_seed` with
-the seed written as homogeneous weights ``u = x/y``, so the homodyne limits
-``(x, y) = (0, 1)`` (u -> 0) and ``(1, 0)`` (u -> inf) are two more rows of
-the grid, and the same code evaluates one point and a whole grid.
+``(B + V0)^{-1}`` comes from :func:`remote_prep.inverse_b_plus_seed`, which
+takes u = 0 like any other u, and one point or a whole grid alike.
 
-The grid is u in [1e-4, 1e4] (401 log-spaced points) plus the two homodyne
-rows, times phi in [0, pi) (64 points).  Golden-section refinement in u and
-phi separately follows.  Ties are broken lexicographically on (u, phi), so
-the result does not depend on evaluation order.
+The grid is u in {0} plus [1e-4, 1] (201 log-spaced points), times phi in
+[0, pi) (64 points).  Golden-section refinement in u and phi separately
+follows; it may cross the fold point u = 1, and a winner beyond it is
+reported at ``(1/u, phi + pi/2)``.  Ties are broken lexicographically on
+(u, phi), so the result does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -42,12 +45,10 @@ from .symplectic import (
     validate_bona_fide,
 )
 
-U_GRID = np.logspace(-4.0, 4.0, 401)
+U_GRID = np.logspace(-4.0, 0.0, 201)
 PHI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
-# seed weights (x, y) of the scan rows: homodyne q, U_GRID, homodyne p
-_ROW_X = np.concatenate(([0.0], U_GRID, [1.0]))[:, None]
-_ROW_Y = np.concatenate(([1.0], np.ones_like(U_GRID), [0.0]))[:, None]
-_U_MIN, _U_MAX = float(U_GRID[0]) * 1e-3, float(U_GRID[-1]) * 1e3
+# u of the scan rows: homodyne (u = 0), then U_GRID
+_ROW_U = np.concatenate(([0.0], U_GRID))[:, None]
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_MAX_ITER = 200
 _PARAM_TOL = 1e-10
@@ -152,20 +153,20 @@ def _golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     """Global minimum of the measured conditional entropy over (u, phi).
 
-    Deterministic: one pass over the grid with its two homodyne rows, then
-    two alternating golden-section passes on u and phi from the grid winner,
-    and a phi refinement of each homodyne row's winner.  Homodyne winners are
-    reported with u = 0 or u = inf.  Raises DomainError for a CM that is not
-    bona fide.
+    Deterministic: one pass over the grid with its homodyne row, then
+    alternating golden-section passes on u and phi from the grid winner, and
+    a phi refinement of the homodyne row's winner.  The result has u in
+    [0, 1]; a homodyne winner is reported with u = 0.  Raises DomainError
+    for a CM that is not bona fide.
     """
     V = np.asarray(V, float)
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     blocks = _blocks(V)
-    det = _conditional_det(blocks, _ROW_X, _ROW_Y, np.cos(PHI_GRID), np.sin(PHI_GRID))
+    det = _conditional_det(blocks, _ROW_U, 1.0, np.cos(PHI_GRID), np.sin(PHI_GRID))
 
-    flat = int(np.argmin(det[1:-1]))
+    flat = int(np.argmin(det[1:]))
     ui, pj = divmod(flat, PHI_GRID.size)
     u_best, phi_best = float(U_GRID[ui]), float(PHI_GRID[pj])
     d_best = float(det[1 + ui, pj])
@@ -179,14 +180,13 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     for _ in range(40):
         d_before = d_best
         # one grid spacing to either side, centered on the current point so
-        # the descent direction is never clipped off; past a grid end the
-        # bracket reaches 1e3 further and no more, as the homodyne rows
-        # cover the limits
-        lo = max(u_best / (1e3 if u_best <= U_GRID[0] else step), _U_MIN)
-        hi = min(u_best * (1e3 if u_best >= U_GRID[-1] else step), _U_MAX)
+        # the descent direction is never clipped off; below the first log
+        # point the lower neighbour is the homodyne row u = 0
+        lo = u_best / step if u_best > U_GRID[0] else 0.0
         cos_phi, sin_phi = math.cos(phi_best), math.sin(phi_best)
         u_new, d_new = _golden(
-            lambda u: _conditional_det(blocks, u, 1.0, cos_phi, sin_phi), lo, hi, _PARAM_TOL,
+            lambda u: _conditional_det(blocks, u, 1.0, cos_phi, sin_phi),
+            lo, u_best * step, _PARAM_TOL,
         )
         if d_new < d_best:
             u_best, d_best = u_new, d_new
@@ -198,17 +198,15 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
             phi_best, d_best = phi_new % math.pi, d_new
         if d_before - d_best < 1e-14:
             break
+    if u_best > 1.0:  # fold back: (u, phi) is the measurement (1/u, phi + pi/2)
+        u_best, phi_best = 1.0 / u_best, (phi_best + 0.5 * math.pi) % math.pi
 
-    candidates = [(d_best, u_best, phi_best)]
-    for row, x, y, u_tag in ((0, 0.0, 1.0, 0.0), (-1, 1.0, 0.0, math.inf)):
-        p0 = float(PHI_GRID[int(np.argmin(det[row]))])
-        phi_h, d_h = _golden(
-            lambda p: _conditional_det(blocks, x, y, math.cos(p), math.sin(p)),
-            p0 - dphi, p0 + dphi, _PARAM_TOL,
-        )
-        candidates.append((d_h, u_tag, phi_h % math.pi))
-
-    d_min, u_min, phi_min = min(candidates)
+    p0 = float(PHI_GRID[int(np.argmin(det[0]))])
+    phi_h, d_h = _golden(
+        lambda p: _conditional_det(blocks, 0.0, 1.0, math.cos(p), math.sin(p)),
+        p0 - dphi, p0 + dphi, _PARAM_TOL,
+    )
+    d_min, u_min, phi_min = min((d_best, u_best, phi_best), (d_h, 0.0, phi_h % math.pi))
     return MinimizeResult(u=u_min, phi=phi_min, entropy=_entropy(d_min))
 
 

@@ -33,15 +33,6 @@ def h(x: float) -> float:
     return xp * math.log2(xp) - xm * math.log2(xm)
 
 
-def h_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized ``h`` that clamps arguments below 1 to 1 (no domain check)."""
-    x = np.maximum(np.asarray(x, float), 1.0)
-    xp = 0.5 * (x + 1.0)
-    xm = 0.5 * (x - 1.0)
-    xm_safe = np.where(xm > 0.0, xm, 1.0)
-    return xp * np.log2(xp) - xm_safe * np.log2(xm_safe)
-
-
 def entropy_single_mode(cm: np.ndarray) -> float:
     """Entropy of a single-mode Gaussian state: ``h(sqrt(det cm))``."""
     cm = np.asarray(cm, float)

@@ -135,21 +135,22 @@ def decompose_squeezed_thermal(a: float, b: float, c: float) -> GaussianChannelP
 def family_cm_from_params(fp: FamilyParams) -> NormalFormCM:
     """Normal form (a, b, c, cp) generated by a decomposition witness.
 
-    Works with theta(r)^2 throughout so that pure outputs (eta = 0, where
-    theta(r) = theta(1/r) identically) stay exactly degenerate instead of
-    splitting by square-root rounding.
+    ``a`` is taken from theta(r)^2, so that pure outputs (eta = 0, where
+    theta(r) = theta(1/r)) stay exactly degenerate.
     """
-    t2_r = fp.eta * fp.r + abs(fp.tau) * fp.b
-    t2_ri = fp.eta / fp.r + abs(fp.tau) * fp.b
-    if t2_r <= 0.0 or t2_ri <= 0.0:
-        raise NumericalFailure("degenerate channel: theta(r) vanished")
-    a = math.sqrt(t2_r * t2_ri)
-    amp = abs(fp.tau) * (fp.b * fp.b - 1.0)
-    ratio = t2_ri / t2_r
-    c = fp.sign * math.sqrt(amp * math.sqrt(ratio))
-    sign_tau = 1.0 if fp.tau >= 0.0 else -1.0
-    cp = -fp.sign * sign_tau * math.sqrt(amp / math.sqrt(ratio))
+    tb = abs(fp.tau) * fp.b
+    a = math.sqrt((fp.eta * fp.r + tb) * (fp.eta / fp.r + tb))
+    c, cp = _correlation_arrays(fp.b, fp.r, fp.tau, fp.eta, fp.sign, math.sqrt)
     return NormalFormCM(a=a, b=fp.b, c=c, cp=cp)
+
+
+def _correlation_arrays(b, r, tau, eta, sign, sqrt=np.sqrt):
+    """(c, cp) of the family normal form; arrays, or floats with ``sqrt=math.sqrt``."""
+    tb = abs(tau) * b
+    th_r, th_ri = sqrt(eta * r + tb), sqrt(eta / r + tb)
+    amp = abs(tau) * (b * b - 1.0)
+    sign_tau = 2.0 * (tau >= 0.0) - 1.0  # +-1, with tau = 0 counted positive
+    return sign * sqrt(amp * th_ri / th_r), -sign * sign_tau * sqrt(amp * th_r / th_ri)
 
 
 def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
@@ -161,9 +162,7 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
     if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
         raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
     _check_r(r, b)
-    tb = abs(tau) * b
-    root = math.sqrt(4.0 * a * a * r * r + (r * r - 1.0) ** 2 * tau * tau * b * b)
-    eta = (root - (1.0 + r * r) * tb) / (2.0 * r)
+    eta = _eta_arrays(a, r, tau, b, math.sqrt)
     if eta < 0.0:
         if eta < -1e-12 * max(1.0, a):
             raise DomainError(
@@ -171,6 +170,13 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
             )
         eta = 0.0
     return eta
+
+
+def _eta_arrays(a, r, tau, b, sqrt=np.sqrt):
+    """Unclamped :func:`eta_from_a`; arrays, or floats with ``sqrt=math.sqrt``."""
+    tb = abs(tau) * b
+    root = sqrt(4.0 * a * a * r * r + (r * r - 1.0) ** 2 * tau * tau * b * b)
+    return (root - (1.0 + r * r) * tb) / (2.0 * r)
 
 
 def _check_r(r: float, b: float) -> None:
@@ -278,14 +284,8 @@ def _sample_chunk(a: float, b: float, n: int, seed: int, chunk_index: int):
         redraws += int(m - ok.sum())
         pending = pending[~ok]
 
-    tb = np.abs(tau) * b
-    root = np.sqrt(4.0 * a * a * r * r + (r * r - 1.0) ** 2 * tau * tau * b * b)
-    eta = np.maximum((root - (1.0 + r * r) * tb) / (2.0 * r), 0.0)
-    th_r = np.sqrt(eta * r + tb)
-    th_ri = np.sqrt(eta / r + tb)
-    amp = np.abs(tau) * (b * b - 1.0)
-    c = sign * np.sqrt(amp * th_ri / th_r)
-    cp = -sign * np.sign(np.where(tau >= 0.0, 1.0, -1.0)) * np.sqrt(amp * th_r / th_ri)
+    eta = np.maximum(_eta_arrays(a, r, tau, b), 0.0)
+    c, cp = _correlation_arrays(b, r, tau, eta, sign)
     return c, cp, r, tau, eta, sign, redraws
 
 

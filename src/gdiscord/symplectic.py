@@ -237,10 +237,12 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
     """Check a 4x4 CM against the uncertainty principle.
 
     Never raises: every failure mode is reported in the diagnosis.  A state
-    is accepted iff its smallest symplectic eigenvalue is >= 1 - tol; for the
-    squeezed-thermal subclass (cp = -c) this is equivalent to the parameter
-    bound c^2 <= a*b - 1 - |a - b|, which is quoted in the diagnosis when it
-    is the constraint that failed.
+    is accepted iff its smallest symplectic eigenvalue is >= 1 - tol and it
+    is positive definite, which the spectrum alone cannot tell (V and -V
+    have the same one).  For the squeezed-thermal subclass (cp = -c) the
+    eigenvalue test is equivalent to the parameter bound
+    c^2 <= a*b - 1 - |a - b|, which is quoted in the diagnosis when it is
+    the constraint that failed.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != (4, 4):
@@ -256,6 +258,10 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
     except NumericalFailure as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     if nu.nu_minus >= 1.0 - tol:
+        try:
+            np.linalg.cholesky(V)
+        except np.linalg.LinAlgError:
+            return BonaFideDiagnosis(False, None, "not positive definite")
         return BonaFideDiagnosis(True, nu.nu_minus)
     reason = f"nu_min = {nu.nu_minus:.12g} < 1"
     nf = normal_form_from_cm(V)

@@ -5,8 +5,37 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gdiscord import NormalFormCM, embed_normal_form
+from gdiscord import NormalFormCM, embed_normal_form, rotation_matrix, squeezer_matrix
 from gdiscord.cli import main
+
+WORKED_DISCORD_OUTPUT = """\
+{
+  "numeric": {
+    "s_a": 2.75488750216,
+    "s_b": 1.37744375108,
+    "s_ab": 2.42737648606,
+    "i_ab": 1.70495476719,
+    "s_min_cond": 1.99999999982,
+    "classical_corr": 0.754887502341,
+    "discord": 0.950067264846,
+    "method": "numeric_scan",
+    "u_opt": 1.0,
+    "phi_opt": 0.0
+  },
+  "closed_form": {
+    "s_a": 2.75488750247,
+    "s_b": 1.37744375108,
+    "s_ab": 2.42737648653,
+    "i_ab": 1.70495476703,
+    "s_min_cond": 2.00000000035,
+    "classical_corr": 0.75488750212,
+    "discord": 0.950067264908,
+    "method": "closed_form"
+  },
+  "agreement_delta": 6.14162054546e-11,
+  "in_family": true
+}
+"""
 
 
 @pytest.fixture
@@ -59,14 +88,29 @@ class TestDiscordCommand:
         res = runner.invoke(main, ["discord", "--bogus", "1"])
         assert res.exit_code == 2
 
-    def test_tolerance_env_override(self, runner):
-        # nu_min = 1 - 1e-8: rejected at the default 1e-9, accepted at 1e-6
+    def test_below_tolerance_rejected_by_every_command(self, runner):
+        # nu_min = 1 - 1e-8 is below the fixed 1e-9 validation tolerance
         state = json.dumps({"normal_form": {"a": 1.0 - 1e-8, "b": 1, "c": 0, "cp": 0}})
-        args = ["condition", "--state", state, "--measurement", '{"u": 1}']
-        strict = invoke(runner, args)
-        assert strict.exit_code == 2
-        loose = invoke(runner, args, env={"GDISCORD_TOLERANCE": "1e-6"})
-        assert loose.exit_code == 0
+        for args in (["discord", "--state", state], ["decompose", "--state", state],
+                     ["condition", "--state", state, "--measurement", '{"u": 1}']):
+            res = invoke(runner, args)
+            assert res.exit_code == 2, args
+            assert res.stderr.startswith("error: validation:")
+
+    def test_negative_definite_state_exits_2(self, runner):
+        # -V has the symplectic spectrum of V; only positive definiteness tells them apart
+        S = np.eye(4)
+        S[:2, :2] = squeezer_matrix(2.0) @ rotation_matrix(0.3)
+        for args in (["discord", "--state", json.dumps({"cm": (-2.0 * S @ S.T).tolist()})],
+                     ["condition", "--state", json.dumps({"cm": (-2.0 * np.eye(4)).tolist()}),
+                      "--measurement", '{"u": 1}']):
+            res = invoke(runner, args)
+            assert res.exit_code == 2, args
+            assert "not positive definite" in res.stderr
+
+    def test_worked_state_output(self, runner):
+        res = invoke(runner, ["discord", "--normal-form", "5,2,2.449489743,-2.449489743"])
+        assert res.output == WORKED_DISCORD_OUTPUT
 
 
 class TestDecomposeCommand:
@@ -77,6 +121,13 @@ class TestDecomposeCommand:
         assert abs(out["tau"] - 2.0) < 1e-9
         assert abs(out["eta"] - 1.0) < 1e-9
         assert out["sign"] == 1
+
+    def test_output(self, runner):
+        res = invoke(runner, ["decompose", "--normal-form", "2,2,1,1"])
+        assert res.output == (
+            '{\n  "b": 2.0,\n  "r": 1.0,\n  "tau": -0.333333333333,\n  "eta": 1.33333333333,\n'
+            '  "sign": 1,\n  "xi": 1.0\n}\n'
+        )
 
     def test_out_of_family_exits_3(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])
@@ -92,6 +143,13 @@ class TestClassifyCommand:
         assert out["label"] == "C_lossy"
         assert abs(out["omega"] - 1.2) < 1e-9
         assert abs(out["n_bar"] - 0.1) < 1e-9
+
+    def test_output(self, runner):
+        res = invoke(runner, ["classify", "--tau", "0.5", "--eta", "0.6"])
+        assert res.output == (
+            '{\n  "label": "C_lossy",\n  "tau": 0.5,\n  "eta": 0.6,\n  "omega": 1.2,\n'
+            '  "n_bar": 0.1,\n  "quantum_limited": false\n}\n'
+        )
 
     def test_boundary_quantum_limited(self, runner):
         res = invoke(runner, ["classify", "--tau", "2", "--eta", "1"])

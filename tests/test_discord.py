@@ -34,8 +34,8 @@ from gdiscord.verification import (
 
 SQRT6 = math.sqrt(6.0)
 WORKED = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
-# bona fide (nu_min = 1.242); its grid winner sits on the last u point, so
-# the u refinement brackets [1e4 / step, 1e7]
+# bona fide (nu_min = 1.242); its grid winner sits on the first log point
+# u = 1e-4, so the u refinement brackets [0, 1e-4 * step]
 EDGE_CM = [
     [2.2996542582770254, 0, 0.4390670376374667, 0.2851396594617031],
     [0, 4.201636650263561, -0.01036061669447979, -0.7944371156548117],
@@ -86,8 +86,8 @@ class TestMinimizer:
         V = embed_normal_form(family_cm_from_params(fp))
         res = minimize_conditional_entropy(V)
         assert res.entropy == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-9)
-        # u -> inf at phi = 0 and u -> 0 at phi = pi/2 are the same projector
-        assert res.u in (0.0, math.inf)
+        # u -> inf at phi = 0 is u = 0 at phi = pi/2, the scan's one homodyne row
+        assert res.u == 0.0
         assert type(res.phi) is float
 
     def test_matched_measurement_identity(self):
@@ -114,6 +114,22 @@ class TestMinimizer:
             V = embed_normal_form(NormalFormCM(a[i], b[i], c[i], -c[i]))
             res = minimize_conditional_entropy(V)
             assert conditional_entropy_measured(V, het) - res.entropy <= 1e-8
+
+    def test_result_is_folded_into_unit_interval(self):
+        # (u, phi) and (1/u, phi + pi/2) are the same measurement; the scan
+        # covers u in [0, 1] once and reports its optimum there
+        rng = np.random.default_rng(38)
+        for i, nf in enumerate(zip(*random_normal_forms(rng, 100))):
+            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+            if i % 2:
+                S = local_symplectic(rng)
+                V = S @ V @ S.T
+            res = minimize_conditional_entropy(V)
+            assert 0.0 <= res.u <= 1.0
+            twin = (GaussianMeasurement(1.0 / res.u, res.phi + 0.5 * math.pi) if res.u > 0.0
+                    else GaussianMeasurement.homodyne_p(res.phi + 0.5 * math.pi))
+            for m in (GaussianMeasurement(res.u, res.phi), twin):
+                assert conditional_entropy_measured(V, m) == pytest.approx(res.entropy, abs=1e-12)
 
 
 class TestTermination:
@@ -148,6 +164,12 @@ class TestInputValidation:
         V = WORKED.copy()
         V[0, 1] = V[1, 0] = math.nan
         with pytest.raises(DomainError, match="non-finite"):
+            minimize_conditional_entropy(V)
+
+    @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0])])
+    def test_not_positive_definite_rejected(self, V):
+        # the symplectic spectrum cannot tell V from -V
+        with pytest.raises(DomainError, match="not positive definite"):
             minimize_conditional_entropy(V)
 
     def test_asymmetric_cm_rejected(self):

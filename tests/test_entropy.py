@@ -14,7 +14,6 @@ from gdiscord import (
     mutual_information,
     thermal_entropy_fock,
 )
-from gdiscord.entropy import h_array
 
 SQRT6 = math.sqrt(6.0)
 
@@ -42,12 +41,6 @@ class TestH:
         xs = np.linspace(1.0, 20.0, 400)
         vals = [h(x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_vectorized_matches_scalar(self):
-        xs = np.array([1.0, 1.0 - 1e-12, 1.5, 2.0, 7.0])
-        vec = h_array(xs)
-        for x, v in zip(xs, vec):
-            assert v == pytest.approx(h(float(x)), abs=1e-15)
 
 
 class TestStateEntropies:

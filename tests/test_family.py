@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gdiscord import (
     squeezer_matrix,
     tau_bounds,
 )
+from gdiscord.serialize import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
 from gdiscord.verification import random_family_params
 
@@ -302,8 +304,12 @@ class TestSampler:
             fp = FamilyParams(b=s.b, r=float(s.r[i]), tau=float(s.tau[i]),
                               eta=float(s.eta[i]), sign=int(s.sign[i]))
             nf = family_cm_from_params(fp)
-            assert nf.c == pytest.approx(s.c[i], abs=1e-9)
-            assert nf.cp == pytest.approx(s.cp[i], abs=1e-9)
+            # one formula serves the sampler and the scalar API
+            assert (nf.c, nf.cp) == (s.c[i], s.cp[i])
+
+    def test_csv_digest_pin(self):
+        csv = sample_to_csv(sample_family(2.0, 2.0, 200_000, 42))
+        assert hashlib.sha256(csv.encode()).hexdigest()[:16] == "22e1583402593166"
 
     def test_degenerate_vacuum_pair(self):
         s = sample_family(1.0, 1.0, 50, 0)

@@ -146,6 +146,13 @@ class TestValidate:
         assert not diag.bona_fide
         assert "symmetric" in diag.reason
 
+    @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0])])
+    def test_not_positive_definite_rejected(self, V):
+        # the spectrum formula reads nu_min = 2 for both, as it does for 2 I
+        diag = validate_bona_fide(V)
+        assert not diag.bona_fide
+        assert diag.reason == "not positive definite"
+
     def test_never_raises_on_garbage(self):
         assert not validate_bona_fide(np.full((4, 4), np.nan)).bona_fide
         assert not validate_bona_fide(np.eye(3)).bona_fide
