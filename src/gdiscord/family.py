@@ -18,7 +18,17 @@ Useful identities: ``c * cp = -sign(tau) |tau| (b^2 - 1)`` and
 ``|c/cp| = theta(1/r)/theta(r) = a / theta(r)^2``, which is strictly
 decreasing in ``r`` whenever ``eta > 0``.
 
-Holding ``a`` fixed inverts to
+At fixed (a, b) the map inverts exactly.  With ``rho = |c/cp|``,
+``theta(r)^2 = a/rho`` and ``theta(1/r)^2 = a*rho``, so
+
+    eta * r = a/rho - |tau| b,    eta / r = a*rho - |tau| b,
+
+    r = sqrt((a/rho - |tau| b) / (a*rho - |tau| b)),
+    eta = sqrt((a/rho - |tau| b) (a*rho - |tau| b)),
+
+with ``|tau| = |c*cp| / (b^2 - 1)``; :func:`membership` uses these.
+
+Holding ``a`` fixed and choosing ``r`` instead inverts to
 
     eta = [sqrt(4 a^2 r^2 + (r^2-1)^2 tau^2 b^2) - (1+r^2) |tau| b] / (2r),
 
@@ -365,16 +375,18 @@ def occupancy_grid(
 
 
 def membership(nf: NormalFormCM, tol: float = 1e-9) -> FamilyParams:
-    """Search for a decomposition witness of a normal-form state.
+    """Decomposition witness of a normal-form state, in closed form.
 
     The EPR variance is pinned to ``b`` (the channel leaves mode B alone),
     |tau| follows from ``|c*cp| = |tau|(b^2-1)`` and its sign from
-    ``sign(c*cp)``; the remaining unknown r solves the monotone equation
-    ``|c/cp| = a/theta(r)^2`` by bisection on [1/b, b].  Raises OutOfFamily
-    when no witness reproduces (a, c, cp) to within ``tol`` (relative to a).
+    ``sign(c*cp)``; ``r`` and ``eta`` then follow from ``eta*r`` and
+    ``eta/r`` (module docstring), with ``r`` clamped into [1/b, b].  The
+    candidate is accepted when it reproduces (a, c, cp) to within ``tol``
+    (relative to a), and OutOfFamily is raised otherwise.
 
     States on the axes (exactly one of c, cp zero) are only reached in the
-    infinite-entanglement limit and are reported OutOfFamily.
+    infinite-entanglement limit and are reported OutOfFamily, as are
+    correlated states with ``b <= 1``.
     """
     a, b, c, cp = nf.a, nf.b, nf.c, nf.cp
     if not bool(bona_fide_normal_form_mask(a, b, c, cp)):
@@ -386,47 +398,20 @@ def membership(nf: NormalFormCM, tol: float = 1e-9) -> FamilyParams:
         raise OutOfFamily(
             "axis states (c*cp = 0 with correlations) have no finite-b decomposition"
         )
+    if b <= 1.0:
+        raise OutOfFamily(f"b = {b} leaves no EPR correlations for c, cp to come from")
     sign = 1 if c > 0 else -1
-    if abs(cp + c) <= 1e-12 * scale:
-        # squeezed thermal: r = 1, nonnegative transmissivity
-        channel = decompose_squeezed_thermal(a, b, abs(c))
-        return FamilyParams(b=b, r=1.0, tau=channel.tau, eta=channel.eta, sign=sign)
-
     abs_tau = abs(c * cp) / (b * b - 1.0)
     tau = abs_tau if c * cp < 0 else -abs_tau
-    if abs_tau > a / b + 1e-12:
-        raise OutOfFamily(
-            f"|c*cp| = {abs(c * cp):.12g} needs |tau| = {abs_tau:.12g} > a/b = {a / b:.12g}"
-        )
+    tb = abs_tau * b
     rho = abs(c / cp)
-
-    def ratio(r: float) -> float:
-        eta = eta_from_a(a, r, tau, b)
-        return a / (eta * r + abs_tau * b)
-
-    lo, hi = 1.0 / b, b
-    if abs(rho - 1.0) <= 1e-12:
+    x = max(a / rho - tb, 0.0)  # eta * r
+    y = max(a * rho - tb, 0.0)  # eta / r
+    if x == y:
         r = 1.0
     else:
-        f_lo, f_hi = ratio(lo), ratio(hi)
-        slack = 1e-9 * rho
-        if rho > f_lo + slack or rho < f_hi - slack:
-            raise OutOfFamily(
-                f"|c/cp| = {rho:.12g} outside the reachable ratio range "
-                f"[{f_hi:.12g}, {f_lo:.12g}] at b = {b:.12g}"
-            )
-        rho_c = min(max(rho, f_hi), f_lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if ratio(mid) > rho_c:
-                lo = mid
-            else:
-                hi = mid
-        r = 0.5 * (lo + hi)
-
-    eta = eta_from_a(a, r, tau, b)
+        r = min(max(math.sqrt(x / y) if y > 0.0 else b, 1.0 / b), b)
+    eta = math.sqrt(x * y)
     floor = abs(1.0 - tau)
     if eta < floor:
         if eta < floor - 1e-6 * max(1.0, a):
@@ -440,6 +425,6 @@ def membership(nf: NormalFormCM, tol: float = 1e-9) -> FamilyParams:
     err = max(abs(out.a - a), abs(out.c - c), abs(out.cp - cp))
     if err > tol * max(1.0, a):
         raise OutOfFamily(
-            f"best candidate misses the target by {err:.3e} (tolerance {tol:.1e})"
+            f"the closed-form witness misses (a, c, cp) by {err:.3e} (tolerance {tol:.1e})"
         )
     return fp

@@ -113,6 +113,15 @@ class TestDiscordCommand:
         assert res.output == WORKED_DISCORD_OUTPUT
 
 
+    @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])
+    def test_vacuum_b_with_correlations_reports_numeric_only(self, runner, state):
+        res = invoke(runner, ["discord", "--normal-form", state])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["in_family"] is False
+        assert payload["closed_form"] is None
+
+
 class TestDecomposeCommand:
     def test_family_member(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "5,2,2.449489742783178,-2.449489742783178"])
@@ -131,6 +140,12 @@ class TestDecomposeCommand:
 
     def test_out_of_family_exits_3(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])
+        assert res.exit_code == 3
+        assert res.stderr.startswith("error: out-of-family:")
+
+    @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])
+    def test_vacuum_b_with_correlations_exits_3(self, runner, state):
+        res = invoke(runner, ["decompose", "--normal-form", state])
         assert res.exit_code == 3
         assert res.stderr.startswith("error: out-of-family:")
 
@@ -188,6 +203,15 @@ class TestSampleCommand:
             ])
             assert res.exit_code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_stdout_bytes_equal_file_bytes(self, runner, tmp_path):
+        # 70,000 points span two sampler chunks
+        path = tmp_path / "points.csv"
+        args = ["sample", "--a", "2", "--b", "3", "--n", "70000", "--seed", "8"]
+        to_file = invoke(runner, args + ["--threads", "1", "--out", str(path)])
+        to_stdout = invoke(runner, args + ["--threads", "2"])
+        assert to_file.exit_code == 0 and to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == path.read_bytes()
 
     def test_stdout_output(self, runner):
         res = invoke(runner, ["sample", "--a", "1.5", "--b", "1.5", "--n", "3", "--seed", "0"])

@@ -22,6 +22,7 @@ from gdiscord import (
     squeezer_matrix,
     tau_bounds,
 )
+from gdiscord.family import _correlation_arrays, _eta_arrays, _tau_bounds_arrays
 from gdiscord.serialize import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
 from gdiscord.verification import random_family_params
@@ -225,18 +226,19 @@ class TestMembership:
         target = NormalFormCM(2, 2, 1.0, -0.5)
         with pytest.raises(OutOfFamily):
             membership(target)
-        # brute force: no (r, tau) at 1e-3 resolution comes close
-        best = math.inf
-        for r in np.arange(0.5, 2.0 + 1e-9, 1e-3):
-            r = float(min(r, 2.0))
-            lo, hi = tau_bounds(target.a, target.b, r)
-            for tau in np.arange(lo, hi, 1e-3):
-                tau = float(min(tau, hi))
-                eta = max(eta_from_a(target.a, r, tau, target.b), abs(1.0 - tau))
-                nf = family_cm_from_params(
-                    FamilyParams(b=2.0, r=r, tau=tau, eta=eta, sign=1)
-                )
-                best = min(best, max(abs(nf.c - target.c), abs(nf.cp - target.cp)))
+        # brute force over a ragged (r, tau) grid at 1e-3 resolution: every
+        # r in [1/b, b], every tau in [tau_min(r), tau_max(r)); no point
+        # comes close.  Built from the forward formulae only, not membership.
+        a, b, step = target.a, target.b, 1e-3
+        r = np.minimum(np.arange(0.5, 2.0 + 1e-9, step), 2.0)
+        lo, hi = _tau_bounds_arrays(a, b, r)
+        counts = np.ceil((hi - lo) / step).astype(int)  # len(np.arange(lo, hi, step))
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        r = np.repeat(r, counts)
+        tau = np.minimum(np.repeat(lo, counts) + offsets * step, np.repeat(hi, counts))
+        eta = np.maximum(_eta_arrays(a, r, tau, b), np.abs(1.0 - tau))
+        c, cp = _correlation_arrays(b, r, tau, eta, 1.0)
+        best = float(np.min(np.maximum(np.abs(c - target.c), np.abs(cp - target.cp))))
         # a member would be approximated to ~grid resolution (1e-3); the
         # nearest family point is orders of magnitude further away
         assert best > 0.01
@@ -249,6 +251,31 @@ class TestMembership:
             nf2 = family_cm_from_params(fp2)
             err = np.max(np.abs(embed_normal_form(nf1) - embed_normal_form(nf2)))
             assert err <= 1e-9
+
+    def test_sampled_witnesses_recovered(self):
+        # the closed-form inverse returns the sampler's own witness
+        s = sample_family(2.3, 3.1, 20_000, 30)
+        for i in range(s.n):
+            fp = membership(NormalFormCM(s.a, s.b, float(s.c[i]), float(s.cp[i])))
+            for got, want in ((fp.r, s.r[i]), (fp.tau, s.tau[i]), (fp.eta, s.eta[i])):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            assert fp.sign == s.sign[i]
+
+    def test_within_tol_of_epr_is_member(self):
+        # |tau| exceeds a/b = 1 by 1e-10, yet the eta = 0 witness reproduces
+        # the state to ~3e-10, inside the forward-error tolerance
+        target = NormalFormCM(2, 2, math.sqrt(3) * (1 + 1e-10), -math.sqrt(3))
+        out = family_cm_from_params(membership(target))
+        assert max(abs(out.a - target.a), abs(out.c - target.c),
+                   abs(out.cp - target.cp)) <= 1e-9
+
+    @pytest.mark.parametrize("c, cp", [(1e-5, 1e-5), (3e-5, -1e-5), (1e-5, -1e-5)])
+    def test_vacuum_b_with_correlations_out_of_family(self, c, cp):
+        # bona fide within the validator's tolerance, but b = 1 has no EPR
+        # correlations to pass on
+        assert bool(bona_fide_normal_form_mask(2.0, 1.0, c, cp))
+        with pytest.raises(OutOfFamily):
+            membership(NormalFormCM(2.0, 1.0, c, cp))
 
     def test_epr_is_member(self):
         fp = membership(NormalFormCM(2, 2, math.sqrt(3), -math.sqrt(3)))
