@@ -12,10 +12,26 @@ The seed at ``(u, phi)`` is the seed at ``(1/u, phi + pi/2)``, so u in
 [0, 1] with phi in [0, pi) covers every measurement once: u = 0 is homodyne
 detection (u -> inf is u = 0 at phi + pi/2) and u = 1 heterodyne.
 
-The scan has one objective, ``det(A - C (B + V0)^{-1} C^T)``: the measured
-conditional entropy is ``h`` of its square root, which increases with it.
-``(B + V0)^{-1}`` comes from :func:`remote_prep.inverse_b_plus_seed`, which
-takes u = 0 like any other u, and one point or a whole grid alike.
+The scan ranks measurements by ``det(A - C (B + V0)^{-1} C^T)``: the
+measured conditional entropy is ``h`` of its square root, which increases
+with it.  In homogeneous seed weights ``u = x/y``, with
+``r = (cos phi, sin phi)``, ``s = (-sin phi, cos phi)`` and the Schur
+complement ``S = B - C^T A^{-1} C``, it is a ratio of two binary quadratic
+forms in (x, y):
+
+    det A (xy (det S + 1) + x^2 s^T S s + y^2 r^T S r)
+    / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r),
+
+and each ``r^T X r`` is ``tr X/2 + (X00 - X11)/2 cos 2phi + X01 sin 2phi``
+(``s^T X s`` flips the sign of the last two terms).  So a state gives eight
+numbers once, the 202 x 64 grid is a few broadcast operations and one
+refinement step a few float operations.  At u = 1 the phi terms carry the
+factor ``y^2 - x^2 = 0`` exactly, so the heterodyne row is flat in phi to
+the last bit.  The ratio only ranks candidates: the entropy reported for
+the winner is :func:`conditional_entropy_measured` at it, which goes through
+:func:`remote_prep.conditional_cm`, the one place that forms
+``(B + V0)^{-1}``; so the scan reports exactly what conditioning on its
+optimal measurement gives.
 
 The grid is u in {0} plus [1e-4, 1] (201 log-spaced points), times phi in
 [0, pi) (64 points).  Golden-section refinement in u and phi separately
@@ -35,7 +51,7 @@ import numpy as np
 from .entropy import entropy_single_mode, entropy_two_mode, h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
-from .remote_prep import GaussianMeasurement, inverse_b_plus_seed
+from .remote_prep import GaussianMeasurement, conditional_cm
 from .symplectic import (
     block_a,
     block_b,
@@ -49,6 +65,7 @@ U_GRID = np.logspace(-4.0, 0.0, 201)
 PHI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
 # u of the scan rows: homodyne (u = 0), then U_GRID
 _ROW_U = np.concatenate(([0.0], U_GRID))[:, None]
+_COS2_GRID, _SIN2_GRID = np.cos(2.0 * PHI_GRID), np.sin(2.0 * PHI_GRID)
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_MAX_ITER = 200
 _PARAM_TOL = 1e-10
@@ -75,36 +92,36 @@ class DiscordReport:
     phi_opt: float | None = None
 
 
-def _blocks(V: np.ndarray):
-    """Entries of the A, B and C blocks as plain floats."""
-    A, B, C = block_a(V), block_b(V), block_c(V)
+def _form(X: np.ndarray, scale: float) -> tuple[float, float, float, float]:
+    """Coefficients of ``xy (det X + 1) + x^2 s^T X s + y^2 r^T X r``, times scale.
+
+    In the order (xy, x^2 + y^2, (y^2 - x^2) cos 2phi, (y^2 - x^2) sin 2phi).
+    """
+    x00, x01, x11 = float(X[0, 0]), float(X[0, 1]), float(X[1, 1])
     return (
-        (float(A[0, 0]), float(A[0, 1]), float(A[1, 1])),
-        (float(B[0, 0]), float(B[0, 1]), float(B[1, 1])),
-        (float(C[0, 0]), float(C[0, 1]), float(C[1, 0]), float(C[1, 1])),
+        scale * (x00 * x11 - x01 * x01 + 1.0),
+        0.5 * scale * (x00 + x11),
+        0.5 * scale * (x00 - x11),
+        scale * x01,
     )
 
 
-def _conditional_det(blocks, x, y, cos_phi, sin_phi):
+def _scan_forms(V: np.ndarray):
+    """Numerator and denominator forms of the scan objective of V."""
+    A, B, C = block_a(V), block_b(V), block_c(V)
+    S = B - C.T @ np.linalg.solve(A, C)
+    return _form(S, float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])), _form(B, 1.0)
+
+
+def _scan_objective(forms, x, y, cos2, sin2):
     """``det(A - C (B + V0)^{-1} C^T)`` for the seed ``u = x/y`` at angle phi.
 
-    Floats or broadcast arrays, like :func:`inverse_b_plus_seed`.
+    ``cos2``, ``sin2`` are cos 2phi and sin 2phi.  Floats or broadcast arrays.
     """
-    (a00, a01, a11), b, (c00, c01, c10, c11) = blocks
-    i00, i01, i11 = inverse_b_plus_seed(b, x, y, cos_phi, sin_phi)
-    # rows of L = C (B + V0)^{-1}
-    l00, l01 = c00 * i00 + c01 * i01, c00 * i01 + c01 * i11
-    l10, l11 = c10 * i00 + c11 * i01, c10 * i01 + c11 * i11
-    d00 = a00 - (l00 * c00 + l01 * c01)
-    d01 = a01 - (l00 * c10 + l01 * c11)
-    d11 = a11 - (l10 * c10 + l11 * c11)
-    return d00 * d11 - d01 * d01
-
-
-def _entropy(det: float) -> float:
-    if not math.isfinite(det):
-        raise NumericalFailure("conditional CM is not finite")
-    return h(math.sqrt(max(det, 0.0)))
+    (kn, tn, dn, en), (kd, td, dd, ed) = forms
+    xy, sq, diff = x * y, x * x + y * y, y * y - x * x
+    num = xy * kn + sq * tn + diff * (dn * cos2 + en * sin2)
+    return num / (xy * kd + sq * td + diff * (dd * cos2 + ed * sin2))
 
 
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
@@ -113,8 +130,11 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
     The conditional CM is outcome-independent, so no averaging is needed:
     the value is ``h`` of its symplectic eigenvalue.
     """
-    det = _conditional_det(_blocks(V), *m.weights, math.cos(m.phi), math.sin(m.phi))
-    return _entropy(det)
+    D = conditional_cm(V, m)
+    det = float(D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0])
+    if not math.isfinite(det):
+        raise NumericalFailure("conditional CM is not finite")
+    return h(math.sqrt(max(det, 0.0)))
 
 
 class MinimizeResult(NamedTuple):
@@ -163,8 +183,8 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
-    blocks = _blocks(V)
-    det = _conditional_det(blocks, _ROW_U, 1.0, np.cos(PHI_GRID), np.sin(PHI_GRID))
+    forms = _scan_forms(V)
+    det = _scan_objective(forms, _ROW_U, 1.0, _COS2_GRID, _SIN2_GRID)
 
     flat = int(np.argmin(det[1:]))
     ui, pj = divmod(flat, PHI_GRID.size)
@@ -183,15 +203,15 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
         # the descent direction is never clipped off; below the first log
         # point the lower neighbour is the homodyne row u = 0
         lo = u_best / step if u_best > U_GRID[0] else 0.0
-        cos_phi, sin_phi = math.cos(phi_best), math.sin(phi_best)
+        cos2, sin2 = math.cos(2.0 * phi_best), math.sin(2.0 * phi_best)
         u_new, d_new = _golden(
-            lambda u: _conditional_det(blocks, u, 1.0, cos_phi, sin_phi),
+            lambda u: _scan_objective(forms, u, 1.0, cos2, sin2),
             lo, u_best * step, _PARAM_TOL,
         )
         if d_new < d_best:
             u_best, d_best = u_new, d_new
         phi_new, d_new = _golden(
-            lambda p: _conditional_det(blocks, u_best, 1.0, math.cos(p), math.sin(p)),
+            lambda p: _scan_objective(forms, u_best, 1.0, math.cos(2.0 * p), math.sin(2.0 * p)),
             phi_best - dphi, phi_best + dphi, _PARAM_TOL,
         )
         if d_new < d_best:
@@ -203,11 +223,12 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
 
     p0 = float(PHI_GRID[int(np.argmin(det[0]))])
     phi_h, d_h = _golden(
-        lambda p: _conditional_det(blocks, 0.0, 1.0, math.cos(p), math.sin(p)),
+        lambda p: _scan_objective(forms, 0.0, 1.0, math.cos(2.0 * p), math.sin(2.0 * p)),
         p0 - dphi, p0 + dphi, _PARAM_TOL,
     )
-    d_min, u_min, phi_min = min((d_best, u_best, phi_best), (d_h, 0.0, phi_h % math.pi))
-    return MinimizeResult(u=u_min, phi=phi_min, entropy=_entropy(d_min))
+    _, u_min, phi_min = min((d_best, u_best, phi_best), (d_h, 0.0, phi_h % math.pi))
+    entropy = conditional_entropy_measured(V, GaussianMeasurement(u_min, phi_min))
+    return MinimizeResult(u=u_min, phi=phi_min, entropy=entropy)
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:

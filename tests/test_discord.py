@@ -25,7 +25,9 @@ from gdiscord import (
     squeezer_matrix,
 )
 from gdiscord.cli import main
-from gdiscord.discord import _golden
+from gdiscord.discord import _COS2_GRID, _ROW_U, _SIN2_GRID, _golden, _scan_forms, _scan_objective
+from gdiscord.family import eta_from_a, tau_bounds
+from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
     random_family_params,
     random_normal_forms,
@@ -68,6 +70,45 @@ class TestConditionalEntropy:
     def test_epr_heterodyne_prepares_coherent(self, b):
         s = conditional_entropy_measured(epr_cm(b), GaussianMeasurement.heterodyne())
         assert s == pytest.approx(0.0, abs=1e-9)
+
+
+def seeded_states(rng, n):
+    """Seeded normal forms, every other one under a random local symplectic."""
+    for i, nf in enumerate(zip(*random_normal_forms(rng, n))):
+        V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        if i % 2:
+            S = local_symplectic(rng)
+            V = S @ V @ S.T
+        yield V
+
+
+class TestScanObjective:
+    def test_matches_conditional_cm(self):
+        # the ratio of quadratic forms ranks what conditional_cm evaluates
+        for V in seeded_states(np.random.default_rng(39), 40):
+            forms = _scan_forms(V)
+            for u in (0.0, 1e-4, 0.3, 1.0, 3.0, 6.0, math.inf):  # inf: weights (1, 0)
+                for phi in (0.0, 0.4, 1.3, 2.9):
+                    m = GaussianMeasurement(u, phi)
+                    D = conditional_cm(V, m)
+                    det = _scan_objective(forms, *m.weights, math.cos(2 * phi), math.sin(2 * phi))
+                    assert det == pytest.approx(D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0], rel=1e-12)
+
+    def test_heterodyne_row_is_bit_flat(self):
+        assert _ROW_U[-1, 0] == 1.0
+        for V in seeded_states(np.random.default_rng(40), 20):
+            det = _scan_objective(_scan_forms(V), _ROW_U, 1.0, _COS2_GRID, _SIN2_GRID)
+            assert np.all(det[-1] == det[-1, 0])
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1])
+    def test_heterodyne_winner_reports_phi_zero(self, theta):
+        R = np.zeros((4, 4))
+        R[:2, :2] = rotation_matrix(theta)
+        R[2:, 2:] = rotation_matrix(0.7 * theta)
+        res = minimize_conditional_entropy(R @ WORKED @ R.T)
+        assert res.entropy == pytest.approx(2.0, abs=1e-8)
+        assert res.u == pytest.approx(1.0, abs=1e-6)
+        assert res.phi == 0.0
 
 
 class TestMinimizer:
@@ -118,12 +159,7 @@ class TestMinimizer:
     def test_result_is_folded_into_unit_interval(self):
         # (u, phi) and (1/u, phi + pi/2) are the same measurement; the scan
         # covers u in [0, 1] once and reports its optimum there
-        rng = np.random.default_rng(38)
-        for i, nf in enumerate(zip(*random_normal_forms(rng, 100))):
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
-            if i % 2:
-                S = local_symplectic(rng)
-                V = S @ V @ S.T
+        for V in seeded_states(np.random.default_rng(38), 100):
             res = minimize_conditional_entropy(V)
             assert 0.0 <= res.u <= 1.0
             twin = (GaussianMeasurement(1.0 / res.u, res.phi + 0.5 * math.pi) if res.u > 0.0
@@ -232,6 +268,20 @@ class TestDiscordReports:
             V = embed_normal_form(family_cm_from_params(fp))
             numeric = gaussian_discord_numeric(V)
             assert abs(closed.discord - numeric.discord) <= 1e-6
+
+    def test_closed_matches_numeric_at_large_variance(self):
+        # b log-uniform in [1, 1e3]: the conditional CM loses precision as b grows
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            b = 10.0 ** rng.uniform(0.0, 3.0)
+            a = rng.uniform(1.0, b)
+            r = rng.uniform(1.0 / b, b)
+            tau = rng.uniform(*tau_bounds(a, b, r))
+            eta = max(eta_from_a(a, r, tau, b), abs(1.0 - tau))
+            fp = FamilyParams(b=b, r=r, tau=tau, eta=eta, sign=1 if rng.uniform() < 0.5 else -1)
+            V = embed_normal_form(family_cm_from_params(fp))
+            closed = gaussian_discord_closed_form(fp).discord
+            assert abs(closed - gaussian_discord_numeric(V).discord) <= 1e-9
 
     def test_invariant_under_squeezing_mode_A(self):
         rng = np.random.default_rng(35)

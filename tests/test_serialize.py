@@ -21,6 +21,7 @@ from gdiscord.serialize import (
     parse_channel_payload,
     parse_measurement_payload,
     round12,
+    sample_csv_lines,
     sample_to_csv,
 )
 
@@ -134,3 +135,20 @@ class TestEmission:
         s1 = sample_to_csv(sample_family(2.0, 2.0, 500, 9))
         s2 = sample_to_csv(sample_family(2.0, 2.0, 500, 9))
         assert s1 == s2
+
+    def test_csv_negative_zero(self):
+        # two row blocks; -0.0 in every float column and a -1 sign
+        sample = sample_family(2.0, 2.0, 10_000, 11)
+        cols = (sample.c, sample.cp, sample.r, sample.tau, sample.eta)
+        for col in cols:
+            col[[0, 8191, 8192, 9999]] = -0.0
+        sample.sign[0] = -1.0
+        lines = list(sample_csv_lines(sample))
+        assert lines[1] == "2,2,0,0,0,0,0,-1"
+        ref = [SAMPLE_CSV_HEADER] + [
+            ",".join([fmt(sample.a), fmt(sample.b)] + [fmt(col[i]) for col in cols]
+                     + [str(int(sample.sign[i]))])
+            for i in range(sample.n)
+        ]
+        assert lines == ref
+        assert sample_to_csv(sample) == "\n".join(ref) + "\n"
