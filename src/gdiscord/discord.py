@@ -24,20 +24,27 @@ forms in (x, y):
 
 and each ``r^T X r`` is ``tr X/2 + (X00 - X11)/2 cos 2phi + X01 sin 2phi``
 (``s^T X s`` flips the sign of the last two terms).  So a state gives eight
-numbers once, the 202 x 64 grid is a few broadcast operations and one
-refinement step a few float operations.  At u = 1 the phi terms carry the
-factor ``y^2 - x^2 = 0`` exactly, so the heterodyne row is flat in phi to
-the last bit.  The ratio only ranks candidates: the entropy reported for
-the winner is :func:`conditional_entropy_measured` at it, which goes through
+numbers once.  At fixed phi the ratio is ``N(u)/D(u)`` with quadratics
+``N = alpha u^2 + beta u + gamma`` and D alike, so its minimum over u in
+[0, inf] is exact: the best of u = 0, u = inf (weights (1, 0)), u = 1 and
+the positive roots of ``N'D - ND'``, the quadratic
+
+    (alpha beta' - alpha' beta) u^2 + 2 (alpha gamma' - alpha' gamma) u
+    + (beta gamma' - beta' gamma).
+
+The scan is then a search in phi alone for ``g(phi) = min_u N/D``, which
+has period pi/2 by the fold: a 32-point grid over [0, pi/2) and one
+golden-section refinement around its winner.  Every candidate is valued by
+the same ratio; at u = 1 its phi terms carry the factor ``y^2 - x^2 = 0``
+exactly, so the heterodyne value is flat in phi to the last bit.  A root
+replaces the best endpoint, and the refined phi the grid's, only when lower
+by more than a rounding margin, so flat directions keep the exact
+heterodyne and homodyne points and ties keep the smaller grid phi.  The
+ratio only ranks candidates: the entropy reported for the winner is
+:func:`conditional_entropy_measured` at it, which goes through
 :func:`remote_prep.conditional_cm`, the one place that forms
 ``(B + V0)^{-1}``; so the scan reports exactly what conditioning on its
 optimal measurement gives.
-
-The grid is u in {0} plus [1e-4, 1] (201 log-spaced points), times phi in
-[0, pi) (64 points).  Golden-section refinement in u and phi separately
-follows; it may cross the fold point u = 1, and a winner beyond it is
-reported at ``(1/u, phi + pi/2)``.  Ties are broken lexicographically on
-(u, phi), so the result does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -61,13 +68,13 @@ from .symplectic import (
     validate_bona_fide,
 )
 
-U_GRID = np.logspace(-4.0, 0.0, 201)
-PHI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)
-# u of the scan rows: homodyne (u = 0), then U_GRID
-_ROW_U = np.concatenate(([0.0], U_GRID))[:, None]
-_COS2_GRID, _SIN2_GRID = np.cos(2.0 * PHI_GRID), np.sin(2.0 * PHI_GRID)
+_PHI_STEP = math.pi / 64.0
+PHI_GRID = [k * _PHI_STEP for k in range(32)]  # [0, pi/2): g has period pi/2
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 _GOLDEN_MAX_ITER = 200
+# relative margin by which a root or a refined phi must beat the incumbent;
+# a few ulps, so rounding alone never moves an exact heterodyne or grid point
+_ROUNDING_MARGIN = 8.0 * 2.0**-52
 _PARAM_TOL = 1e-10
 
 
@@ -116,12 +123,43 @@ def _scan_forms(V: np.ndarray):
 def _scan_objective(forms, x, y, cos2, sin2):
     """``det(A - C (B + V0)^{-1} C^T)`` for the seed ``u = x/y`` at angle phi.
 
-    ``cos2``, ``sin2`` are cos 2phi and sin 2phi.  Floats or broadcast arrays.
+    ``cos2``, ``sin2`` are cos 2phi and sin 2phi.
     """
     (kn, tn, dn, en), (kd, td, dd, ed) = forms
     xy, sq, diff = x * y, x * x + y * y, y * y - x * x
     num = xy * kn + sq * tn + diff * (dn * cos2 + en * sin2)
     return num / (xy * kd + sq * td + diff * (dd * cos2 + ed * sin2))
+
+
+def _best_seed(forms, phi: float) -> tuple[float, float, float]:
+    """``(value, x, y)`` of the best seed weights at angle phi, u in [0, inf].
+
+    At fixed phi each form ``(k, t, d, e)`` is ``(t - p) u^2 + k u + (t + p)``
+    with ``p = d cos 2phi + e sin 2phi``; the candidates are u = 0, inf and 1
+    and the positive roots of ``N'D - ND'``, all valued by
+    :func:`_scan_objective`.
+    """
+    cos2, sin2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    best = min(
+        (_scan_objective(forms, x, y, cos2, sin2), x, y)
+        for x, y in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+    )
+    (kn, tn, dn, en), (kd, td, dd, ed) = forms
+    pn, pd = dn * cos2 + en * sin2, dd * cos2 + ed * sin2
+    # N = al u^2 + be u + ga, D likewise with the primed (_d) coefficients
+    al, be, ga = tn - pn, kn, tn + pn
+    al_d, be_d, ga_d = td - pd, kd, td + pd
+    a, b, c = al * be_d - al_d * be, al * ga_d - al_d * ga, be * ga_d - be_d * ga
+    disc = b * b - a * c
+    if disc < 0.0:
+        return best
+    q = -(b + math.copysign(math.sqrt(disc), b))  # roots q/a and c/q, without cancellation
+    for u in (q / a if a else 0.0, c / q if q else 0.0):
+        if 0.0 < u < math.inf:
+            d = _scan_objective(forms, u, 1.0, cos2, sin2)
+            if d < best[0] * (1.0 - _ROUNDING_MARGIN):
+                best = (d, u, 1.0)
+    return best
 
 
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
@@ -173,10 +211,10 @@ def _golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     """Global minimum of the measured conditional entropy over (u, phi).
 
-    Deterministic: one pass over the grid with its homodyne row, then
-    alternating golden-section passes on u and phi from the grid winner, and
-    a phi refinement of the homodyne row's winner.  The result has u in
-    [0, 1]; a homodyne winner is reported with u = 0.  Raises DomainError
+    Deterministic: u is minimised exactly at each phi, and phi by a 32-point
+    grid over [0, pi/2) and one golden-section refinement around its winner
+    (see the module docstring).  The result has u in [0, 1] and phi in
+    [0, pi); a homodyne winner is reported with u = 0.  Raises DomainError
     for a CM that is not bona fide.
     """
     V = np.asarray(V, float)
@@ -184,51 +222,18 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     forms = _scan_forms(V)
-    det = _scan_objective(forms, _ROW_U, 1.0, _COS2_GRID, _SIN2_GRID)
-
-    flat = int(np.argmin(det[1:]))
-    ui, pj = divmod(flat, PHI_GRID.size)
-    u_best, phi_best = float(U_GRID[ui]), float(PHI_GRID[pj])
-    d_best = float(det[1 + ui, pj])
-
-    # alternating golden-section refinement on u and phi; a refined point is
-    # adopted only on strict improvement, so flat directions keep grid values.
-    # Coordinate descent zigzags when u and phi are coupled (states away
-    # from normal form), hence the generous sweep cap with an early exit.
-    dphi = math.pi / PHI_GRID.size
-    step = float(U_GRID[1] / U_GRID[0])  # constant ratio of the log grid
-    for _ in range(40):
-        d_before = d_best
-        # one grid spacing to either side, centered on the current point so
-        # the descent direction is never clipped off; below the first log
-        # point the lower neighbour is the homodyne row u = 0
-        lo = u_best / step if u_best > U_GRID[0] else 0.0
-        cos2, sin2 = math.cos(2.0 * phi_best), math.sin(2.0 * phi_best)
-        u_new, d_new = _golden(
-            lambda u: _scan_objective(forms, u, 1.0, cos2, sin2),
-            lo, u_best * step, _PARAM_TOL,
-        )
-        if d_new < d_best:
-            u_best, d_best = u_new, d_new
-        phi_new, d_new = _golden(
-            lambda p: _scan_objective(forms, u_best, 1.0, math.cos(2.0 * p), math.sin(2.0 * p)),
-            phi_best - dphi, phi_best + dphi, _PARAM_TOL,
-        )
-        if d_new < d_best:
-            phi_best, d_best = phi_new % math.pi, d_new
-        if d_before - d_best < 1e-14:
-            break
-    if u_best > 1.0:  # fold back: (u, phi) is the measurement (1/u, phi + pi/2)
-        u_best, phi_best = 1.0 / u_best, (phi_best + 0.5 * math.pi) % math.pi
-
-    p0 = float(PHI_GRID[int(np.argmin(det[0]))])
-    phi_h, d_h = _golden(
-        lambda p: _scan_objective(forms, 0.0, 1.0, math.cos(2.0 * p), math.sin(2.0 * p)),
-        p0 - dphi, p0 + dphi, _PARAM_TOL,
+    phi, best = min(((p, _best_seed(forms, p)) for p in PHI_GRID), key=lambda s: s[1][0])
+    phi_r, d_r = _golden(
+        lambda p: _best_seed(forms, p)[0], phi - _PHI_STEP, phi + _PHI_STEP, _PARAM_TOL
     )
-    _, u_min, phi_min = min((d_best, u_best, phi_best), (d_h, 0.0, phi_h % math.pi))
-    entropy = conditional_entropy_measured(V, GaussianMeasurement(u_min, phi_min))
-    return MinimizeResult(u=u_min, phi=phi_min, entropy=entropy)
+    if d_r < best[0] * (1.0 - _ROUNDING_MARGIN):
+        phi, best = phi_r, _best_seed(forms, phi_r)
+    _, x, y = best
+    if x > y:  # fold: (u, phi) is the measurement (1/u, phi + pi/2); u = inf is (1, 0)
+        x, y, phi = y, x, phi + 0.5 * math.pi
+    u, phi = x / y, phi % math.pi
+    entropy = conditional_entropy_measured(V, GaussianMeasurement(u, phi))
+    return MinimizeResult(u=u, phi=phi, entropy=entropy)
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:

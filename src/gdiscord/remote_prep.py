@@ -13,9 +13,9 @@ Measuring mode B with outcome ``k`` (a real 2-vector; the complex outcome
 * conditional mean of A: ``xA - C (B + V0)^{-1} (xB - k)``,
 * conditional CM of A:   ``A - C (B + V0)^{-1} C^T`` (outcome-independent).
 
-Every conditioning formula goes through one kernel,
-:func:`inverse_b_plus_seed`, which writes ``u = x/y`` in homogeneous
-weights.  With ``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos phi)``,
+Every conditioning formula goes through one kernel, ``_inverse_matrix``,
+which forms ``(B + V0)^{-1}`` with ``u = x/y`` in homogeneous weights.  With
+``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos phi)``,
 
     (B + V0)^{-1} = (xy adj B + x^2 s s^T + y^2 r r^T)
                     / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r).
@@ -123,36 +123,22 @@ class GaussianMeasurement:
         return R @ np.diag([self.u, 1.0 / self.u]) @ R.T
 
 
-def inverse_b_plus_seed(b, x, y, cos_phi, sin_phi):
-    """Entries ``(i00, i01, i11)`` of ``(B + V0)^{-1}`` for the seed ``u = x/y``.
-
-    ``b = (b00, b01, b11)`` are the entries of a positive definite B; the seed
-    is at angle phi, given as ``cos_phi`` and ``sin_phi``.  Plain arithmetic
-    only, so the weights and the angle may be floats or broadcast arrays.
-    """
-    b00, b01, b11 = b
+def _inverse_matrix(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
+    """``(B + V0)^{-1}`` of the B block of ``V`` by the module formula, as a 2x2 array."""
+    B = block_b(V)
+    b00, b01, b11 = float(B[0, 0]), float(B[0, 1]), float(B[1, 1])
+    if not (b00 > 0.0 and b00 * b11 - b01 * b01 > 0.0):
+        raise NumericalFailure("B block is not positive definite; cannot condition")
+    x, y = m.weights
+    cos_phi, sin_phi = math.cos(m.phi), math.sin(m.phi)
     cc, ss, cs = cos_phi * cos_phi, sin_phi * sin_phi, cos_phi * sin_phi
     xx, yy, xy = x * x, y * y, x * y
     rbr = b00 * cc + 2.0 * b01 * cs + b11 * ss
     sbs = b00 * ss - 2.0 * b01 * cs + b11 * cc
     den = xy * (b00 * b11 - b01 * b01 + 1.0) + xx * sbs + yy * rbr
-    return (
-        (xy * b11 + xx * ss + yy * cc) / den,
-        ((yy - xx) * cs - xy * b01) / den,
-        (xy * b00 + xx * cc + yy * ss) / den,
-    )
-
-
-def _inverse_matrix(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
-    """``(B + V0)^{-1}`` of the B block of ``V`` as a 2x2 array."""
-    B = block_b(V)
-    b00, b01, b11 = float(B[0, 0]), float(B[0, 1]), float(B[1, 1])
-    if not (b00 > 0.0 and b00 * b11 - b01 * b01 > 0.0):
-        raise NumericalFailure("B block is not positive definite; cannot condition")
-    i00, i01, i11 = inverse_b_plus_seed(
-        (b00, b01, b11), *m.weights, math.cos(m.phi), math.sin(m.phi)
-    )
-    return np.array([[i00, i01], [i01, i11]])
+    i01 = ((yy - xx) * cs - xy * b01) / den
+    return np.array([[(xy * b11 + xx * ss + yy * cc) / den, i01],
+                     [i01, (xy * b00 + xx * cc + yy * ss) / den]])
 
 
 @dataclass(frozen=True)

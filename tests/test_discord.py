@@ -25,7 +25,7 @@ from gdiscord import (
     squeezer_matrix,
 )
 from gdiscord.cli import main
-from gdiscord.discord import _COS2_GRID, _ROW_U, _SIN2_GRID, _golden, _scan_forms, _scan_objective
+from gdiscord.discord import PHI_GRID, _golden, _scan_forms, _scan_objective
 from gdiscord.family import eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
@@ -36,8 +36,8 @@ from gdiscord.verification import (
 
 SQRT6 = math.sqrt(6.0)
 WORKED = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
-# bona fide (nu_min = 1.242); its grid winner sits on the first log point
-# u = 1e-4, so the u refinement brackets [0, 1e-4 * step]
+# bona fide (nu_min = 1.242), with a homodyne optimum (u = 0): the edge of
+# the scan's u range
 EDGE_CM = [
     [2.2996542582770254, 0, 0.4390670376374667, 0.2851396594617031],
     [0, 4.201636650263561, -0.01036061669447979, -0.7944371156548117],
@@ -95,20 +95,39 @@ class TestScanObjective:
                     assert det == pytest.approx(D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0], rel=1e-12)
 
     def test_heterodyne_row_is_bit_flat(self):
-        assert _ROW_U[-1, 0] == 1.0
+        # at u = 1 the phi terms carry the factor y^2 - x^2 = 0 exactly
         for V in seeded_states(np.random.default_rng(40), 20):
-            det = _scan_objective(_scan_forms(V), _ROW_U, 1.0, _COS2_GRID, _SIN2_GRID)
-            assert np.all(det[-1] == det[-1, 0])
+            forms = _scan_forms(V)
+            det = [_scan_objective(forms, 1.0, 1.0, math.cos(2 * p), math.sin(2 * p))
+                   for p in PHI_GRID]
+            assert all(d == det[0] for d in det)
 
-    @pytest.mark.parametrize("theta", [0.3, 1.1])
-    def test_heterodyne_winner_reports_phi_zero(self, theta):
-        R = np.zeros((4, 4))
-        R[:2, :2] = rotation_matrix(theta)
-        R[2:, 2:] = rotation_matrix(0.7 * theta)
-        res = minimize_conditional_entropy(R @ WORKED @ R.T)
-        assert res.entropy == pytest.approx(2.0, abs=1e-8)
-        assert res.u == pytest.approx(1.0, abs=1e-6)
-        assert res.phi == 0.0
+    def test_heterodyne_winner_reports_phi_zero(self):
+        for theta in [0.3, 1.1] + np.linspace(0.01, 3.1, 300).tolist():
+            R = np.zeros((4, 4))
+            R[:2, :2] = rotation_matrix(theta)
+            R[2:, 2:] = rotation_matrix(0.7 * theta)
+            res = minimize_conditional_entropy(R @ WORKED @ R.T)
+            assert res.entropy == pytest.approx(2.0, abs=1e-8)
+            assert (res.u, res.phi) == (1.0, 0.0), theta
+
+    def test_coupled_state_matches_normal_form(self):
+        # a normal form under a local symplectic (rotation times squeezer
+        # diag(sqrt(s), 1/sqrt(s)) per mode) that couples u and phi strongly:
+        # a coordinate descent in (u, phi) stops 2.3e-8 above the minimum here
+        a, b, c, cp = (4.6698468087009335, 4.716915775305877,
+                       -2.766168646876578, 4.415916563093463)
+        nf = np.array([[a, 0, c, 0], [0, a, 0, cp], [c, 0, b, 0], [0, cp, 0, b]])
+        S = np.zeros((4, 4))
+        for k, theta, sq in ((0, 0.8767626113683948, 0.49643377916799275),
+                             (2, 1.629210857405166, 2.9132206010834234)):
+            rot = np.array([[math.cos(theta), -math.sin(theta)],
+                            [math.sin(theta), math.cos(theta)]])
+            S[k:k + 2, k:k + 2] = rot @ np.diag([math.sqrt(sq), 1.0 / math.sqrt(sq)])
+        V = S @ nf @ S.T
+        V = 0.5 * (V + V.T)
+        ref = gaussian_discord_numeric(nf).s_min_cond
+        assert gaussian_discord_numeric(V).s_min_cond == pytest.approx(ref, abs=1e-12)
 
 
 class TestMinimizer:
@@ -127,7 +146,7 @@ class TestMinimizer:
         V = embed_normal_form(family_cm_from_params(fp))
         res = minimize_conditional_entropy(V)
         assert res.entropy == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-9)
-        # u -> inf at phi = 0 is u = 0 at phi = pi/2, the scan's one homodyne row
+        # u -> inf at phi = 0 is reported as u = 0 at phi = pi/2
         assert res.u == 0.0
         assert type(res.phi) is float
 
