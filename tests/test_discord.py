@@ -102,12 +102,22 @@ class TestScanObjective:
                    for p in PHI_GRID]
             assert all(d == det[0] for d in det)
 
-    def test_heterodyne_winner_reports_phi_zero(self):
-        for theta in [0.3, 1.1] + np.linspace(0.01, 3.1, 300).tolist():
-            R = np.zeros((4, 4))
-            R[:2, :2] = rotation_matrix(theta)
-            R[2:, 2:] = rotation_matrix(0.7 * theta)
-            res = minimize_conditional_entropy(R @ WORKED @ R.T)
+    @staticmethod
+    def _rotated_worked_winner(theta):
+        R = np.zeros((4, 4))
+        R[:2, :2] = rotation_matrix(theta)
+        R[2:, 2:] = rotation_matrix(0.7 * theta)
+        return minimize_conditional_entropy(R @ WORKED @ R.T)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1])
+    def test_heterodyne_winner_reports_phi_zero(self, theta):
+        res = self._rotated_worked_winner(theta)
+        assert res.entropy == pytest.approx(2.0, abs=1e-8)
+        assert (res.u, res.phi) == (1.0, 0.0)
+
+    def test_heterodyne_winner_reports_phi_zero_on_sweep(self):
+        for theta in np.linspace(0.01, 3.1, 300):
+            res = self._rotated_worked_winner(theta)
             assert res.entropy == pytest.approx(2.0, abs=1e-8)
             assert (res.u, res.phi) == (1.0, 0.0), theta
 
