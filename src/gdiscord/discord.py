@@ -64,7 +64,6 @@ from .symplectic import (
     block_b,
     block_c,
     embed_normal_form,
-    symplectic_spectrum,
     validate_bona_fide,
 )
 
@@ -136,16 +135,19 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
 
     At fixed phi each form ``(k, t, d, e)`` is ``(t - p) u^2 + k u + (t + p)``
     with ``p = d cos 2phi + e sin 2phi``; the candidates are u = 0, inf and 1
-    and the positive roots of ``N'D - ND'``, all valued by
-    :func:`_scan_objective`.
+    and the positive roots of ``N'D - ND'``, valued as :func:`_scan_objective`
+    does, written out with the same rounding.
     """
-    cos2, sin2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
-    best = min(
-        (_scan_objective(forms, x, y, cos2, sin2), x, y)
-        for x, y in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
-    )
     (kn, tn, dn, en), (kd, td, dd, ed) = forms
+    cos2, sin2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
     pn, pd = dn * cos2 + en * sin2, dd * cos2 + ed * sin2
+    best = ((tn + pn) / (td + pd), 0.0, 1.0)  # ties go to u = 0, then inf, then 1
+    d = (tn - pn) / (td - pd)
+    if d < best[0]:
+        best = (d, 1.0, 0.0)
+    d = (kn + 2.0 * tn) / (kd + 2.0 * td)
+    if d < best[0]:
+        best = (d, 1.0, 1.0)
     # N = al u^2 + be u + ga, D likewise with the primed (_d) coefficients
     al, be, ga = tn - pn, kn, tn + pn
     al_d, be_d, ga_d = td - pd, kd, td + pd
@@ -156,7 +158,8 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     q = -(b + math.copysign(math.sqrt(disc), b))  # roots q/a and c/q, without cancellation
     for u in (q / a if a else 0.0, c / q if q else 0.0):
         if 0.0 < u < math.inf:
-            d = _scan_objective(forms, u, 1.0, cos2, sin2)
+            sq, diff = u * u + 1.0, 1.0 - u * u
+            d = (u * kn + sq * tn + diff * pn) / (u * kd + sq * td + diff * pd)
             if d < best[0] * (1.0 - _ROUNDING_MARGIN):
                 best = (d, u, 1.0)
     return best
@@ -217,6 +220,11 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     [0, pi); a homodyne winner is reported with u = 0.  Raises DomainError
     for a CM that is not bona fide.
     """
+    return _minimize(V)[0]
+
+
+def _minimize(V):
+    """(:func:`minimize_conditional_entropy` of V, its diagnosis with the spectrum)."""
     V = np.asarray(V, float)
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
@@ -233,7 +241,7 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
     entropy = conditional_entropy_measured(V, GaussianMeasurement(u, phi))
-    return MinimizeResult(u=u, phi=phi, entropy=entropy)
+    return MinimizeResult(u=u, phi=phi, entropy=entropy), diag
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
@@ -274,9 +282,7 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     matched measurement; no numerical optimization is involved.
     """
     nf = family_cm_from_params(fp)
-    V = embed_normal_form(nf)
-    nu = symplectic_spectrum(V)
-    s_ab = h(nu.nu_minus) + h(nu.nu_plus)
+    s_ab = entropy_two_mode(embed_normal_form(nf))
     s_min = h(abs(fp.tau) + fp.eta)
     return _report(h(nf.a), h(nf.b), s_ab, s_min, "closed_form")
 
@@ -284,13 +290,9 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
 def gaussian_discord_numeric(V: np.ndarray) -> DiscordReport:
     """Discord via the numerical measurement scan; no family structure assumed."""
     V = np.asarray(V, float)
-    res = minimize_conditional_entropy(V)
+    res, diag = _minimize(V)
     return _report(
-        entropy_single_mode(block_a(V)),
-        entropy_single_mode(block_b(V)),
-        entropy_two_mode(V),
-        res.entropy,
-        "numeric_scan",
-        u_opt=res.u,
-        phi_opt=res.phi,
+        entropy_single_mode(block_a(V)), entropy_single_mode(block_b(V)),
+        h(diag.nu_min) + h(diag.nu_plus), res.entropy,
+        "numeric_scan", u_opt=res.u, phi_opt=res.phi,
     )

@@ -13,6 +13,7 @@ from gdiscord import (
     NumericalFailure,
     conditional_entropy_measured,
     embed_normal_form,
+    entropy_two_mode,
     epr_cm,
     family_cm_from_params,
     gaussian_discord_closed_form,
@@ -25,7 +26,7 @@ from gdiscord import (
     squeezer_matrix,
 )
 from gdiscord.cli import main
-from gdiscord.discord import PHI_GRID, _golden, _scan_forms, _scan_objective
+from gdiscord.discord import PHI_GRID, _best_seed, _golden, _scan_forms, _scan_objective
 from gdiscord.family import eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
@@ -102,6 +103,24 @@ class TestScanObjective:
                    for p in PHI_GRID]
             assert all(d == det[0] for d in det)
 
+    def test_best_seed_values_match_objective_bitwise(self):
+        # _best_seed writes out u = 0, inf and 1; its value must be what
+        # _scan_objective gives at the returned weights, and no endpoint lower
+        edge = embed_normal_form(family_cm_from_params(FamilyParams(2, 2, 1, 1, 1)))
+        states = [WORKED, edge, np.array(EDGE_CM), *seeded_states(np.random.default_rng(41), 20)]
+        seen = set()
+        for V in states:
+            forms = _scan_forms(V)
+            for phi in PHI_GRID[::5] + [0.37, 1.21]:
+                cos2, sin2 = math.cos(2 * phi), math.sin(2 * phi)
+                d, x, y = _best_seed(forms, phi)
+                assert d == _scan_objective(forms, x, y, cos2, sin2)
+                ends = [_scan_objective(forms, *w, cos2, sin2)
+                        for w in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))]
+                assert d <= min(ends)
+                seen.add((x, y) if (x, y) in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)) else "root")
+        assert seen == {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), "root"}
+
     @staticmethod
     def _rotated_worked_winner(theta):
         R = np.zeros((4, 4))
@@ -120,6 +139,11 @@ class TestScanObjective:
             res = self._rotated_worked_winner(theta)
             assert res.entropy == pytest.approx(2.0, abs=1e-8)
             assert (res.u, res.phi) == (1.0, 0.0), theta
+
+    def test_numeric_report_joint_entropy(self):
+        # S(AB) comes from the validation's spectrum, bit for bit entropy_two_mode
+        for V in seeded_states(np.random.default_rng(42), 20):
+            assert gaussian_discord_numeric(V).s_ab == entropy_two_mode(V)
 
     def test_coupled_state_matches_normal_form(self):
         # a normal form under a local symplectic (rotation times squeezer
@@ -150,6 +174,8 @@ class TestMinimizer:
         V = embed_normal_form(NormalFormCM(2.7, 1.9, 0, 0))
         res = minimize_conditional_entropy(V)
         assert res.entropy == pytest.approx(h(2.7), abs=1e-10)
+        # every seed ties; ties go to the first candidate, homodyne u = 0
+        assert (res.u, res.phi) == (0.0, 0.0)
 
     def test_homodyne_witness_at_family_edge(self):
         fp = FamilyParams(b=2, r=2, tau=1, eta=1, sign=1)

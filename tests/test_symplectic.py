@@ -129,6 +129,12 @@ class TestValidate:
         assert diag.bona_fide
         assert diag.nu_min == pytest.approx(1.0, abs=1e-12)
 
+    def test_diagnosis_carries_spectrum(self):
+        for V in (np.eye(4), embed_normal_form(NormalFormCM(3.0, 2.0, 1.5, -0.5)),
+                  embed_normal_form(NormalFormCM(2, 2, 2, -2))):
+            diag = validate_bona_fide(V)
+            assert (diag.nu_min, diag.nu_plus) == tuple(symplectic_spectrum(V))
+
     def test_overcorrelated_rejected_with_bound(self):
         diag = validate_bona_fide(embed_normal_form(NormalFormCM(2, 2, 2, -2)))
         assert not diag.bona_fide
