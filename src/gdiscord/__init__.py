@@ -30,7 +30,6 @@ from .entropy import (
     entropy_single_mode,
     entropy_two_mode,
     h,
-    mutual_information,
     thermal_entropy_fock,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .remote_prep import (
     ConditionalState,
     GaussianMeasurement,
     OutcomeDistribution,
-    complex_to_outcome,
     condition_on_outcome,
     conditional_cm,
     conditional_mean_map,
@@ -66,12 +64,11 @@ from .remote_prep import (
     epr_squeezing_range,
     gaussian_overlap,
     outcome_distribution,
-    outcome_to_complex,
 )
 from .symplectic import (
     BonaFideDiagnosis,
-    EPRState,
     NormalFormCM,
+    Reduction,
     SymplecticSpectrum,
     assemble_cm,
     block_a,
@@ -79,8 +76,8 @@ from .symplectic import (
     block_c,
     embed_normal_form,
     epr_cm,
-    is_bona_fide,
     normal_form_from_cm,
+    reduce_cm,
     rotation_matrix,
     squeezer_matrix,
     symplectic_spectrum,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .family import membership, occupancy_grid, sample_family
 from .remote_prep import condition_on_outcome, conditioning_on_mode_A
-from .symplectic import NormalFormCM, normal_form_from_cm, validate_bona_fide
+from .symplectic import NormalFormCM, validate_bona_fide
 from .verification import run_all
 
 _EXIT_CODES = [
@@ -84,20 +84,17 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _state_from_options(normal_form: str | None, state: str | None):
+    """(CM, its normal form) of a bona fide state given by either option."""
     if (normal_form is None) == (state is None):
         raise ValidationError("provide exactly one of --normal-form or --state")
     if normal_form is not None:
-        a, b, c, cp = _parse_floats(normal_form, 4, "--normal-form")
-        nf = NormalFormCM(a, b, c, cp)
-        V = nf.to_matrix()
+        V = NormalFormCM(*_parse_floats(normal_form, 4, "--normal-form")).to_matrix()
     else:
-        V, nf = serialize.parse_cm_payload(_load_json(state))
+        V, _ = serialize.parse_cm_payload(_load_json(state))
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise ValidationError(f"state is not bona fide: {diag.reason}")
-    if nf is None:
-        nf = normal_form_from_cm(V)
-    return V, nf
+    return V, diag.reduction.nf
 
 
 @click.group()
@@ -114,12 +111,10 @@ def discord(normal_form, state):
     V, nf = _state_from_options(normal_form, state)
     numeric = gaussian_discord_numeric(V)
     out = {"numeric": serialize.discord_report_to_dict(numeric)}
-    closed = None
-    if nf is not None:
-        try:
-            closed = gaussian_discord_closed_form(membership(nf))
-        except OutOfFamily:
-            closed = None
+    try:
+        closed = gaussian_discord_closed_form(membership(nf))
+    except OutOfFamily:
+        closed = None
     if closed is not None:
         out["closed_form"] = serialize.discord_report_to_dict(closed)
         out["agreement_delta"] = serialize.round12(abs(closed.discord - numeric.discord))
@@ -137,9 +132,7 @@ def discord(normal_form, state):
 @handles_errors
 def decompose(normal_form, state):
     """EPR-plus-channel decomposition witness (b, r, tau, eta, sign, xi)."""
-    V, nf = _state_from_options(normal_form, state)
-    if nf is None:
-        raise ValidationError("decompose requires a normal-form state")
+    _, nf = _state_from_options(normal_form, state)
     fp = membership(nf)
     click.echo(serialize.dumps(serialize.family_params_to_dict(fp)), nl=False)
 

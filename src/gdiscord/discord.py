@@ -32,19 +32,29 @@ the positive roots of ``N'D - ND'``, the quadratic
     (alpha beta' - alpha' beta) u^2 + 2 (alpha gamma' - alpha' gamma) u
     + (beta gamma' - beta' gamma).
 
-The scan is then a search in phi alone for ``g(phi) = min_u N/D``, which
-has period pi/2 by the fold: a 32-point grid over [0, pi/2) and one
-golden-section refinement around its winner.  Every candidate is valued by
-the same ratio; at u = 1 its phi terms carry the factor ``y^2 - x^2 = 0``
-exactly, so the heterodyne value is flat in phi to the last bit.  A root
-replaces the best endpoint, and the refined phi the grid's, only when lower
-by more than a rounding margin, so flat directions keep the exact
-heterodyne and homodyne points and ties keep the smaller grid phi.  The
-ratio only ranks candidates: the entropy reported for the winner is
+No search over phi is needed.  For a normal form B and ``S`` are diagonal,
+so both forms have ``e = 0`` and the ratio depends on phi only through
+``p = d cos 2phi``; at fixed u it is a ratio of two functions linear in p,
+hence monotone, and its minimum lies at phi = 0 or pi/2, which the fold
+puts inside the u range at phi = 0.  So ``min_u`` at phi = 0 is the global
+minimum for a normal form.  Any other CM reaches its normal form by local
+symplectics ``T_A (+) T_B`` (:func:`symplectic.reduce_cm`); ``T_A`` leaves
+the conditional entropy alone and ``T_B`` maps a seed sigma to
+``T_B^{-1} sigma T_B^{-T}`` on the CM.  The optimal angle on V is thus that
+of the normal form's optimal seed ``diag(x^2, y^2)`` carried back by
+``T_B^{-1}``: ``phi* = atan2(2 P01, P00 - P11)/2`` for its image P, which
+also covers the homodyne seeds (x or y zero).  The route values V's own
+ratio at phi = 0 and at phi*, each minimised exactly over u, and adopts phi*
+only when lower by more than a rounding margin, so a normal form keeps its
+phi = 0 bits and flat directions keep the exact heterodyne and homodyne
+points.  At u = 1 the phi terms carry the factor ``y^2 - x^2 = 0`` exactly,
+so the heterodyne value is flat in phi to the last bit.  A root replaces the
+best endpoint only when lower by the same margin.  The ratio only ranks
+candidates: the entropy reported for the winner is
 :func:`conditional_entropy_measured` at it, which goes through
 :func:`remote_prep.conditional_cm`, the one place that forms
-``(B + V0)^{-1}``; so the scan reports exactly what conditioning on its
-optimal measurement gives.
+``(B + V0)^{-1}``; so the route reports exactly what conditioning on a real
+measurement of V gives, and a wrong reduction could only raise it.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import min_output_entropy
 from .entropy import entropy_single_mode, entropy_two_mode, h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
@@ -67,14 +78,9 @@ from .symplectic import (
     validate_bona_fide,
 )
 
-_PHI_STEP = math.pi / 64.0
-PHI_GRID = [k * _PHI_STEP for k in range(32)]  # [0, pi/2): g has period pi/2
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-_GOLDEN_MAX_ITER = 200
-# relative margin by which a root or a refined phi must beat the incumbent;
-# a few ulps, so rounding alone never moves an exact heterodyne or grid point
+# relative margin by which a root or phi* must beat the incumbent; a few
+# ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
 _ROUNDING_MARGIN = 8.0 * 2.0**-52
-_PARAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -184,41 +190,13 @@ class MinimizeResult(NamedTuple):
     entropy: float
 
 
-def _golden(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal scalar function.
-
-    Stops when the bracket is within ``tol`` or four ulps of ``hi``,
-    whichever is wider, so brackets at large magnitude terminate too.
-    """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if hi - lo <= max(tol, 4.0 * math.ulp(hi)):
-            x = 0.5 * (lo + hi)
-            return x, f(x)
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    raise NumericalFailure(
-        f"golden-section search did not converge in {_GOLDEN_MAX_ITER} iterations"
-        f" (bracket [{lo!r}, {hi!r}])"
-    )
-
-
 def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     """Global minimum of the measured conditional entropy over (u, phi).
 
-    Deterministic: u is minimised exactly at each phi, and phi by a 32-point
-    grid over [0, pi/2) and one golden-section refinement around its winner
-    (see the module docstring).  The result has u in [0, 1] and phi in
-    [0, pi); a homodyne winner is reported with u = 0.  Raises DomainError
-    for a CM that is not bona fide.
+    Deterministic and loop-free: the angle comes from the normal-form
+    reduction and u is minimised exactly at it (see the module docstring).
+    The result has u in [0, 1] and phi in [0, pi); a homodyne winner is
+    reported with u = 0.  Raises DomainError for a CM that is not bona fide.
     """
     return _minimize(V)[0]
 
@@ -229,13 +207,18 @@ def _minimize(V):
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
+    nf, (t00, t01, t10, t11) = diag.reduction
+    _, x, y = _best_seed(_scan_forms(embed_normal_form(nf)), 0.0)
+    xx, yy = x * x, y * y  # P = T_B^{-1} diag(x^2, y^2) T_B^{-T}, the seed on V
+    p00 = t00 * t00 * xx + t01 * t01 * yy
+    p01 = t00 * t10 * xx + t01 * t11 * yy
+    p11 = t10 * t10 * xx + t11 * t11 * yy
+    phi_star = 0.5 * math.atan2(2.0 * p01, p00 - p11)
     forms = _scan_forms(V)
-    phi, best = min(((p, _best_seed(forms, p)) for p in PHI_GRID), key=lambda s: s[1][0])
-    phi_r, d_r = _golden(
-        lambda p: _best_seed(forms, p)[0], phi - _PHI_STEP, phi + _PHI_STEP, _PARAM_TOL
-    )
-    if d_r < best[0] * (1.0 - _ROUNDING_MARGIN):
-        phi, best = phi_r, _best_seed(forms, phi_r)
+    phi, best = 0.0, _best_seed(forms, 0.0)
+    rival = _best_seed(forms, phi_star)
+    if rival[0] < best[0] * (1.0 - _ROUNDING_MARGIN):
+        phi, best = phi_star, rival
     _, x, y = best
     if x > y:  # fold: (u, phi) is the measurement (1/u, phi + pi/2); u = inf is (1, 0)
         x, y, phi = y, x, phi + 0.5 * math.pi
@@ -283,7 +266,7 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     """
     nf = family_cm_from_params(fp)
     s_ab = entropy_two_mode(embed_normal_form(nf))
-    s_min = h(abs(fp.tau) + fp.eta)
+    s_min = min_output_entropy(fp.channel)
     return _report(h(nf.a), h(nf.b), s_ab, s_min, "closed_form")
 
 

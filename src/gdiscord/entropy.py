@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import block_a, block_b, symplectic_spectrum
+from .symplectic import symplectic_spectrum
 
 # Floating-point spectra of pure states may dip slightly below 1; values in
 # [1 - H_CLAMP_TOL, 1] are treated as exactly 1.
@@ -46,15 +46,6 @@ def entropy_two_mode(V: np.ndarray) -> float:
     """Entropy of a two-mode Gaussian state: ``h(nu_minus) + h(nu_plus)``."""
     nu = symplectic_spectrum(V)
     return h(nu.nu_minus) + h(nu.nu_plus)
-
-
-def mutual_information(V: np.ndarray) -> float:
-    """Quantum mutual information S(A) + S(B) - S(AB) of a two-mode state."""
-    return (
-        entropy_single_mode(block_a(V))
-        + entropy_single_mode(block_b(V))
-        - entropy_two_mode(V)
-    )
 
 
 def thermal_entropy_fock(x: float, tail: float = 1e-15) -> float:

@@ -6,8 +6,7 @@ special cases are heterodyne detection (``u = 1``) and the two homodyne
 detections, reached as the limits ``u -> 0`` (measuring the ``phi``
 quadrature) and ``u -> +inf``.
 
-Measuring mode B with outcome ``k`` (a real 2-vector; the complex outcome
-``alpha = (q + i p)/2`` is supported via conversion helpers):
+Measuring mode B with outcome ``k`` (a real 2-vector ``(q, p)``):
 
 * outcome distribution: Gaussian with mean ``xB`` and covariance ``B + V0``,
 * conditional mean of A: ``xA - C (B + V0)^{-1} (xB - k)``,
@@ -35,9 +34,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .symplectic import block_a, block_b, block_c, rotation_matrix
-
-_SEED_DET_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GaussianMeasurement:
@@ -71,26 +67,6 @@ class GaussianMeasurement:
     def homodyne_p(cls, phi: float = 0.0) -> "GaussianMeasurement":
         """Sharp measurement of the ``phi``-rotated p quadrature (u -> inf)."""
         return cls(math.inf, phi)
-
-    @classmethod
-    def from_seed_cm(cls, V0: np.ndarray, tol: float = _SEED_DET_TOL) -> "GaussianMeasurement":
-        """Recover (u, phi) from a seed CM; rejects mixed (det != 1) seeds."""
-        V0 = np.asarray(V0, float)
-        if V0.shape != (2, 2) or abs(V0[0, 1] - V0[1, 0]) > 1e-12:
-            raise DomainError("measurement seed must be a symmetric 2x2 CM")
-        det = float(V0[0, 0] * V0[1, 1] - V0[0, 1] * V0[1, 0])
-        if abs(det - 1.0) > tol:
-            raise DomainError(
-                f"measurement seed must be pure (det V0 = 1), got det = {det}; "
-                "mixed seeds are not supported"
-            )
-        # eigendecomposition of a symmetric 2x2: eigenvalues u, 1/u
-        half_diff = 0.5 * (V0[0, 0] - V0[1, 1])
-        mean = 0.5 * (V0[0, 0] + V0[1, 1])
-        rad = math.hypot(half_diff, V0[0, 1])
-        u = mean + rad
-        phi = 0.5 * math.atan2(2.0 * V0[0, 1], V0[0, 0] - V0[1, 1])
-        return cls(u, phi)
 
     @property
     def is_heterodyne(self) -> bool:
@@ -151,11 +127,6 @@ class ConditionalState:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, float).reshape(2))
         object.__setattr__(self, "cm", np.asarray(self.cm, float).reshape(2, 2))
-
-    def purity_parameter(self) -> float:
-        """sqrt(det cm); equals 1 for pure states."""
-        cm = self.cm
-        return math.sqrt(max(cm[0, 0] * cm[1, 1] - cm[0, 1] * cm[1, 0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -268,14 +239,3 @@ def gaussian_overlap(state1: ConditionalState, state2: ConditionalState) -> floa
     d = state1.mean - state2.mean
     inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
     return 2.0 * math.exp(-0.5 * float(d @ inv @ d)) / math.sqrt(det)
-
-
-def outcome_to_complex(k) -> complex:
-    """Real outcome 2-vector (q, p) to the complex amplitude (q + i p)/2."""
-    k = np.asarray(k, float).reshape(2)
-    return complex(0.5 * k[0], 0.5 * k[1])
-
-
-def complex_to_outcome(alpha: complex) -> np.ndarray:
-    """Complex amplitude back to the real outcome vector (q, p)."""
-    return np.array([2.0 * alpha.real, 2.0 * alpha.imag])

@@ -111,14 +111,6 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
     return GaussianMeasurement(u, phi)
 
 
-def parse_channel_payload(payload: dict) -> GaussianChannelParams:
-    if not isinstance(payload, dict) or {"tau", "eta"} - payload.keys():
-        raise ValidationError("channel payload must be an object with 'tau' and 'eta'")
-    return GaussianChannelParams(
-        _as_float(payload["tau"], "tau"), _as_float(payload["eta"], "eta")
-    )
-
-
 # ---------------------------------------------------------------------------
 # emission
 

@@ -11,7 +11,9 @@ Conventions used throughout the package:
 A two-mode covariance matrix (CM) is a plain 4x4 ``numpy`` array with block
 structure ``[[A, C], [C.T, B]]``, where A, B, C are 2x2 real blocks and A, B
 are symmetric.  Normal-form states are the subset with ``A = a*I``,
-``B = b*I`` and ``C = diag(c, cp)``.
+``B = b*I`` and ``C = diag(c, cp)``; every CM with positive definite A and B
+reaches one by local symplectics, in closed form (:func:`reduce_cm`), and
+validation and the spectrum read that reduction.
 """
 
 from __future__ import annotations
@@ -101,32 +103,81 @@ def embed_normal_form(nf: NormalFormCM) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def normal_form_from_cm(V: np.ndarray, rtol: float = 1e-9) -> NormalFormCM | None:
-    """Extract (a, b, c, cp) if ``V`` already has normal-form structure.
+class Reduction(NamedTuple):
+    """A CM's normal form and the local map that carries it back on mode B.
 
-    Returns None when the matrix is not (numerically) in normal form.  This
-    is pattern matching only; no symplectic reduction is attempted.
+    Local symplectics ``T_A (+) T_B`` take the CM to ``nf.to_matrix()``;
+    ``tb_inv`` is ``T_B^{-1}`` row-major, so a measurement seed ``sigma`` on
+    the normal form is the seed ``T_B^{-1} sigma T_B^{-T}`` on the CM.
+    """
+
+    nf: NormalFormCM
+    tb_inv: tuple[float, float, float, float]
+
+
+# a CM within this relative distance of its normal-form pattern is read as
+# that normal form, keeping its own bits and (c, cp) order
+_PATTERN_RTOL = 1e-13
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _unit_det_sqrt(x00: float, x01: float, x11: float):
+    """(sqrt(det X), M^{1/2}, M^{-1/2}) of a positive definite 2x2 X, M = X/sqrt(det X).
+
+    For ``det M = 1``, ``M^{+-1/2} = (M + I)/s`` and ``(adj M + I)/s`` with
+    ``s = sqrt(tr M + 2)``; each matrix is returned as (m00, m01, m11).
+    """
+    root = math.sqrt(x00 * x11 - x01 * x01)
+    m00, m01, m11 = x00 / root, x01 / root, x11 / root
+    s = math.sqrt(m00 + m11 + 2.0)
+    h00, h01, h11 = (m00 + 1.0) / s, m01 / s, (m11 + 1.0) / s
+    return root, (h00, h01, h11), (h11, -h01, h00)
+
+
+def reduce_cm(V: np.ndarray) -> Reduction:
+    """Normal form of a two-mode CM by local symplectics, in closed form.
+
+    With ``S_X = M^{-1/2}`` for ``M = X/sqrt(det X)``, ``S_A A S_A = a I``
+    and ``S_B B S_B = b I``.  The correlation block ``C' = S_A C S_B`` then
+    has the signed singular value decomposition
+    ``C' = R(alpha) diag(c, cp) R(beta)^T`` with ``c = Q + R`` and
+    ``cp = Q - R``, where, from the entries m_ij of C',
+
+        E, F, G, H = (m00 + m11)/2, (m00 - m11)/2, (m10 + m01)/2, (m10 - m01)/2,
+        Q = hypot(E, H),  R = hypot(F, G),
+        alpha - beta = atan2(H, E),  alpha + beta = atan2(G, F),
+
+    so ``c >= |cp|`` and ``c cp = det C``; ``T_B^{-1} = M_B^{1/2} R(beta)``.
+    A CM already in normal form is returned as it is, with ``T_B = I``.
+    Raises DomainError when A or B is not positive definite.
     """
     V = np.asarray(V, float)
     if V.shape != (4, 4):
-        return None
-    nf = NormalFormCM(a=float(V[0, 0]), b=float(V[2, 2]),
-                      c=float(V[0, 2]), cp=float(V[1, 3]))
-    scale = max(1.0, float(np.abs(V).max()))
-    if np.abs(V - embed_normal_form(nf)).max() > rtol * scale:
-        return None
-    return nf
+        raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = V.tolist()
+    nf = NormalFormCM(a=a00, b=b00, c=c00, cp=c11)
+    if np.abs(V - embed_normal_form(nf)).max() <= _PATTERN_RTOL * max(1.0, np.abs(V).max()):
+        return Reduction(nf, _IDENTITY)
+    if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
+        raise DomainError("not positive definite")
+    a, _, (p00, p01, p11) = _unit_det_sqrt(a00, a01, a11)
+    b, (h00, h01, h11), (q00, q01, q11) = _unit_det_sqrt(b00, b01, b11)
+    n00, n01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11  # S_A C
+    n10, n11 = p01 * c00 + p11 * c10, p01 * c01 + p11 * c11
+    m00, m01 = n00 * q00 + n01 * q01, n00 * q01 + n01 * q11  # S_A C S_B
+    m10, m11 = n10 * q00 + n11 * q01, n10 * q01 + n11 * q11
+    e, f = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    g, h = 0.5 * (m10 + m01), 0.5 * (m10 - m01)
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    beta = 0.5 * (math.atan2(g, f) - math.atan2(h, e))
+    cb, sb = math.cos(beta), math.sin(beta)
+    tb_inv = (h00 * cb + h01 * sb, h01 * cb - h00 * sb, h01 * cb + h11 * sb, h11 * cb - h01 * sb)
+    return Reduction(NormalFormCM(a=a, b=b, c=q + r, cp=q - r), tb_inv)
 
 
-@dataclass(frozen=True)
-class EPRState:
-    """Two-mode squeezed vacuum with variance ``b`` and correlation sign."""
-
-    b: float
-    sign: int = 1
-
-    def cm(self) -> np.ndarray:
-        return epr_cm(self.b, self.sign)
+def normal_form_from_cm(V: np.ndarray) -> NormalFormCM:
+    """Normal form (a, b, c, cp) of a two-mode CM: the ``nf`` of :func:`reduce_cm`."""
+    return reduce_cm(V).nf
 
 
 def epr_cm(b: float, sign: int = 1) -> np.ndarray:
@@ -144,42 +195,43 @@ class SymplecticSpectrum(NamedTuple):
     nu_plus: float
 
 
-def symplectic_spectrum(V: np.ndarray) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of a 4x4 CM, sorted ascending.
+def _spectrum_arrays(a, b, c, cp, sqrt=np.sqrt):
+    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); arrays, or floats with ``sqrt=math.sqrt``.
 
-    Uses the closed form nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2
-    with Delta = det A + det B + 2 det C.  For matrices with normal-form
-    structure the determinants are evaluated from the four scalar
-    parameters, which keeps the rounding of Delta^2 and 4 det V correlated;
-    this matters for pure states, where the two terms cancel exactly and a
-    generic LU determinant would split the degenerate spectrum by ~1e-8.
-    Raises NumericalFailure when the discriminant is negative beyond
-    tolerance, which indicates a non-symmetric or corrupted input.
+    ``nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2`` with
+    ``Delta = a^2 + b^2 + 2 c cp`` and ``det V = (ab - c^2)(ab - cp^2)``.  A
+    negative discriminant or nu^2 reads as zero (``0.5 * (x + abs(x))`` is
+    ``max(x, 0)`` exactly, for floats and arrays alike); callers judge the
+    discriminant.
     """
-    V = np.asarray(V, float)
-    if V.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
-    nf = normal_form_from_cm(V, rtol=1e-13)
-    if nf is not None:
-        ab = nf.a * nf.b
-        delta = nf.a * nf.a + nf.b * nf.b + 2.0 * nf.c * nf.cp
-        det_v = (ab - nf.c * nf.c) * (ab - nf.cp * nf.cp)
-    else:
-        delta = (
-            float(np.linalg.det(block_a(V)))
-            + float(np.linalg.det(block_b(V)))
-            + 2.0 * float(np.linalg.det(block_c(V)))
-        )
-        det_v = float(np.linalg.det(V))
-    disc = delta * delta - 4.0 * det_v
+    ab = a * b
+    delta = a * a + b * b + 2.0 * c * cp
+    disc = delta * delta - 4.0 * ((ab - c * c) * (ab - cp * cp))
+    root = sqrt(0.5 * (disc + abs(disc)))
+    lo, hi = delta - root, delta + root  # 2 nu^2
+    return disc, sqrt(0.25 * (lo + abs(lo))), sqrt(0.25 * (hi + abs(hi)))
+
+
+def _spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
+    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp, math.sqrt)
     if disc < -1e-9:
         raise NumericalFailure(
             f"negative symplectic discriminant {disc}; input is not a valid CM"
         )
-    root = math.sqrt(max(disc, 0.0))
-    nu_minus = math.sqrt(max(0.5 * (delta - root), 0.0))
-    nu_plus = math.sqrt(max(0.5 * (delta + root), 0.0))
     return SymplecticSpectrum(nu_minus, nu_plus)
+
+
+def symplectic_spectrum(V: np.ndarray) -> SymplecticSpectrum:
+    """Symplectic eigenvalues of a 4x4 CM, sorted ascending.
+
+    Evaluated in closed form on the normal form of :func:`reduce_cm`, where
+    ``det V = (ab - c^2)(ab - cp^2)`` factorises; this keeps the rounding of
+    Delta^2 and 4 det V correlated, so the degenerate spectrum of a pure
+    state is not split.  Raises DomainError when A or B is not positive
+    definite, and NumericalFailure when the discriminant is negative beyond
+    tolerance, which indicates a corrupted input.
+    """
+    return _spectrum(reduce_cm(V).nf)
 
 
 def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
@@ -198,18 +250,8 @@ def nu_min_normal_form(a, b, c, cp) -> np.ndarray:
 
     Invalid parameter combinations (indefinite V) yield NaN.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    cp = np.asarray(cp, float)
-    delta = a * a + b * b + 2.0 * c * cp
-    det_v = (a * b - c * c) * (a * b - cp * cp)
-    disc = delta * delta - 4.0 * det_v
-    bad = disc < 0
-    root = np.sqrt(np.where(bad, 0.0, disc))
-    nu2 = 0.5 * (delta - root)
-    nu = np.sqrt(np.maximum(nu2, 0.0))
-    return np.where(bad, np.nan, nu)
+    disc, nu_minus, _ = _spectrum_arrays(*(np.asarray(x, float) for x in (a, b, c, cp)))
+    return np.where(disc < 0, np.nan, nu_minus)
 
 
 def bona_fide_normal_form_mask(a, b, c, cp, tol: float = BONA_FIDE_TOL) -> np.ndarray:
@@ -226,12 +268,17 @@ def bona_fide_normal_form_mask(a, b, c, cp, tol: float = BONA_FIDE_TOL) -> np.nd
 
 @dataclass(frozen=True)
 class BonaFideDiagnosis:
-    """Result of the uncertainty-principle check on a CM."""
+    """Result of the uncertainty-principle check on a CM.
+
+    ``nu_min`` and ``nu_plus`` are the spectrum, where computed, and
+    ``reduction`` the :func:`reduce_cm` record of an accepted state.
+    """
 
     bona_fide: bool
     nu_min: float | None
     reason: str | None = None
-    nu_plus: float | None = None  # with nu_min the spectrum, where computed
+    nu_plus: float | None = None
+    reduction: Reduction | None = None
 
     def __bool__(self) -> bool:
         return self.bona_fide
@@ -243,8 +290,11 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
     Never raises: every failure mode is reported in the diagnosis.  A state
     is accepted iff its smallest symplectic eigenvalue is >= 1 - tol and it
     is positive definite, which the spectrum alone cannot tell (V and -V
-    have the same one).  For the squeezed-thermal subclass (cp = -c) the
-    eigenvalue test is equivalent to the parameter bound
+    have the same one).  Both are read off the normal form of
+    :func:`reduce_cm`: local symplectics keep the spectrum and, as a
+    congruence, the signs of the eigenvalues, so V is positive definite iff
+    ``a > 0`` and ``ab > c^2, cp^2``.  For the squeezed-thermal subclass
+    (cp = -c) the eigenvalue test is equivalent to the parameter bound
     c^2 <= a*b - 1 - |a - b|, which is quoted in the diagnosis when it is
     the constraint that failed.
     """
@@ -258,18 +308,17 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
     if asym > SYMMETRY_RTOL * scale:
         return BonaFideDiagnosis(False, None, f"not symmetric (max asymmetry {asym:.3e})")
     try:
-        nu = symplectic_spectrum(V)
-    except NumericalFailure as exc:
+        red = reduce_cm(V)
+        nu = _spectrum(red.nf)
+    except (DomainError, NumericalFailure) as exc:
         return BonaFideDiagnosis(False, None, str(exc))
+    nf = red.nf
     if nu.nu_minus >= 1.0 - tol:
-        try:
-            np.linalg.cholesky(V)
-        except np.linalg.LinAlgError:
+        if not (nf.a > 0.0 and nf.a * nf.b > max(nf.c * nf.c, nf.cp * nf.cp)):
             return BonaFideDiagnosis(False, None, "not positive definite")
-        return BonaFideDiagnosis(True, nu.nu_minus, nu_plus=nu.nu_plus)
+        return BonaFideDiagnosis(True, nu.nu_minus, nu_plus=nu.nu_plus, reduction=red)
     reason = f"nu_min = {nu.nu_minus:.12g} < 1"
-    nf = normal_form_from_cm(V)
-    if nf is not None and abs(nf.cp + nf.c) <= 1e-9 * max(1.0, abs(nf.c)):
+    if abs(nf.cp + nf.c) <= 1e-9 * max(1.0, abs(nf.c)):
         bound = nf.a * nf.b - 1.0 - abs(nf.a - nf.b)
         if nf.c * nf.c > bound:
             reason += (
@@ -277,8 +326,3 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
                 f" > ab - 1 - |a - b| = {bound:.12g}"
             )
     return BonaFideDiagnosis(False, nu.nu_minus, reason, nu.nu_plus)
-
-
-def is_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> bool:
-    return validate_bona_fide(V, tol=tol).bona_fide
-

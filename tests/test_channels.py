@@ -14,9 +14,9 @@ from gdiscord import (
     embed_normal_form,
     epr_cm,
     h,
-    is_bona_fide,
     min_output_entropy,
     pathological_form_matrices,
+    validate_bona_fide,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -127,7 +127,7 @@ class TestApply:
             tau = rng.uniform(-2.0, 3.0)
             eta = abs(1.0 - tau) + rng.exponential(1.0)
             out = apply_to_mode_A(GaussianChannelParams(tau, eta), epr_cm(b))
-            assert is_bona_fide(out)
+            assert validate_bona_fide(out).bona_fide
 
     def test_quantum_limited_lossy_composition(self):
         rng = np.random.default_rng(8)

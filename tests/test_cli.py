@@ -38,6 +38,14 @@ WORKED_DISCORD_OUTPUT = """\
 """
 
 
+def rotated_worked_state(theta=0.3):
+    """The worked state V(5, 2, sqrt 6, -sqrt 6) rotated by theta on both modes, as --state JSON."""
+    R = np.zeros((4, 4))
+    R[:2, :2] = R[2:, 2:] = rotation_matrix(theta)
+    V = R @ embed_normal_form(NormalFormCM(5, 2, math.sqrt(6), -math.sqrt(6))) @ R.T
+    return json.dumps({"cm": V.tolist()})
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -58,6 +66,14 @@ class TestDiscordCommand:
         assert abs(out["numeric"]["discord"] - 0.950067) < 1e-6
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
         assert out["agreement_delta"] < 1e-6
+
+    def test_rotated_state_reaches_closed_form(self, runner):
+        res = invoke(runner, ["discord", "--state", rotated_worked_state()])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert out["in_family"] is True
+        assert out["agreement_delta"] <= 1e-9
+        assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
 
     def test_out_of_family_still_reports_numeric(self, runner):
         res = invoke(runner, ["discord", "--normal-form", "2,2,1,-0.5"])
@@ -137,6 +153,12 @@ class TestDecomposeCommand:
             '{\n  "b": 2.0,\n  "r": 1.0,\n  "tau": -0.333333333333,\n  "eta": 1.33333333333,\n'
             '  "sign": 1,\n  "xi": 1.0\n}\n'
         )
+
+    def test_rotated_state(self, runner):
+        res = invoke(runner, ["decompose", "--state", rotated_worked_state()])
+        assert res.exit_code == 0
+        out = json.loads(res.output)
+        assert (out["b"], out["r"], out["tau"], out["eta"], out["sign"]) == (2.0, 1.0, 2.0, 1.0, 1)
 
     def test_out_of_family_exits_3(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])

@@ -18,7 +18,6 @@ from gdiscord.serialize import (
     family_params_to_dict,
     fmt,
     parse_cm_payload,
-    parse_channel_payload,
     parse_measurement_payload,
     round12,
     sample_csv_lines,
@@ -91,12 +90,6 @@ class TestParseOthers:
     def test_measurement_malformed(self):
         with pytest.raises(ValidationError):
             parse_measurement_payload({"phi": 0.2})
-
-    def test_channel(self):
-        ch = parse_channel_payload({"tau": 0.5, "eta": 0.6})
-        assert (ch.tau, ch.eta) == (0.5, 0.6)
-        with pytest.raises(ValidationError):
-            parse_channel_payload({"tau": 0.5})
 
 
 class TestEmission:

@@ -5,12 +5,12 @@ import pytest
 
 from gdiscord import (
     DomainError,
-    EPRState,
     NormalFormCM,
     NumericalFailure,
     embed_normal_form,
     epr_cm,
     normal_form_from_cm,
+    reduce_cm,
     rotation_matrix,
     squeezer_matrix,
     symplectic_spectrum,
@@ -54,10 +54,41 @@ class TestEmbed:
     def test_pattern_extraction(self):
         nf = NormalFormCM(3.0, 1.5, 0.7, -0.2)
         assert normal_form_from_cm(embed_normal_form(nf)) == nf
+        assert reduce_cm(embed_normal_form(nf)).tb_inv == (1.0, 0.0, 0.0, 1.0)
         V = embed_normal_form(nf)
         V[0, 1] = 0.5
         V[1, 0] = 0.5
-        assert normal_form_from_cm(V) is None
+        red = reduce_cm(V)
+        assert normal_form_from_cm(V) == red.nf
+        assert red.nf.a == pytest.approx(math.sqrt(3.0 * 3.0 - 0.25), rel=1e-15)
+        assert red.nf.b == 1.5
+        assert red.nf.c >= abs(red.nf.cp)
+        assert red.nf.c * red.nf.cp == pytest.approx(0.7 * -0.2, rel=1e-14)
+        assert red.nf.c**2 + red.nf.cp**2 > 0.7**2 + 0.2**2  # S_A stretches C
+
+    def test_reduction_of_transformed_states(self):
+        # a normal form under random local symplectics reduces back to it, with
+        # c >= |cp|, and b T_B^{-1} T_B^{-T} rebuilds the B block
+        rng = np.random.default_rng(106)
+        for nf in random_normal_forms(rng, 300):
+            S = np.zeros((4, 4))
+            for k in (0, 2):
+                S[k:k + 2, k:k + 2] = rotation_matrix(rng.uniform(0, np.pi)) @ squeezer_matrix(
+                    math.exp(rng.uniform(-2.0, 2.0)))
+            V = S @ embed_normal_form(nf) @ S.T
+            red = reduce_cm(V)
+            big, small = sorted((abs(nf.c), abs(nf.cp)), reverse=True)
+            got = (red.nf.a, red.nf.b, red.nf.c, abs(red.nf.cp))
+            assert got == pytest.approx((nf.a, nf.b, big, small), abs=1e-13 * nf.a * nf.b)
+            if small > 1e-6:
+                assert math.copysign(1.0, red.nf.cp) == math.copysign(1.0, nf.c * nf.cp)
+            t = np.array(red.tb_inv).reshape(2, 2)
+            assert np.abs(red.nf.b * t @ t.T - V[2:, 2:]).max() <= 1e-13 * np.abs(V).max()
+            # C T_B^T = T_A^{-1} diag(c, cp), and T_A^{-T} A^{-1} T_A^{-1} = I/a
+            X = V[:2, 2:] @ np.linalg.inv(t).T
+            gram = X.T @ np.linalg.solve(V[:2, :2], X) * red.nf.a
+            expect = np.diag([red.nf.c**2, red.nf.cp**2])
+            assert gram == pytest.approx(expect, abs=1e-12 * nf.a * nf.b)
 
 
 class TestSpectrum:
@@ -152,9 +183,12 @@ class TestValidate:
         assert not diag.bona_fide
         assert "symmetric" in diag.reason
 
-    @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0])])
+    @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0]),
+                                   np.diag([1.0, 1.0, 1.0, 1.0]) + np.diag([2.0, 0.0, 0.0], 1)
+                                   + np.diag([2.0, 0.0, 0.0], -1)])
     def test_not_positive_definite_rejected(self, V):
-        # the spectrum formula reads nu_min = 2 for both, as it does for 2 I
+        # the spectrum formula reads nu_min = 2 for the first two, as it does
+        # for 2 I; the last has an indefinite A block, so it has no normal form
         diag = validate_bona_fide(V)
         assert not diag.bona_fide
         assert diag.reason == "not positive definite"
@@ -183,9 +217,6 @@ class TestConstructors:
             epr_cm(0.5)
         with pytest.raises(DomainError):
             epr_cm(2.0, sign=0)
-
-    def test_epr_state_dataclass(self):
-        assert np.array_equal(EPRState(2.0, -1).cm(), epr_cm(2.0, -1))
 
     def test_squeezer_identity(self):
         assert np.array_equal(squeezer_matrix(1.0), np.eye(2))
