@@ -84,17 +84,17 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _state_from_options(normal_form: str | None, state: str | None):
-    """(CM, its normal form) of a bona fide state given by either option."""
+    """(CM, its accepted diagnosis) of a state given by either option."""
     if (normal_form is None) == (state is None):
         raise ValidationError("provide exactly one of --normal-form or --state")
     if normal_form is not None:
         V = NormalFormCM(*_parse_floats(normal_form, 4, "--normal-form")).to_matrix()
     else:
-        V, _ = serialize.parse_cm_payload(_load_json(state))
+        V = serialize.parse_cm_payload(_load_json(state))
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise ValidationError(f"state is not bona fide: {diag.reason}")
-    return V, diag.reduction.nf
+    return V, diag
 
 
 @click.group()
@@ -108,11 +108,11 @@ def main():
 @handles_errors
 def discord(normal_form, state):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
-    V, nf = _state_from_options(normal_form, state)
-    numeric = gaussian_discord_numeric(V)
+    V, diag = _state_from_options(normal_form, state)
+    numeric = gaussian_discord_numeric(V, diag)
     out = {"numeric": serialize.discord_report_to_dict(numeric)}
     try:
-        closed = gaussian_discord_closed_form(membership(nf))
+        closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
     except OutOfFamily:
         closed = None
     if closed is not None:
@@ -132,8 +132,8 @@ def discord(normal_form, state):
 @handles_errors
 def decompose(normal_form, state):
     """EPR-plus-channel decomposition witness (b, r, tau, eta, sign, xi)."""
-    _, nf = _state_from_options(normal_form, state)
-    fp = membership(nf)
+    _, diag = _state_from_options(normal_form, state)
+    fp = membership(diag.reduction.nf)
     click.echo(serialize.dumps(serialize.family_params_to_dict(fp)), nl=False)
 
 
@@ -183,7 +183,7 @@ def sample(a, b, n, seed, threads, out, grid_out, bins):
 @handles_errors
 def condition(state, measurement, outcome, mean, mode):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
-    V, _ = serialize.parse_cm_payload(_load_json(state))
+    V = serialize.parse_cm_payload(_load_json(state))
     diag = validate_bona_fide(V)
     if not diag.bona_fide:
         raise ValidationError(f"state is not bona fide: {diag.reason}")

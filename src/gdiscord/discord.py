@@ -66,15 +66,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import min_output_entropy
-from .entropy import entropy_single_mode, entropy_two_mode, h
+from .entropy import entropy_single_mode, h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, conditional_cm
 from .symplectic import (
+    BonaFideDiagnosis,
     block_a,
     block_b,
     block_c,
     embed_normal_form,
+    normal_form_spectrum,
     validate_bona_fide,
 )
 
@@ -198,13 +200,12 @@ def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
     The result has u in [0, 1] and phi in [0, pi); a homodyne winner is
     reported with u = 0.  Raises DomainError for a CM that is not bona fide.
     """
-    return _minimize(V)[0]
-
-
-def _minimize(V):
-    """(:func:`minimize_conditional_entropy` of V, its diagnosis with the spectrum)."""
     V = np.asarray(V, float)
-    diag = validate_bona_fide(V)
+    return _minimize(V, validate_bona_fide(V))
+
+
+def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> MinimizeResult:
+    """:func:`minimize_conditional_entropy` of V, given V's diagnosis."""
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     nf, (t00, t01, t10, t11) = diag.reduction
@@ -224,7 +225,7 @@ def _minimize(V):
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
     entropy = conditional_entropy_measured(V, GaussianMeasurement(u, phi))
-    return MinimizeResult(u=u, phi=phi, entropy=entropy), diag
+    return MinimizeResult(u=u, phi=phi, entropy=entropy)
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
@@ -265,15 +266,23 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     matched measurement; no numerical optimization is involved.
     """
     nf = family_cm_from_params(fp)
-    s_ab = entropy_two_mode(embed_normal_form(nf))
+    nu = normal_form_spectrum(nf)
     s_min = min_output_entropy(fp.channel)
-    return _report(h(nf.a), h(nf.b), s_ab, s_min, "closed_form")
+    return _report(h(nf.a), h(nf.b), h(nu.nu_minus) + h(nu.nu_plus), s_min, "closed_form")
 
 
-def gaussian_discord_numeric(V: np.ndarray) -> DiscordReport:
-    """Discord via the numerical measurement scan; no family structure assumed."""
+def gaussian_discord_numeric(
+    V: np.ndarray, diag: BonaFideDiagnosis | None = None
+) -> DiscordReport:
+    """Discord via the numerical measurement scan; no family structure assumed.
+
+    ``diag`` is V's :func:`symplectic.validate_bona_fide` diagnosis, when the
+    caller already has it; otherwise V is validated here.
+    """
     V = np.asarray(V, float)
-    res, diag = _minimize(V)
+    if diag is None:
+        diag = validate_bona_fide(V)
+    res = _minimize(V, diag)
     return _report(
         entropy_single_mode(block_a(V)), entropy_single_mode(block_b(V)),
         h(diag.nu_min) + h(diag.nu_plus), res.entropy,

@@ -51,15 +51,14 @@ def _as_float(value, name: str) -> float:
         raise ValidationError(f"field '{name}' must be a number, got {value!r}")
 
 
-def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> tuple[np.ndarray, NormalFormCM | None]:
-    """Read a CM from {"normal_form": {...}} and/or {"cm": [[...]]}.
+def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> np.ndarray:
+    """Read a 4x4 CM from {"normal_form": {...}} and/or {"cm": [[...]]}.
 
-    When both keys are present they are cross-validated against each other.
-    Returns the 4x4 matrix and the normal form (if available).
+    When both keys are present they are cross-validated against each other
+    and the 'cm' matrix is returned.
     """
     if not isinstance(payload, dict):
         raise ValidationError("CM payload must be a JSON object")
-    nf = None
     V = None
     if "normal_form" in payload:
         raw = payload["normal_form"]
@@ -68,13 +67,12 @@ def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> tuple[np.ndarray, Nor
         missing = {"a", "b", "c", "cp"} - raw.keys()
         if missing:
             raise ValidationError(f"'normal_form' is missing fields {sorted(missing)}")
-        nf = NormalFormCM(
+        V = embed_normal_form(NormalFormCM(
             a=_as_float(raw["a"], "a"),
             b=_as_float(raw["b"], "b"),
             c=_as_float(raw["c"], "c"),
             cp=_as_float(raw["cp"], "cp"),
-        )
-        V = embed_normal_form(nf)
+        ))
     if "cm" in payload:
         raw = payload["cm"]
         try:
@@ -91,7 +89,7 @@ def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> tuple[np.ndarray, Nor
         V = M
     if V is None:
         raise ValidationError("CM payload needs 'normal_form' or 'cm'")
-    return V, nf
+    return V
 
 
 def parse_measurement_payload(payload: dict) -> GaussianMeasurement:

@@ -195,26 +195,54 @@ class SymplecticSpectrum(NamedTuple):
     nu_plus: float
 
 
-def _spectrum_arrays(a, b, c, cp, sqrt=np.sqrt):
-    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); arrays, or floats with ``sqrt=math.sqrt``.
+# delta^2 - 4 det V carries rounding of order eps * delta^2; below this share
+# of delta^2 it has lost its digits and the sum form below is used instead
+_CANCELLED_SHARE = 1e-8
+# a discriminant at or above -DISC_TOL is rounding and reads as zero; below
+# it the parameters are no CM
+_DISC_TOL = 1e-9
+
+
+def _pick(cond, x, y):
+    return x if cond else y
+
+
+def _spectrum_arrays(a, b, c, cp, sqrt=np.sqrt, where=np.where):
+    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); arrays, or floats with ``math.sqrt, _pick``.
 
     ``nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2`` with
-    ``Delta = a^2 + b^2 + 2 c cp`` and ``det V = (ab - c^2)(ab - cp^2)``.  A
-    negative discriminant or nu^2 reads as zero (``0.5 * (x + abs(x))`` is
-    ``max(x, 0)`` exactly, for floats and arrays alike); callers judge the
-    discriminant.
+    ``Delta = a^2 + b^2 + 2 c cp`` and ``det V = (ab - c^2)(ab - cp^2)``.  The
+    discriminant equals ``(a^2 - b^2)^2 + 4 (ac + b cp)(bc + a cp)``, which
+    keeps its digits near a degenerate spectrum: there (pure states have
+    a = b and cp = -c) the difference is rounding of either sign, which the
+    square root lifts to ~1e-8 in nu_minus, so a locally transformed pure
+    state would fail the bona fide test.  Away from it the difference is
+    kept, so those results keep their bits.  A negative discriminant or nu^2
+    reads as zero (``0.5 * (x + abs(x))`` is ``max(x, 0)`` exactly, for floats
+    and arrays alike); callers reject a discriminant below ``-_DISC_TOL``.
     """
     ab = a * b
     delta = a * a + b * b + 2.0 * c * cp
     disc = delta * delta - 4.0 * ((ab - c * c) * (ab - cp * cp))
+    diff = a * a - b * b
+    disc = where(
+        disc < _CANCELLED_SHARE * (delta * delta),
+        diff * diff + 4.0 * ((a * c + b * cp) * (b * c + a * cp)),
+        disc,
+    )
     root = sqrt(0.5 * (disc + abs(disc)))
     lo, hi = delta - root, delta + root  # 2 nu^2
     return disc, sqrt(0.25 * (lo + abs(lo))), sqrt(0.25 * (hi + abs(hi)))
 
 
-def _spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
-    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp, math.sqrt)
-    if disc < -1e-9:
+def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
+    """Symplectic eigenvalues of ``nf.to_matrix()``, in closed form.
+
+    Raises NumericalFailure when the discriminant is negative beyond
+    tolerance, which indicates a corrupted input.
+    """
+    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp, math.sqrt, _pick)
+    if disc < -_DISC_TOL:
         raise NumericalFailure(
             f"negative symplectic discriminant {disc}; input is not a valid CM"
         )
@@ -224,14 +252,11 @@ def _spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
 def symplectic_spectrum(V: np.ndarray) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a 4x4 CM, sorted ascending.
 
-    Evaluated in closed form on the normal form of :func:`reduce_cm`, where
-    ``det V = (ab - c^2)(ab - cp^2)`` factorises; this keeps the rounding of
-    Delta^2 and 4 det V correlated, so the degenerate spectrum of a pure
-    state is not split.  Raises DomainError when A or B is not positive
-    definite, and NumericalFailure when the discriminant is negative beyond
-    tolerance, which indicates a corrupted input.
+    :func:`normal_form_spectrum` of the normal form of :func:`reduce_cm`.
+    Raises DomainError when A or B is not positive definite, and
+    NumericalFailure as :func:`normal_form_spectrum` does.
     """
-    return _spectrum(reduce_cm(V).nf)
+    return normal_form_spectrum(reduce_cm(V).nf)
 
 
 def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
@@ -248,10 +273,11 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
 def nu_min_normal_form(a, b, c, cp) -> np.ndarray:
     """Vectorized smallest symplectic eigenvalue of V(a, b, c, cp).
 
-    Invalid parameter combinations (indefinite V) yield NaN.
+    Invalid parameter combinations (a discriminant that
+    :func:`normal_form_spectrum` rejects) yield NaN.
     """
     disc, nu_minus, _ = _spectrum_arrays(*(np.asarray(x, float) for x in (a, b, c, cp)))
-    return np.where(disc < 0, np.nan, nu_minus)
+    return np.where(disc < -_DISC_TOL, np.nan, nu_minus)
 
 
 def bona_fide_normal_form_mask(a, b, c, cp, tol: float = BONA_FIDE_TOL) -> np.ndarray:
@@ -309,7 +335,7 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
         return BonaFideDiagnosis(False, None, f"not symmetric (max asymmetry {asym:.3e})")
     try:
         red = reduce_cm(V)
-        nu = _spectrum(red.nf)
+        nu = normal_form_spectrum(red.nf)
     except (DomainError, NumericalFailure) as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     nf = red.nf

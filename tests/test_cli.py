@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gdiscord import NormalFormCM, embed_normal_form, rotation_matrix, squeezer_matrix
+from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
+from gdiscord import symplectic
 from gdiscord.cli import main
 
 WORKED_DISCORD_OUTPUT = """\
@@ -46,6 +47,22 @@ def rotated_worked_state(theta=0.3):
     return json.dumps({"cm": V.tolist()})
 
 
+def squeezed_epr_state(b, frame):
+    """epr_cm(b) under a rotated squeezer on each mode, as --state JSON.
+
+    ``frame`` is (theta_A, r_A, theta_B, r_B).
+    """
+    S = np.zeros((4, 4))
+    S[:2, :2] = rotation_matrix(frame[0]) @ squeezer_matrix(frame[1])
+    S[2:, 2:] = rotation_matrix(frame[2]) @ squeezer_matrix(frame[3])
+    return json.dumps({"cm": (S @ epr_cm(b) @ S.T).tolist()})
+
+
+# local frames of a pure state; the degenerate spectrum leaves the
+# discriminant of the reduced normal form at rounding of either sign
+EPR_FRAMES = [(0.3, 2.0, 1.1, 0.5), (0.7, 3.0, 2.0, 1.5), (1.3, 0.25, 0.4, 4.0)]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -74,6 +91,26 @@ class TestDiscordCommand:
         assert out["in_family"] is True
         assert out["agreement_delta"] <= 1e-9
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 10.0])
+    def test_squeezed_epr_state_reaches_closed_form(self, runner, b):
+        for frame in EPR_FRAMES:
+            res = invoke(runner, ["discord", "--state", squeezed_epr_state(b, frame)])
+            assert res.exit_code == 0, (frame, res.stderr)
+            out = json.loads(res.output)
+            assert out["in_family"] is True
+            assert abs(out["numeric"]["discord"] - h(b)) < 1e-10  # a pure state: D = S(A)
+            assert out["agreement_delta"] <= 1e-10
+
+    def test_state_is_reduced_once(self, runner, monkeypatch):
+        # validation, the numeric route and the closed form share one reduction
+        calls = []
+        reduce_cm = symplectic.reduce_cm
+        monkeypatch.setattr(symplectic, "reduce_cm", lambda V: calls.append(V) or reduce_cm(V))
+        res = invoke(runner, ["discord", "--state", rotated_worked_state()])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["in_family"] is True
+        assert len(calls) == 1
 
     def test_out_of_family_still_reports_numeric(self, runner):
         res = invoke(runner, ["discord", "--normal-form", "2,2,1,-0.5"])
@@ -159,6 +196,17 @@ class TestDecomposeCommand:
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert (out["b"], out["r"], out["tau"], out["eta"], out["sign"]) == (2.0, 1.0, 2.0, 1.0, 1)
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 10.0])
+    def test_squeezed_epr_state(self, runner, b):
+        # an EPR state is the identity channel on the EPR mode: tau = 1, eta = 0
+        for frame in EPR_FRAMES:
+            res = invoke(runner, ["decompose", "--state", squeezed_epr_state(b, frame)])
+            assert res.exit_code == 0, (frame, res.stderr)
+            out = json.loads(res.output)
+            assert out["b"] == pytest.approx(b, abs=1e-12)
+            assert (out["tau"], out["sign"]) == (1.0, 1)
+            assert out["eta"] <= 1e-12
 
     def test_out_of_family_exits_3(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])

@@ -25,6 +25,7 @@ from gdiscord import (
     normal_form_from_cm,
     rotation_matrix,
     squeezer_matrix,
+    validate_bona_fide,
 )
 from gdiscord.cli import main
 from gdiscord.discord import _best_seed, _scan_forms, _scan_objective
@@ -168,6 +169,13 @@ class TestScanObjective:
         for V in seeded_states(np.random.default_rng(42), 20):
             assert gaussian_discord_numeric(V).s_ab == entropy_two_mode(V)
 
+    def test_numeric_report_reuses_given_diagnosis(self):
+        for V in seeded_states(np.random.default_rng(43), 20):
+            assert gaussian_discord_numeric(V, validate_bona_fide(V)) == gaussian_discord_numeric(V)
+        V = np.diag([1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0])
+        with pytest.raises(DomainError, match="not bona fide"):
+            gaussian_discord_numeric(V, validate_bona_fide(V))
+
     def test_coupled_state_matches_normal_form(self):
         # a normal form under a local symplectic (rotation times squeezer
         # diag(sqrt(s), 1/sqrt(s)) per mode) that couples u and phi strongly:
@@ -294,7 +302,10 @@ class TestLocalInvariance:
                 outside += 1
                 yield nf
             if outside == n:
-                return
+                break
+        for b in rng.uniform(1.0, 20.0, n):  # symmetric squeezed thermal: a degenerate spectrum
+            c = math.sqrt((b * b - 1.0) * rng.uniform(0.0, 1.0))
+            yield NormalFormCM(b, b, c, -c)
 
     def test_discord_verdict_and_route_survive_local_symplectics(self):
         rng = np.random.default_rng(45)
@@ -312,6 +323,21 @@ class TestLocalInvariance:
                 assert closed_t.method == closed.method
             kinds.add(closed is None)
         assert kinds == {True, False}
+
+    def test_pure_states_survive_local_symplectics(self):
+        # EPR states sit at nu_minus = 1, where h has infinite slope: the
+        # rounding of ~eps b^2 in nu_minus that any frame carries moves S(AB)
+        # by up to ~1e-11 at b = 20, so the bound here is looser
+        rng = np.random.default_rng(47)
+        for b in rng.uniform(1.0, 20.0, 60):
+            for sign in (1, -1):
+                V = epr_cm(b, sign)
+                S = local_symplectic(rng)
+                numeric, closed = discord_routes(V)
+                numeric_t, closed_t = discord_routes(S @ V @ S.T)
+                assert numeric_t.discord == pytest.approx(h(b), abs=1e-10)
+                assert numeric.discord == pytest.approx(h(b), abs=1e-10)
+                assert closed_t.discord == pytest.approx(closed.discord, abs=1e-10)
 
     def test_membership_and_closed_form_ignore_local_relabelling(self):
         # (c, cp), (cp, c) and (-c, -cp) are one state up to local rotations

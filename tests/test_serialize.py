@@ -40,24 +40,20 @@ class TestFmt:
 
 class TestParseCM:
     def test_normal_form_only(self):
-        V, nf = parse_cm_payload({"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}})
-        assert nf == NormalFormCM(2, 2, 1, -1)
-        assert np.array_equal(V, embed_normal_form(nf))
+        V = parse_cm_payload({"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}})
+        assert np.array_equal(V, embed_normal_form(NormalFormCM(2, 2, 1, -1)))
 
     def test_cm_only(self):
         V0 = embed_normal_form(NormalFormCM(2, 2, 1, -1))
-        V, nf = parse_cm_payload({"cm": V0.tolist()})
-        assert nf is None
+        V = parse_cm_payload({"cm": V0.tolist()})
         assert np.array_equal(V, V0)
 
     def test_both_cross_validated(self):
-        nf = NormalFormCM(3, 2, 0.5, -0.25)
-        payload = {
-            "normal_form": {"a": 3, "b": 2, "c": 0.5, "cp": -0.25},
-            "cm": embed_normal_form(nf).tolist(),
-        }
-        V, got = parse_cm_payload(payload)
-        assert got == nf
+        # within the cross-check tolerance; the 'cm' matrix is the one returned
+        cm = embed_normal_form(NormalFormCM(3, 2, 0.5, -0.25))
+        cm[0, 2] = cm[2, 0] = 0.5 + 1e-12
+        payload = {"normal_form": {"a": 3, "b": 2, "c": 0.5, "cp": -0.25}, "cm": cm.tolist()}
+        assert np.array_equal(parse_cm_payload(payload), cm)
 
     def test_disagreement_rejected(self):
         payload = {

@@ -140,6 +140,29 @@ class TestSpectrum:
             assert nu.nu_minus == pytest.approx(ref.nu_minus, abs=1e-9)
             assert nu.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
 
+    def test_degenerate_spectrum_survives_local_symplectics(self):
+        # a = b and cp = -c (pure states at x = 1) give nu_minus = nu_plus, where
+        # Delta^2 - 4 det V of the reduced parameters is rounding of either sign;
+        # the validator and the normal-form mask must accept these states alike
+        rng = np.random.default_rng(106)
+        for k in range(400):
+            a = rng.uniform(1.0, 50.0)
+            x = 1.0 if k % 2 else rng.uniform(0.0, 1.0)
+            c = math.sqrt(x * (a * a - 1.0)) * (1.0 if k % 4 < 2 else -1.0)
+            V = embed_normal_form(NormalFormCM(a, a, c, -c))
+            s1 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+            s2 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+            S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
+            W = S @ V @ S.T
+            diag = validate_bona_fide(W)
+            assert diag.bona_fide, (a, x, diag.reason)
+            nf = diag.reduction.nf
+            assert bool(bona_fide_normal_form_mask(nf.a, nf.b, nf.c, nf.cp))
+            assert float(nu_min_normal_form(nf.a, nf.b, nf.c, nf.cp)) == diag.nu_min
+            ref = symplectic_spectrum(V)
+            assert diag.nu_min == pytest.approx(ref.nu_minus, abs=1e-9)
+            assert diag.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
+
     def test_determinant_identity(self):
         rng = np.random.default_rng(103)
         for nf in random_normal_forms(rng, 500):
@@ -245,3 +268,16 @@ def test_nu_min_vectorized_matches_scalar():
     for i, nf in enumerate(nfs):
         nu = symplectic_spectrum(embed_normal_form(nf))
         assert nu_vec[i] == pytest.approx(nu.nu_minus, abs=1e-12)
+
+
+def test_mask_keeps_the_symmetric_anti_diagonal():
+    # a = b, cp = -c: nu_minus = nu_plus = sqrt(a^2 - c^2), bona fide for
+    # c^2 <= a^2 - 1, and the spectrum is degenerate near the whole line.
+    # Cell centres of the occupancy grid at a = b = 2 put cp within rounding
+    # of -c, where Delta^2 - 4 det V is rounding of either sign
+    half = math.sqrt(3.0)
+    width = 2.0 * half / 200
+    centers = -half + width * (np.arange(200) + 0.5)
+    c, cp = centers, centers[::-1]
+    assert bool(np.all(bona_fide_normal_form_mask(2.0, 2.0, c, cp)))
+    assert np.allclose(nu_min_normal_form(2.0, 2.0, c, cp), np.sqrt(4.0 - c * c), atol=1e-9)
