@@ -50,20 +50,16 @@ from .family import (
     membership,
     occupancy_grid,
     sample_family,
-    squeezed_thermal_bound,
     tau_bounds,
 )
 from .remote_prep import (
     ConditionalState,
     GaussianMeasurement,
-    OutcomeDistribution,
     condition_on_outcome,
     conditional_cm,
     conditional_mean_map,
     conditioning_on_mode_A,
     epr_squeezing_range,
-    gaussian_overlap,
-    outcome_distribution,
 )
 from .symplectic import (
     BonaFideDiagnosis,
@@ -79,6 +75,7 @@ from .symplectic import (
     normal_form_from_cm,
     reduce_cm,
     rotation_matrix,
+    squeezed_thermal_bound,
     squeezer_matrix,
     symplectic_spectrum,
     symplectic_spectrum_eigen,

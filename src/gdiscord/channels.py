@@ -34,8 +34,11 @@ from .errors import DomainError, InvalidChannelParams
 from .symplectic import assemble_cm, block_a, block_b, block_c
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
-# small tolerance.
+# small tolerance.  classify reads tau and eta this close to a boundary value
+# (tau = 0 or 1, eta = 0) as on it.
 CHANNEL_TOL = 1e-12
+# is_quantum_limited reports channels within this distance of eta = |1 - tau|
+QUANTUM_LIMITED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class GaussianChannelParams:
     def N(self) -> np.ndarray:
         return self.eta * np.eye(2)
 
-    def is_quantum_limited(self, tol: float = 1e-9) -> bool:
-        return abs(self.eta - abs(1.0 - self.tau)) <= tol
+    def is_quantum_limited(self) -> bool:
+        return abs(self.eta - abs(1.0 - self.tau)) <= QUANTUM_LIMITED_TOL
 
 
 class CanonicalForm(str, enum.Enum):
@@ -91,7 +94,7 @@ class ChannelClass:
     n_bar: float | None = None
 
 
-def classify(params: GaussianChannelParams, atol: float = 1e-12) -> ChannelClass:
+def classify(params: GaussianChannelParams) -> ChannelClass:
     """Canonical-form label of an extended channel (tau, eta).
 
     ``omega`` (and ``n_bar = (omega-1)/2``) are reported for the forms where
@@ -103,10 +106,10 @@ def classify(params: GaussianChannelParams, atol: float = 1e-12) -> ChannelClass
         omega = eta / denom
         return ChannelClass(label, omega=omega, n_bar=0.5 * (omega - 1.0))
 
-    if abs(tau) <= atol:
+    if abs(tau) <= CHANNEL_TOL:
         return thermal(CanonicalForm.A1, 1.0)
-    if abs(tau - 1.0) <= atol:
-        if eta <= atol:
+    if abs(tau - 1.0) <= CHANNEL_TOL:
+        if eta <= CHANNEL_TOL:
             return ChannelClass(CanonicalForm.B2_IDENTITY)
         return ChannelClass(CanonicalForm.B2_ADDITIVE)
     if tau < 0.0:

@@ -18,15 +18,7 @@ import click
 from . import serialize
 from .channels import GaussianChannelParams, classify
 from .discord import gaussian_discord_numeric, gaussian_discord_closed_form
-from .errors import (
-    DomainError,
-    GDiscordError,
-    InvalidChannelParams,
-    NotSqueezedThermalForm,
-    NumericalFailure,
-    OutOfFamily,
-    ValidationError,
-)
+from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
 from .family import membership, occupancy_grid, sample_family
 from .remote_prep import condition_on_outcome, conditioning_on_mode_A
 from .symplectic import NormalFormCM, validate_bona_fide
@@ -35,10 +27,6 @@ from .verification import run_all
 _EXIT_CODES = [
     (OutOfFamily, 3, "out-of-family"),
     (NumericalFailure, 4, "numerical"),
-    (NotSqueezedThermalForm, 2, "validation"),
-    (InvalidChannelParams, 2, "validation"),
-    (ValidationError, 2, "validation"),
-    (DomainError, 2, "validation"),
     (GDiscordError, 2, "validation"),
 ]
 
@@ -53,7 +41,6 @@ def handles_errors(fn):
                 if isinstance(exc, cls):
                     click.echo(f"error: {kind}: {exc}", err=True)
                     sys.exit(code)
-            raise
 
     return wrapper
 

@@ -17,6 +17,7 @@ from .symplectic import symplectic_spectrum
 # Floating-point spectra of pure states may dip slightly below 1; values in
 # [1 - H_CLAMP_TOL, 1] are treated as exactly 1.
 H_CLAMP_TOL = 1e-9
+_FOCK_TAIL = 1e-15
 
 
 def h(x: float) -> float:
@@ -48,12 +49,12 @@ def entropy_two_mode(V: np.ndarray) -> float:
     return h(nu.nu_minus) + h(nu.nu_plus)
 
 
-def thermal_entropy_fock(x: float, tail: float = 1e-15) -> float:
+def thermal_entropy_fock(x: float) -> float:
     """Thermal entropy by direct number-basis summation.
 
     Independent oracle for ``h``: sums ``-p_n log2 p_n`` for the geometric
     photon-number distribution ``p_n = nbar^n / (nbar+1)^(n+1)`` until the
-    remaining probability mass drops below ``tail``.
+    remaining probability mass drops below ``_FOCK_TAIL``.
     """
     if x < 1.0:
         raise DomainError(f"thermal variance must be >= 1, got {x}")
@@ -66,7 +67,7 @@ def thermal_entropy_fock(x: float, tail: float = 1e-15) -> float:
     pn = p
     remaining = 1.0
     n = 0
-    while remaining > tail and n < 100_000:
+    while remaining > _FOCK_TAIL and n < 100_000:
         if pn > 0.0:
             total -= pn * math.log2(pn)
         remaining -= pn

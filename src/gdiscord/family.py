@@ -52,9 +52,18 @@ from .errors import (
     NumericalFailure,
     OutOfFamily,
 )
-from .symplectic import BONA_FIDE_TOL, NormalFormCM, bona_fide_normal_form_mask
+from .symplectic import (
+    NormalFormCM,
+    _bona_fide_verdict,
+    _pick,
+    bona_fide_normal_form_mask,
+    check_variance,
+    squeezed_thermal_bound,
+)
 
 _R_DOMAIN_TOL = 1e-12
+# membership accepts a witness that reproduces (a, c, cp) to this share of a
+_WITNESS_TOL = 1e-9
 # Points per independently seeded sampler chunk; fixed so that output is
 # byte-identical regardless of how many threads compute the chunks.
 _CHUNK = 1 << 16
@@ -77,13 +86,8 @@ class FamilyParams:
     sign: int = 1
 
     def __post_init__(self):
-        if self.b < 1.0 - 1e-12:
-            raise DomainError(f"EPR variance must be >= 1, got {self.b}")
-        lo, hi = 1.0 / self.b, self.b
-        if not (lo - _R_DOMAIN_TOL <= self.r <= hi + _R_DOMAIN_TOL):
-            raise DomainError(
-                f"input squeezing r = {self.r} outside [1/b, b] = [{lo}, {hi}]"
-            )
+        check_variance(self.b, "EPR variance")
+        _check_r(self.r, self.b)
         if self.sign not in (1, -1):
             raise DomainError(f"EPR sign must be +1 or -1, got {self.sign}")
         self.channel  # validates eta >= |1 - tau|
@@ -104,19 +108,14 @@ def _theta(r: float, tau: float, eta: float, b: float) -> float:
     return math.sqrt(eta * r + abs(tau) * b)
 
 
-def squeezed_thermal_bound(a: float, b: float) -> float:
-    """Largest c^2 compatible with a squeezed thermal state V(a, b, c, -c)."""
-    return a * b - 1.0 - abs(a - b)
-
-
 def decompose_squeezed_thermal(a: float, b: float, c: float) -> GaussianChannelParams:
     """Channel (tau, eta) realizing V(a, b, c, -c) from an EPR state of variance b.
 
     Inverts ``a = tau*b + eta``, ``c^2 = tau*(b^2 - 1)``.  The EPR
     correlation sign follows sign(c) and is not part of the channel.
     """
-    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
-        raise NotSqueezedThermalForm(f"local variances must be >= 1, got a={a}, b={b}")
+    check_variance(a, "local variance a")
+    check_variance(b, "local variance b")
     if c == 0.0:
         return GaussianChannelParams(0.0, a)
     if b <= 1.0:
@@ -169,8 +168,8 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
     Solves ``theta(r) * theta(1/r) = a`` for eta; raises DomainError when the
     requested |tau| > a/b would force negative noise.
     """
-    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
-        raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
+    check_variance(a, "local variance a")
+    check_variance(b, "local variance b")
     _check_r(r, b)
     eta = _eta_arrays(a, r, tau, b, math.sqrt)
     if eta < 0.0:
@@ -200,8 +199,8 @@ def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
 
     Validating scalar form of :func:`_tau_bounds_arrays`.
     """
-    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
-        raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
+    check_variance(a, "local variance a")
+    check_variance(b, "local variance b")
     _check_r(r, b)
     if b <= 1.0 and a <= 1.0:
         # both modes at the vacuum limit: product states only
@@ -251,7 +250,11 @@ class FamilySample:
     (with ``b``) of the sampled correlation pair (c[i], cp[i]).
     """
 
-    def __init__(self, a, b, n, seed, c, cp, r, tau, eta, sign, redraws):
+    # no draw is ever redrawn (a non-finite one raises); the count stays, at
+    # 0, because the benchmark's counter and the --grid-out JSON read it
+    redraws = 0
+
+    def __init__(self, a, b, n, seed, c, cp, r, tau, eta, sign):
         self.a = float(a)
         self.b = float(b)
         self.n = int(n)
@@ -262,41 +265,27 @@ class FamilySample:
         self.tau = tau
         self.eta = eta
         self.sign = sign
-        self.redraws = int(redraws)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def _sample_chunk(a: float, b: float, n: int, seed: int, chunk_index: int):
     """Draw one deterministic chunk of family points.
 
     Each chunk derives its own stream from (seed, chunk_index), so the
-    assembled output does not depend on how chunks are scheduled.
+    assembled output does not depend on how chunks are scheduled.  With
+    finite (a, b) a draw is non-finite only when the closed forms overflow,
+    which no redraw mends, so that raises NumericalFailure.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-    lo, hi = 1.0 / b, b
-    r = np.empty(n)
-    tau = np.empty(n)
-    sign = np.empty(n)
-    pending = np.arange(n)
-    redraws = 0
-    while pending.size:
-        m = pending.size
-        r_try = rng.uniform(lo, hi, m)
-        t_lo, t_hi = _tau_bounds_arrays(a, b, r_try)
-        tau_try = t_lo + (t_hi - t_lo) * rng.uniform(0.0, 1.0, m)
-        sign_try = np.where(rng.uniform(0.0, 1.0, m) < 0.5, 1.0, -1.0)
-        ok = np.isfinite(r_try) & np.isfinite(tau_try)
-        r[pending[ok]] = r_try[ok]
-        tau[pending[ok]] = tau_try[ok]
-        sign[pending[ok]] = sign_try[ok]
-        redraws += int(m - ok.sum())
-        pending = pending[~ok]
-
-    eta = np.maximum(_eta_arrays(a, r, tau, b), 0.0)
-    c, cp = _correlation_arrays(b, r, tau, eta, sign)
-    return c, cp, r, tau, eta, sign, redraws
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = rng.uniform(1.0 / b, b, n)
+        t_lo, t_hi = _tau_bounds_arrays(a, b, r)
+        tau = t_lo + (t_hi - t_lo) * rng.uniform(0.0, 1.0, n)
+        sign = np.where(rng.uniform(0.0, 1.0, n) < 0.5, 1.0, -1.0)
+        eta = np.maximum(_eta_arrays(a, r, tau, b), 0.0)
+        c, cp = _correlation_arrays(b, r, tau, eta, sign)
+    if not all(np.isfinite(col).all() for col in (c, cp, tau, eta)):
+        raise NumericalFailure(f"family formulae overflow at a = {a}, b = {b}")
+    return c, cp, r, tau, eta, sign
 
 
 def sample_family(
@@ -311,13 +300,13 @@ def sample_family(
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    if a < 1.0 - 1e-12 or b < 1.0 - 1e-12:
-        raise DomainError(f"local variances must be >= 1, got a={a}, b={b}")
+    check_variance(a, "local variance a")
+    check_variance(b, "local variance b")
     if b <= 1.0 and a <= 1.0:
         # no correlations possible; emit the product point deterministically
         zeros = np.zeros(n)
         return FamilySample(a, b, n, seed, zeros, zeros, np.ones(n),
-                            zeros, np.full(n, a), np.ones(n), 0)
+                            zeros, np.full(n, a), np.ones(n))
     sizes = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -325,8 +314,7 @@ def sample_family(
     else:
         chunks = [_sample_chunk(a, b, m, seed, i) for i, m in sizes]
     cols = [np.concatenate([ch[j] for ch in chunks]) for j in range(6)]
-    redraws = sum(ch[6] for ch in chunks)
-    return FamilySample(a, b, n, seed, *cols, redraws)
+    return FamilySample(a, b, n, seed, *cols)
 
 
 def correlation_half_width(a: float, b: float) -> float:
@@ -334,15 +322,15 @@ def correlation_half_width(a: float, b: float) -> float:
     return math.sqrt(max(squeezed_thermal_bound(a, b), 0.0))
 
 
-def occupancy_grid(
-    sample: FamilySample, bins: int = 200, tol: float = BONA_FIDE_TOL
-) -> dict:
+def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
     """Bin a sample onto the (c, cp) plane and measure region coverage.
 
     The grid spans the square bounding box of the physical region.  The
     coverage fraction is (cells holding at least one sample) / (cells whose
-    center is a bona fide state).
+    center is a bona fide state).  Raises DomainError when ``bins < 1``.
     """
+    if bins < 1:
+        raise DomainError(f"bins must be >= 1, got {bins}")
     a, b = sample.a, sample.b
     half = correlation_half_width(a, b)
     if half <= 0.0:
@@ -361,7 +349,7 @@ def occupancy_grid(
 
     centers = -half + width * (np.arange(bins) + 0.5)
     cc, pp = np.meshgrid(centers, centers, indexing="ij")
-    physical = bona_fide_normal_form_mask(a, b, cc, pp, tol=tol)
+    physical = bona_fide_normal_form_mask(a, b, cc, pp)
     occupied = (grid > 0) & physical
     n_phys = int(physical.sum())
     n_occ = int(occupied.sum())
@@ -374,22 +362,22 @@ def occupancy_grid(
     }
 
 
-def membership(nf: NormalFormCM, tol: float = 1e-9) -> FamilyParams:
+def membership(nf: NormalFormCM) -> FamilyParams:
     """Decomposition witness of a normal-form state, in closed form.
 
     The EPR variance is pinned to ``b`` (the channel leaves mode B alone),
     |tau| follows from ``|c*cp| = |tau|(b^2-1)`` and its sign from
     ``sign(c*cp)``; ``r`` and ``eta`` then follow from ``eta*r`` and
     ``eta/r`` (module docstring), with ``r`` clamped into [1/b, b].  The
-    candidate is accepted when it reproduces (a, c, cp) to within ``tol``
-    (relative to a), and OutOfFamily is raised otherwise.
+    candidate is accepted when it reproduces (a, c, cp) to within
+    ``_WITNESS_TOL`` (relative to a), and OutOfFamily is raised otherwise.
 
     States on the axes (exactly one of c, cp zero) are only reached in the
     infinite-entanglement limit and are reported OutOfFamily, as are
     correlated states with ``b <= 1``.
     """
     a, b, c, cp = nf.a, nf.b, nf.c, nf.cp
-    if not bool(bona_fide_normal_form_mask(a, b, c, cp)):
+    if not _bona_fide_verdict(a, b, c, cp, math.sqrt, _pick)[0]:
         raise DomainError(f"V({a}, {b}, {c}, {cp}) is not bona fide")
     scale = max(1.0, abs(c), abs(cp))
     if abs(c) <= 1e-12 * scale and abs(cp) <= 1e-12 * scale:
@@ -423,8 +411,8 @@ def membership(nf: NormalFormCM, tol: float = 1e-9) -> FamilyParams:
     fp = FamilyParams(b=b, r=r, tau=tau, eta=eta, sign=sign)
     out = family_cm_from_params(fp)
     err = max(abs(out.a - a), abs(out.c - c), abs(out.cp - cp))
-    if err > tol * max(1.0, a):
+    if err > _WITNESS_TOL * max(1.0, a):
         raise OutOfFamily(
-            f"the closed-form witness misses (a, c, cp) by {err:.3e} (tolerance {tol:.1e})"
+            f"the closed-form witness misses (a, c, cp) by {err:.3e} (tolerance {_WITNESS_TOL:.1e})"
         )
     return fp

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .symplectic import block_a, block_b, block_c, rotation_matrix
+from .symplectic import block_a, block_b, block_c, check_variance, rotation_matrix
 
 @dataclass(frozen=True)
 class GaussianMeasurement:
@@ -67,10 +67,6 @@ class GaussianMeasurement:
     def homodyne_p(cls, phi: float = 0.0) -> "GaussianMeasurement":
         """Sharp measurement of the ``phi``-rotated p quadrature (u -> inf)."""
         return cls(math.inf, phi)
-
-    @property
-    def is_heterodyne(self) -> bool:
-        return self.u == 1.0
 
     @property
     def is_homodyne(self) -> bool:
@@ -129,43 +125,11 @@ class ConditionalState:
         object.__setattr__(self, "cm", np.asarray(self.cm, float).reshape(2, 2))
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Gaussian law of the measurement outcomes: mean ``xB``, cov ``B + V0``."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, float).reshape(2))
-        object.__setattr__(self, "cov", np.asarray(self.cov, float).reshape(2, 2))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` outcomes using a caller-supplied seeded generator."""
-        return rng.multivariate_normal(self.mean, self.cov, size=n)
-
-
 def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
     if mean_AB is None:
         return np.zeros(2), np.zeros(2)
     mean_AB = np.asarray(mean_AB, float).reshape(4)
     return mean_AB[:2], mean_AB[2:]
-
-
-def outcome_distribution(
-    V: np.ndarray, mean_AB, m: GaussianMeasurement
-) -> OutcomeDistribution:
-    """Distribution of outcomes when mode B is measured with ``m``.
-
-    Undefined in the homodyne limits, where the outcome density does not
-    converge to a two-dimensional Gaussian.
-    """
-    if m.is_homodyne:
-        raise DomainError(
-            "outcome distribution is not normalizable in the homodyne limit"
-        )
-    _, mean_b = _split_mean(mean_AB)
-    return OutcomeDistribution(mean_b, block_b(V) + m.seed_cm())
 
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
@@ -214,8 +178,7 @@ def epr_squeezing_range(mu: float, u: float) -> float:
     The homodyne endpoints give exactly ``r = 1/mu`` (u = 0) and ``r = mu``
     (u = inf); heterodyne gives ``r = 1`` (coherent states).
     """
-    if mu < 1.0:
-        raise DomainError(f"EPR variance must be >= 1, got {mu}")
+    check_variance(mu, "EPR variance")
     if math.isnan(u) or u < 0.0:
         raise DomainError(f"measurement squeezing u must be >= 0, got {u}")
     if u == 0.0:
@@ -223,19 +186,3 @@ def epr_squeezing_range(mu: float, u: float) -> float:
     if math.isinf(u):
         return mu
     return (1.0 + u * mu) / (u + mu)
-
-
-def gaussian_overlap(state1: ConditionalState, state2: ConditionalState) -> float:
-    """Trace overlap of two single-mode Gaussian states.
-
-    ``2 * exp(-(d^T (V1+V2)^{-1} d) / 2) / sqrt(det(V1+V2))`` with
-    ``d`` the mean difference.  Equals 1 iff the states are identical and
-    pure.
-    """
-    M = state1.cm + state2.cm
-    det = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if det <= 0.0:
-        raise NumericalFailure("sum of CMs is singular")
-    d = state1.mean - state2.mean
-    inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    return 2.0 * math.exp(-0.5 * float(d @ inv @ d)) / math.sqrt(det)

@@ -51,11 +51,14 @@ def _as_float(value, name: str) -> float:
         raise ValidationError(f"field '{name}' must be a number, got {value!r}")
 
 
-def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> np.ndarray:
+_CM_AGREEMENT_RTOL = 1e-9
+
+
+def parse_cm_payload(payload: dict) -> np.ndarray:
     """Read a 4x4 CM from {"normal_form": {...}} and/or {"cm": [[...]]}.
 
-    When both keys are present they are cross-validated against each other
-    and the 'cm' matrix is returned.
+    When both keys are present they are cross-validated against each other,
+    to ``_CM_AGREEMENT_RTOL``, and the 'cm' matrix is returned.
     """
     if not isinstance(payload, dict):
         raise ValidationError("CM payload must be a JSON object")
@@ -84,7 +87,7 @@ def parse_cm_payload(payload: dict, rtol: float = 1e-9) -> np.ndarray:
         M = M.reshape(4, 4)
         if V is not None:
             scale = max(1.0, float(np.max(np.abs(V))))
-            if float(np.max(np.abs(M - V))) > rtol * scale:
+            if float(np.max(np.abs(M - V))) > _CM_AGREEMENT_RTOL * scale:
                 raise ValidationError("'cm' and 'normal_form' disagree")
         V = M
     if V is None:

@@ -180,10 +180,27 @@ def normal_form_from_cm(V: np.ndarray) -> NormalFormCM:
     return reduce_cm(V).nf
 
 
+# a variance this close below 1 is rounding of the vacuum value and passes
+_VARIANCE_SLACK = 1e-12
+
+
+def check_variance(x: float, what: str) -> None:
+    """Raise DomainError unless ``x`` is a finite quadrature variance >= 1.
+
+    The one domain check on local and EPR variances; NaN and inf fail it.
+    """
+    if not 1.0 - _VARIANCE_SLACK <= x < math.inf:
+        raise DomainError(f"{what} must be finite and >= 1, got {x}")
+
+
+def squeezed_thermal_bound(a, b):
+    """Largest c^2 compatible with a squeezed thermal state V(a, b, c, -c); floats or arrays."""
+    return a * b - 1.0 - abs(a - b)
+
+
 def epr_cm(b: float, sign: int = 1) -> np.ndarray:
     """CM of an EPR state: blocks b*I and ``sign*sqrt(b^2-1)*diag(1,-1)``."""
-    if b < 1.0 - 1e-12:
-        raise DomainError(f"EPR variance must be >= 1, got {b}")
+    check_variance(b, "EPR variance")
     if sign not in (1, -1):
         raise DomainError(f"EPR correlation sign must be +1 or -1, got {sign}")
     corr = sign * np.sqrt(max(b * b - 1.0, 0.0))
@@ -201,6 +218,7 @@ _CANCELLED_SHARE = 1e-8
 # a discriminant at or above -DISC_TOL is rounding and reads as zero; below
 # it the parameters are no CM
 _DISC_TOL = 1e-9
+_NEGATIVE_DISC = "negative symplectic discriminant {}; input is not a valid CM"
 
 
 def _pick(cond, x, y):
@@ -243,9 +261,7 @@ def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     """
     disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp, math.sqrt, _pick)
     if disc < -_DISC_TOL:
-        raise NumericalFailure(
-            f"negative symplectic discriminant {disc}; input is not a valid CM"
-        )
+        raise NumericalFailure(_NEGATIVE_DISC.format(disc))
     return SymplecticSpectrum(nu_minus, nu_plus)
 
 
@@ -270,26 +286,30 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
     return SymplecticSpectrum(float(mods[0]), float(mods[2]))
 
 
-def nu_min_normal_form(a, b, c, cp) -> np.ndarray:
-    """Vectorized smallest symplectic eigenvalue of V(a, b, c, cp).
+def _bona_fide_verdict(a, b, c, cp, sqrt=np.sqrt, where=np.where):
+    """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp); the one bona fide rule.
 
-    Invalid parameter combinations (a discriminant that
-    :func:`normal_form_spectrum` rejects) yield NaN.
+    ``ok`` holds iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``)
+    and its spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  Arrays,
+    or floats with ``math.sqrt, _pick`` as for :func:`_spectrum_arrays`; NaN
+    fails every comparison, so a non-finite input is never ok.  No ``a, b >=
+    1`` term is needed: a positive definite V has ``a, b >= nu_minus``.
     """
-    disc, nu_minus, _ = _spectrum_arrays(*(np.asarray(x, float) for x in (a, b, c, cp)))
-    return np.where(disc < -_DISC_TOL, np.nan, nu_minus)
+    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, sqrt, where)
+    ab = a * b
+    ok = (a > 0.0) & (ab > c * c) & (ab > cp * cp) & (disc >= -_DISC_TOL) \
+        & (nu_minus >= 1.0 - BONA_FIDE_TOL)
+    return ok, disc, nu_minus, nu_plus
 
 
-def bona_fide_normal_form_mask(a, b, c, cp, tol: float = BONA_FIDE_TOL) -> np.ndarray:
-    """Vectorized uncertainty-principle test for normal-form parameters."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    cp = np.asarray(cp, float)
-    positive = (a >= 1.0 - tol) & (b >= 1.0 - tol) \
-        & (a * b - c * c > 0) & (a * b - cp * cp > 0)
-    nu = nu_min_normal_form(a, b, c, cp)
-    return positive & ~np.isnan(nu) & (nu >= 1.0 - tol)
+def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
+    """Vectorized uncertainty-principle test for normal-form parameters.
+
+    The array call of the verdict :func:`validate_bona_fide` reads; inf
+    entries give False, without a floating-point warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _bona_fide_verdict(*(np.asarray(x, float) for x in (a, b, c, cp)))[0]
 
 
 @dataclass(frozen=True)
@@ -310,19 +330,18 @@ class BonaFideDiagnosis:
         return self.bona_fide
 
 
-def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDiagnosis:
+def validate_bona_fide(V: np.ndarray) -> BonaFideDiagnosis:
     """Check a 4x4 CM against the uncertainty principle.
 
     Never raises: every failure mode is reported in the diagnosis.  A state
-    is accepted iff its smallest symplectic eigenvalue is >= 1 - tol and it
-    is positive definite, which the spectrum alone cannot tell (V and -V
-    have the same one).  Both are read off the normal form of
-    :func:`reduce_cm`: local symplectics keep the spectrum and, as a
-    congruence, the signs of the eigenvalues, so V is positive definite iff
-    ``a > 0`` and ``ab > c^2, cp^2``.  For the squeezed-thermal subclass
-    (cp = -c) the eigenvalue test is equivalent to the parameter bound
-    c^2 <= a*b - 1 - |a - b|, which is quoted in the diagnosis when it is
-    the constraint that failed.
+    is accepted iff its smallest symplectic eigenvalue is >= 1 -
+    BONA_FIDE_TOL and it is positive definite, which the spectrum alone
+    cannot tell (V and -V have the same one).  Both are read off the normal
+    form of :func:`reduce_cm` by :func:`_bona_fide_verdict`: local
+    symplectics keep the spectrum and, as a congruence, the signs of the
+    eigenvalues.  For the squeezed-thermal subclass (cp = -c) the eigenvalue
+    test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
+    which is quoted in the diagnosis when it is the constraint that failed.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != (4, 4):
@@ -335,20 +354,22 @@ def validate_bona_fide(V: np.ndarray, tol: float = BONA_FIDE_TOL) -> BonaFideDia
         return BonaFideDiagnosis(False, None, f"not symmetric (max asymmetry {asym:.3e})")
     try:
         red = reduce_cm(V)
-        nu = normal_form_spectrum(red.nf)
-    except (DomainError, NumericalFailure) as exc:
+    except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
-    nf = red.nf
-    if nu.nu_minus >= 1.0 - tol:
-        if not (nf.a > 0.0 and nf.a * nf.b > max(nf.c * nf.c, nf.cp * nf.cp)):
-            return BonaFideDiagnosis(False, None, "not positive definite")
-        return BonaFideDiagnosis(True, nu.nu_minus, nu_plus=nu.nu_plus, reduction=red)
-    reason = f"nu_min = {nu.nu_minus:.12g} < 1"
-    if abs(nf.cp + nf.c) <= 1e-9 * max(1.0, abs(nf.c)):
-        bound = nf.a * nf.b - 1.0 - abs(nf.a - nf.b)
-        if nf.c * nf.c > bound:
-            reason += (
-                f"; squeezed-thermal bound violated: c^2 = {nf.c * nf.c:.12g}"
-                f" > ab - 1 - |a - b| = {bound:.12g}"
-            )
-    return BonaFideDiagnosis(False, nu.nu_minus, reason, nu.nu_plus)
+    a, b, c, cp = red.nf.a, red.nf.b, red.nf.c, red.nf.cp
+    ok, disc, nu_minus, nu_plus = _bona_fide_verdict(a, b, c, cp, math.sqrt, _pick)
+    if ok:
+        return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
+    if disc < -_DISC_TOL:
+        return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
+    if not nu_minus >= 1.0 - BONA_FIDE_TOL:  # also NaN, from an overflowed spectrum
+        reason = f"nu_min = {nu_minus:.12g} < 1"
+        if abs(cp + c) <= 1e-9 * max(1.0, abs(c)):
+            bound = squeezed_thermal_bound(a, b)
+            if c * c > bound:
+                reason += (
+                    f"; squeezed-thermal bound violated: c^2 = {c * c:.12g}"
+                    f" > ab - 1 - |a - b| = {bound:.12g}"
+                )
+        return BonaFideDiagnosis(False, nu_minus, reason, nu_plus)
+    return BonaFideDiagnosis(False, None, "not positive definite")

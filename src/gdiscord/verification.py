@@ -56,6 +56,7 @@ from .symplectic import (
     embed_normal_form,
     epr_cm,
     rotation_matrix,
+    squeezed_thermal_bound,
     squeezer_matrix,
     symplectic_spectrum,
     symplectic_spectrum_eigen,
@@ -90,7 +91,7 @@ def random_squeezed_thermal(rng: np.random.Generator, n: int, vmax: float = 5.0)
     b = rng.uniform(1.0, vmax, n)
     frac = rng.uniform(0.0, 1.0, n)
     sign = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    bound = np.maximum(a * b - 1.0 - np.abs(a - b), 0.0)
+    bound = np.maximum(squeezed_thermal_bound(a, b), 0.0)
     c = sign * np.sqrt(frac * bound)
     return a, b, c
 
@@ -105,7 +106,7 @@ def random_normal_forms(rng: np.random.Generator, n: int, vmax: float = 5.0):
         m = max(2 * (n - filled), 128)
         a = rng.uniform(1.0, vmax, m)
         b = rng.uniform(1.0, vmax, m)
-        half = np.sqrt(np.maximum(a * b - 1.0 - np.abs(a - b), 0.0))
+        half = np.sqrt(np.maximum(squeezed_thermal_bound(a, b), 0.0))
         c = rng.uniform(-1.0, 1.0, m) * half
         cp = rng.uniform(-1.0, 1.0, m) * half
         ok = bona_fide_normal_form_mask(a, b, c, cp)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
 from gdiscord import symplectic
 from gdiscord.cli import main
@@ -333,6 +338,30 @@ class TestConditionCommand:
             "condition", "--state", "{not json", "--measurement", '{"u": 1}',
         ])
         assert res.exit_code == 2
+
+
+# each runs in its own interpreter under a timeout, so a hang fails the test
+# instead of stalling the suite
+HOSTILE_INPUTS = [
+    (["sample", "--a", "nan", "--b", "2", "--n", "3"], 2),
+    (["sample", "--a", "2", "--b", "inf", "--n", "3"], 2),
+    (["sample", "--a", "1e160", "--b", "3", "--n", "3"], 4),
+    (["sample", "--a", "2", "--b", "2", "--n", "3", "--bins", "0", "--grid-out", "g.json"], 2),
+    (["discord", "--normal-form", "nan,2,0,0"], 2),
+    (["decompose", "--normal-form", "2,2,nan,0"], 2),
+]
+
+
+@pytest.mark.parametrize("args, code", HOSTILE_INPUTS, ids=[
+    "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan"])
+def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
+    src = str(Path(gdiscord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == code, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 class TestVerifyCommand:

@@ -9,11 +9,13 @@ from gdiscord import (
     FamilyParams,
     NormalFormCM,
     NotSqueezedThermalForm,
+    NumericalFailure,
     OutOfFamily,
     apply_to_mode_A,
     decompose_squeezed_thermal,
     embed_normal_form,
     epr_cm,
+    epr_squeezing_range,
     eta_from_a,
     family_cm_from_params,
     membership,
@@ -195,7 +197,34 @@ class TestTauBounds:
             assert lo <= 0.0 <= hi
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+def test_every_variance_has_one_domain_check(bad):
+    # one check guards every local or EPR variance; NaN fails it like 0.5 does
+    calls = [
+        lambda: FamilyParams(b=bad, r=1.0, tau=0.0, eta=1.0),
+        lambda: decompose_squeezed_thermal(bad, 2.0, 0.0),
+        lambda: decompose_squeezed_thermal(2.0, bad, 0.0),
+        lambda: eta_from_a(bad, 1.0, 0.5, 2.0),
+        lambda: tau_bounds(2.0, bad, 1.0),
+        lambda: sample_family(bad, 2.0, 3, 0),
+        lambda: sample_family(2.0, bad, 3, 0),
+        lambda: epr_cm(bad),
+        lambda: epr_squeezing_range(bad, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be finite and >= 1"):
+            call()
+
+
 class TestMembership:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_rejected(self, slot, bad):
+        params = [5.0, 2.0, SQRT6, -SQRT6]
+        params[slot] = bad
+        with pytest.raises(DomainError, match="not bona fide"):
+            membership(NormalFormCM(*params))
+
     def test_squeezed_thermal_route(self):
         fp = membership(NormalFormCM(5, 2, SQRT6, -SQRT6))
         assert fp.r == 1.0
@@ -326,7 +355,7 @@ class TestSampler:
 
     def test_witness_columns(self):
         s = sample_family(2.0, 2.0, 10, 6)
-        assert len(s) == 10
+        assert s.n == len(s.c) == 10
         for i in range(s.n):
             fp = FamilyParams(b=s.b, r=float(s.r[i]), tau=float(s.tau[i]),
                               eta=float(s.eta[i]), sign=int(s.sign[i]))
@@ -337,6 +366,11 @@ class TestSampler:
     def test_csv_digest_pin(self):
         csv = sample_to_csv(sample_family(2.0, 2.0, 200_000, 42))
         assert hashlib.sha256(csv.encode()).hexdigest()[:16] == "22e1583402593166"
+
+    def test_overflow_is_a_numerical_failure(self):
+        # a^2 overflows in the tau bounds, and no redraw would mend that
+        with pytest.raises(NumericalFailure):
+            sample_family(1e160, 3.0, 3, 0)
 
     def test_degenerate_vacuum_pair(self):
         s = sample_family(1.0, 1.0, 50, 0)
@@ -350,6 +384,10 @@ class TestCoverage:
             info = occupancy_grid(sample_family(a, b, 120_000, 13))
             fractions.append(info["coverage_fraction"])
         assert fractions[0] < fractions[1] < fractions[2]
+
+    def test_bins_below_one_rejected(self):
+        with pytest.raises(DomainError, match="bins"):
+            occupancy_grid(sample_family(2.0, 2.0, 10, 0), bins=0)
 
     def test_grid_counts_total(self):
         s = sample_family(2.0, 2.0, 30_000, 14)

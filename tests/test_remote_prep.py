@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gdiscord import (
-    ConditionalState,
     DomainError,
     GaussianMeasurement,
     NormalFormCM,
@@ -15,8 +14,6 @@ from gdiscord import (
     embed_normal_form,
     epr_cm,
     epr_squeezing_range,
-    gaussian_overlap,
-    outcome_distribution,
 )
 from gdiscord.verification import random_normal_forms
 
@@ -67,29 +64,6 @@ class TestMeasurementType:
     def test_homodyne_has_no_seed(self):
         with pytest.raises(DomainError):
             GaussianMeasurement.homodyne_q().seed_cm()
-
-
-class TestOutcomeDistribution:
-    def test_epr_heterodyne(self):
-        dist = outcome_distribution(epr_cm(3.0), None, GaussianMeasurement.heterodyne())
-        assert np.allclose(dist.cov, 4.0 * np.eye(2), atol=1e-12)
-        assert np.array_equal(dist.mean, np.zeros(2))
-
-    def test_nonzero_mean(self):
-        dist = outcome_distribution(
-            epr_cm(2.0), [0.1, 0.2, 0.3, 0.4], GaussianMeasurement.heterodyne()
-        )
-        assert np.allclose(dist.mean, [0.3, 0.4])
-
-    def test_product_thermal(self):
-        V = embed_normal_form(NormalFormCM(2.0, 3.0, 0, 0))
-        m = GaussianMeasurement(0.5, 0.2)
-        dist = outcome_distribution(V, None, m)
-        assert np.allclose(dist.cov, 3.0 * np.eye(2) + m.seed_cm(), atol=1e-12)
-
-    def test_homodyne_rejected(self):
-        with pytest.raises(DomainError):
-            outcome_distribution(epr_cm(2.0), None, GaussianMeasurement.homodyne_q())
 
 
 class TestConditioning:
@@ -204,9 +178,8 @@ class TestStatisticalIdentities:
         mean_ab = np.array([0.5, -0.3, 0.2, 0.1])
         V = epr_cm(mu)
         m = GaussianMeasurement.heterodyne()
-        dist = outcome_distribution(V, mean_ab, m)
         rng = np.random.default_rng(44)
-        ks = dist.sample(rng, 100_000)
+        ks = rng.multivariate_normal(mean_ab[2:], V[2:, 2:] + m.seed_cm(), 100_000)
         L = conditional_mean_map(V, m)
         means = mean_ab[:2] + (ks - mean_ab[2:]) @ L.T
         sem = math.sqrt((mu - 1.0) / len(ks))  # per-axis std of the estimator
@@ -230,21 +203,4 @@ class TestSqueezingRange:
     def test_domain(self):
         with pytest.raises(DomainError):
             epr_squeezing_range(0.9, 1.0)
-
-
-class TestOverlap:
-    def test_identical_vacua(self):
-        vac = ConditionalState([0, 0], np.eye(2))
-        assert gaussian_overlap(vac, vac) == pytest.approx(1.0, abs=1e-15)
-
-    def test_vacuum_thermal(self):
-        vac = ConditionalState([0, 0], np.eye(2))
-        th = ConditionalState([0, 0], 3.0 * np.eye(2))
-        # Fock oracle: <0|rho_th|0> = p0 = 2/(x+1)
-        assert gaussian_overlap(vac, th) == pytest.approx(2.0 / 4.0, abs=1e-15)
-
-    def test_displaced_vacuum(self):
-        vac = ConditionalState([0, 0], np.eye(2))
-        disp = ConditionalState([2.0, 0.0], np.eye(2))
-        assert gaussian_overlap(vac, disp) == pytest.approx(math.exp(-1.0), abs=1e-15)
 

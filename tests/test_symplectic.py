@@ -17,7 +17,7 @@ from gdiscord import (
     symplectic_spectrum_eigen,
     validate_bona_fide,
 )
-from gdiscord.symplectic import bona_fide_normal_form_mask, nu_min_normal_form
+from gdiscord.symplectic import _spectrum_arrays, bona_fide_normal_form_mask, normal_form_spectrum
 
 SQRT6 = math.sqrt(6.0)
 
@@ -158,7 +158,8 @@ class TestSpectrum:
             assert diag.bona_fide, (a, x, diag.reason)
             nf = diag.reduction.nf
             assert bool(bona_fide_normal_form_mask(nf.a, nf.b, nf.c, nf.cp))
-            assert float(nu_min_normal_form(nf.a, nf.b, nf.c, nf.cp)) == diag.nu_min
+            arrays = [np.array([x]) for x in (nf.a, nf.b, nf.c, nf.cp)]
+            assert _spectrum_arrays(*arrays)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
             ref = symplectic_spectrum(V)
             assert diag.nu_min == pytest.approx(ref.nu_minus, abs=1e-9)
             assert diag.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
@@ -264,10 +265,9 @@ def test_nu_min_vectorized_matches_scalar():
     b = np.array([nf.b for nf in nfs])
     c = np.array([nf.c for nf in nfs])
     cp = np.array([nf.cp for nf in nfs])
-    nu_vec = nu_min_normal_form(a, b, c, cp)
+    nu_vec = _spectrum_arrays(a, b, c, cp)[1]
     for i, nf in enumerate(nfs):
-        nu = symplectic_spectrum(embed_normal_form(nf))
-        assert nu_vec[i] == pytest.approx(nu.nu_minus, abs=1e-12)
+        assert nu_vec[i] == pytest.approx(normal_form_spectrum(nf).nu_minus, abs=1e-12)
 
 
 def test_mask_keeps_the_symmetric_anti_diagonal():
@@ -280,4 +280,18 @@ def test_mask_keeps_the_symmetric_anti_diagonal():
     centers = -half + width * (np.arange(200) + 0.5)
     c, cp = centers, centers[::-1]
     assert bool(np.all(bona_fide_normal_form_mask(2.0, 2.0, c, cp)))
-    assert np.allclose(nu_min_normal_form(2.0, 2.0, c, cp), np.sqrt(4.0 - c * c), atol=1e-9)
+    scalar = [normal_form_spectrum(NormalFormCM(2.0, 2.0, x, y)).nu_minus for x, y in zip(c, cp)]
+    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp)[1], scalar, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_non_finite_parameters_are_never_bona_fide(slot, bad):
+    good = [2.0, 2.0, 1.0, -1.0]
+    params = list(good)
+    params[slot] = bad
+    assert not bool(bona_fide_normal_form_mask(*params))
+    mask = bona_fide_normal_form_mask(*(np.array([x, y]) for x, y in zip(params, good)))
+    assert mask.tolist() == [False, True]
+    diag = validate_bona_fide(embed_normal_form(NormalFormCM(*params)))
+    assert (diag.bona_fide, diag.reason) == (False, "matrix contains non-finite entries")
