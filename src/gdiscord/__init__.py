@@ -19,12 +19,10 @@ from .channels import (
 )
 from .discord import (
     DiscordReport,
-    MinimizeResult,
     conditional_entropy_measured,
     gaussian_discord_closed_form,
     gaussian_discord_numeric,
     matched_measurement,
-    minimize_conditional_entropy,
 )
 from .entropy import (
     entropy_single_mode,
@@ -36,7 +34,6 @@ from .errors import (
     DomainError,
     GDiscordError,
     InvalidChannelParams,
-    NotSqueezedThermalForm,
     NumericalFailure,
     OutOfFamily,
     ValidationError,
@@ -44,7 +41,6 @@ from .errors import (
 from .family import (
     FamilyParams,
     FamilySample,
-    decompose_squeezed_thermal,
     eta_from_a,
     family_cm_from_params,
     membership,

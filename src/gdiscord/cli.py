@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,9 +66,12 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise ValidationError(f"{what} needs {n} comma-separated numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ValidationError(f"{what} contains a non-numeric entry: {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} contains a non-finite entry: {text!r}")
+    return values
 
 
 def _state_from_options(normal_form: str | None, state: str | None):
@@ -170,10 +174,7 @@ def sample(a, b, n, seed, threads, out, grid_out, bins):
 @handles_errors
 def condition(state, measurement, outcome, mean, mode):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
-    V = serialize.parse_cm_payload(_load_json(state))
-    diag = validate_bona_fide(V)
-    if not diag.bona_fide:
-        raise ValidationError(f"state is not bona fide: {diag.reason}")
+    V, _ = _state_from_options(None, state)
     m = serialize.parse_measurement_payload(_load_json(measurement))
     k = _parse_floats(outcome, 2, "--outcome")
     mean_ab = None if mean is None else _parse_floats(mean, 4, "--mean")

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -186,26 +185,14 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
     return h(math.sqrt(max(det, 0.0)))
 
 
-class MinimizeResult(NamedTuple):
-    u: float
-    phi: float
-    entropy: float
-
-
-def minimize_conditional_entropy(V: np.ndarray) -> MinimizeResult:
-    """Global minimum of the measured conditional entropy over (u, phi).
+def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
+    """``(u, phi, entropy)`` of the least measured conditional entropy of V.
 
     Deterministic and loop-free: the angle comes from the normal-form
-    reduction and u is minimised exactly at it (see the module docstring).
-    The result has u in [0, 1] and phi in [0, pi); a homodyne winner is
-    reported with u = 0.  Raises DomainError for a CM that is not bona fide.
+    reduction ``diag.reduction`` and u is minimised exactly at it (see the
+    module docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner
+    is reported with u = 0.  Raises DomainError for a CM that is not bona fide.
     """
-    V = np.asarray(V, float)
-    return _minimize(V, validate_bona_fide(V))
-
-
-def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> MinimizeResult:
-    """:func:`minimize_conditional_entropy` of V, given V's diagnosis."""
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     nf, (t00, t01, t10, t11) = diag.reduction
@@ -224,8 +211,7 @@ def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> MinimizeResult:
     if x > y:  # fold: (u, phi) is the measurement (1/u, phi + pi/2); u = inf is (1, 0)
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
-    entropy = conditional_entropy_measured(V, GaussianMeasurement(u, phi))
-    return MinimizeResult(u=u, phi=phi, entropy=entropy)
+    return u, phi, conditional_entropy_measured(V, GaussianMeasurement(u, phi))
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
@@ -282,9 +268,9 @@ def gaussian_discord_numeric(
     V = np.asarray(V, float)
     if diag is None:
         diag = validate_bona_fide(V)
-    res = _minimize(V, diag)
+    u, phi, s_min = _minimize(V, diag)
     return _report(
         entropy_single_mode(block_a(V)), entropy_single_mode(block_b(V)),
-        h(diag.nu_min) + h(diag.nu_plus), res.entropy,
-        "numeric_scan", u_opt=res.u, phi_opt=res.phi,
+        h(diag.nu_min) + h(diag.nu_plus), s_min,
+        "numeric_scan", u_opt=u, phi_opt=phi,
     )

@@ -17,10 +17,6 @@ class InvalidChannelParams(GDiscordError):
     """Channel parameters violate complete positivity (requires eta >= |1 - tau|)."""
 
 
-class NotSqueezedThermalForm(GDiscordError):
-    """Correlations are incompatible with a squeezed thermal state."""
-
-
 class OutOfFamily(GDiscordError):
     """No EPR-plus-local-channel decomposition exists for the given state."""
 

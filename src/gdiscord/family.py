@@ -1,13 +1,9 @@
 """Decomposition of two-mode Gaussian states into EPR-plus-local-channel form.
 
-Every squeezed thermal state V(a, b, c, -c) equals an EPR state of variance
-``b`` sent through a phase-insensitive channel on mode A, with
-
-    tau = c^2 / (b^2 - 1),    eta = a - tau * b.
-
-The general family adds input/output squeezers around an extended channel
-(negative transmissivities allowed).  With ``theta(r) = sqrt(eta*r + |tau|*b)``
-its normal form is
+The family is an EPR state of variance ``b`` sent through an extended
+channel (tau, eta) on mode A (negative transmissivities allowed), framed by
+input and output squeezers.  With ``theta(r) = sqrt(eta*r + |tau|*b)`` its
+normal form is
 
     a  = theta(r) * theta(1/r),
     c  = +- sqrt(|tau| (b^2 - 1) theta(1/r) / theta(r)),
@@ -26,7 +22,11 @@ At fixed (a, b) the map inverts exactly.  With ``rho = |c/cp|``,
     r = sqrt((a/rho - |tau| b) / (a*rho - |tau| b)),
     eta = sqrt((a/rho - |tau| b) (a*rho - |tau| b)),
 
-with ``|tau| = |c*cp| / (b^2 - 1)``; :func:`membership` uses these.
+with ``|tau| = |c*cp| / (b^2 - 1)``; :func:`membership` uses these.  On a
+squeezed thermal state V(a, b, c, -c), ``rho = 1`` and the two products are
+equal, so ``r = 1`` and the inversion is the phase-insensitive channel
+
+    tau = c^2 / (b^2 - 1),    eta = a - tau * b.
 
 Holding ``a`` fixed and choosing ``r`` instead inverts to
 
@@ -46,12 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import GaussianChannelParams
-from .errors import (
-    DomainError,
-    NotSqueezedThermalForm,
-    NumericalFailure,
-    OutOfFamily,
-)
+from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
     NormalFormCM,
     _bona_fide_verdict,
@@ -106,39 +101,6 @@ class FamilyParams:
 
 def _theta(r: float, tau: float, eta: float, b: float) -> float:
     return math.sqrt(eta * r + abs(tau) * b)
-
-
-def decompose_squeezed_thermal(a: float, b: float, c: float) -> GaussianChannelParams:
-    """Channel (tau, eta) realizing V(a, b, c, -c) from an EPR state of variance b.
-
-    Inverts ``a = tau*b + eta``, ``c^2 = tau*(b^2 - 1)``.  The EPR
-    correlation sign follows sign(c) and is not part of the channel.
-    """
-    check_variance(a, "local variance a")
-    check_variance(b, "local variance b")
-    if c == 0.0:
-        return GaussianChannelParams(0.0, a)
-    if b <= 1.0:
-        raise DomainError("b = 1 admits no correlations (c must vanish)")
-    c2 = c * c
-    bound = squeezed_thermal_bound(a, b)
-    if c2 > bound + 1e-9 * max(1.0, bound):
-        raise NotSqueezedThermalForm(
-            f"c^2 = {c2:.12g} exceeds the physical bound ab - 1 - |a - b| = {bound:.12g}"
-        )
-    tau = c2 / (b * b - 1.0)
-    eta = a - tau * b
-    # The bound check above tolerates boundary states that pass the
-    # uncertainty validator only within its tolerance; their noise deficit is
-    # slack-level, so snap onto the quantum-limited line instead of failing.
-    floor = abs(1.0 - tau)
-    if eta < floor:
-        if eta < floor - 1e-6 * max(1.0, a):
-            raise NotSqueezedThermalForm(
-                f"state requires unphysical channel noise eta = {eta:.12g} < |1-tau| = {floor:.12g}"
-            )
-        eta = floor
-    return GaussianChannelParams(tau, eta)
 
 
 def family_cm_from_params(fp: FamilyParams) -> NormalFormCM:
@@ -368,9 +330,13 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     The EPR variance is pinned to ``b`` (the channel leaves mode B alone),
     |tau| follows from ``|c*cp| = |tau|(b^2-1)`` and its sign from
     ``sign(c*cp)``; ``r`` and ``eta`` then follow from ``eta*r`` and
-    ``eta/r`` (module docstring), with ``r`` clamped into [1/b, b].  The
-    candidate is accepted when it reproduces (a, c, cp) to within
-    ``_WITNESS_TOL`` (relative to a), and OutOfFamily is raised otherwise.
+    ``eta/r`` (module docstring), with ``r`` clamped into [1/b, b] and
+    ``eta`` raised to its floor ``|1 - tau|`` when rounding leaves it below.
+    When ``eta*b`` is within the tolerance, no r moves the forward map and
+    the state does not fix it, so r = 1 is reported in every local frame.
+    The candidate is accepted when it reproduces (a, c, cp) to within
+    ``_WITNESS_TOL`` (relative to a), and OutOfFamily is raised otherwise;
+    this forward check is the only verdict on a witness.
 
     States on the axes (exactly one of c, cp zero) are only reached in the
     infinite-entanglement limit and are reported OutOfFamily, as are
@@ -395,19 +361,11 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     rho = abs(c / cp)
     x = max(a / rho - tb, 0.0)  # eta * r
     y = max(a * rho - tb, 0.0)  # eta / r
-    if x == y:
+    eta = max(math.sqrt(x * y), abs(1.0 - tau))
+    if x == y or eta * b <= _WITNESS_TOL * max(1.0, a):
         r = 1.0
     else:
         r = min(max(math.sqrt(x / y) if y > 0.0 else b, 1.0 / b), b)
-    eta = math.sqrt(x * y)
-    floor = abs(1.0 - tau)
-    if eta < floor:
-        if eta < floor - 1e-6 * max(1.0, a):
-            raise OutOfFamily(
-                f"witness requires eta = {eta:.12g} < |1 - tau| = {floor:.12g}"
-            )
-        # snap to the boundary; the forward-error check below is the judge
-        eta = floor
     fp = FamilyParams(b=b, r=r, tau=tau, eta=eta, sign=sign)
     out = family_cm_from_params(fp)
     err = max(abs(out.a - a), abs(out.c - c), abs(out.cp - cp))

@@ -146,13 +146,19 @@ def conditional_cm(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
 def condition_on_outcome(
     V: np.ndarray, mean_AB, m: GaussianMeasurement, k
 ) -> ConditionalState:
-    """State of mode A after measuring mode B with outcome ``k``."""
+    """State of mode A after measuring mode B with outcome ``k``.
+
+    Raises NumericalFailure when the conditional mean or CM is not finite,
+    as when ``u^2`` overflows in ``_inverse_matrix``.
+    """
     mean_a, mean_b = _split_mean(mean_AB)
     k = np.asarray(k, float).reshape(2)
     L = conditional_mean_map(V, m)
-    C = block_c(V)
-    mean = mean_a + L @ (k - mean_b)
-    cm = block_a(V) - L @ C.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = mean_a + L @ (k - mean_b)
+        cm = block_a(V) - L @ block_c(V).T
+    if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
+        raise NumericalFailure("conditional mean or CM is not finite")
     return ConditionalState(mean, cm)
 
 

@@ -109,6 +109,8 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
     else:
         u = _as_float(u_raw, "u")
     phi = _as_float(payload.get("phi", 0.0), "phi")
+    if not math.isfinite(phi):
+        raise ValidationError(f"field 'phi' must be finite, got {phi}")
     return GaussianMeasurement(u, phi)
 
 

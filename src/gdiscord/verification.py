@@ -32,7 +32,6 @@ from .entropy import h, thermal_entropy_fock
 from .errors import GDiscordError
 from .family import (
     FamilyParams,
-    decompose_squeezed_thermal,
     eta_from_a,
     family_cm_from_params,
     membership,
@@ -148,14 +147,13 @@ def discord_sweep(n: int = 1000, seed: int = 20260809) -> tuple[CheckResult, Che
     max_smin_err = 0.0
     max_het_gap = -math.inf
     for i in range(n):
-        channel = decompose_squeezed_thermal(a[i], b[i], c[i])
-        sign = 1 if c[i] >= 0 else -1
-        fp = FamilyParams(b=b[i], r=1.0, tau=channel.tau, eta=channel.eta, sign=sign)
+        nf = NormalFormCM(a[i], b[i], c[i], -c[i])
+        fp = membership(nf)
         closed = gaussian_discord_closed_form(fp)
-        V = embed_normal_form(NormalFormCM(a[i], b[i], c[i], -c[i]))
+        V = embed_normal_form(nf)
         numeric = gaussian_discord_numeric(V)
         max_dd = max(max_dd, abs(closed.discord - numeric.discord))
-        target = h(channel.tau + channel.eta)
+        target = h(fp.tau + fp.eta)
         max_smin_err = max(max_smin_err, abs(numeric.s_min_cond - target))
         het = conditional_entropy_measured(V, heterodyne)
         max_het_gap = max(max_het_gap, het - numeric.s_min_cond)
@@ -207,10 +205,10 @@ def check_decomposition_round_trips(n: int = 10_000, seed: int = 20260810) -> Ch
     a, b, c = random_squeezed_thermal(rng, n)
     max_err_st = 0.0
     for i in range(n):
-        channel = decompose_squeezed_thermal(a[i], b[i], c[i])
-        sign = 1 if c[i] >= 0 else -1
-        rebuilt = apply_to_mode_A(channel, epr_cm(b[i], sign))
-        target = embed_normal_form(NormalFormCM(a[i], b[i], c[i], -c[i]))
+        nf = NormalFormCM(a[i], b[i], c[i], -c[i])
+        fp = membership(nf)
+        rebuilt = apply_to_mode_A(fp.channel, epr_cm(b[i], fp.sign))
+        target = embed_normal_form(nf)
         max_err_st = max(max_err_st, float(np.max(np.abs(rebuilt - target))))
 
     max_err_fam = 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,8 @@ class TestDecomposeCommand:
             assert out["b"] == pytest.approx(b, abs=1e-12)
             assert (out["tau"], out["sign"]) == (1.0, 1)
             assert out["eta"] <= 1e-12
+            # with eta = 0 the state fixes no r; every frame reports r = xi = 1
+            assert out["r"] == out["xi"] == 1.0, frame
 
     def test_out_of_family_exits_3(self, runner):
         res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])
@@ -340,6 +343,8 @@ class TestConditionCommand:
         assert res.exit_code == 2
 
 
+CONDITION_STATE = '{"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}}'
+
 # each runs in its own interpreter under a timeout, so a hang fails the test
 # instead of stalling the suite
 HOSTILE_INPUTS = [
@@ -349,11 +354,16 @@ HOSTILE_INPUTS = [
     (["sample", "--a", "2", "--b", "2", "--n", "3", "--bins", "0", "--grid-out", "g.json"], 2),
     (["discord", "--normal-form", "nan,2,0,0"], 2),
     (["decompose", "--normal-form", "2,2,nan,0"], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--outcome", "nan,0"], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--mean", "0,0,inf,0"], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1, "phi": "inf"}'], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1e308}'], 4),
 ]
 
 
 @pytest.mark.parametrize("args, code", HOSTILE_INPUTS, ids=[
-    "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan"])
+    "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
+    "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi", "condition-overflow-u"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -362,6 +372,7 @@ def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     assert res.returncode == code, res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert not re.search(r"nan|inf", res.stdout, re.IGNORECASE), res.stdout
 
 
 class TestVerifyCommand:

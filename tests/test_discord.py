@@ -21,7 +21,6 @@ from gdiscord import (
     h,
     matched_measurement,
     membership,
-    minimize_conditional_entropy,
     normal_form_from_cm,
     rotation_matrix,
     squeezer_matrix,
@@ -150,19 +149,19 @@ class TestScanObjective:
         R = np.zeros((4, 4))
         R[:2, :2] = rotation_matrix(theta)
         R[2:, 2:] = rotation_matrix(0.7 * theta)
-        return minimize_conditional_entropy(R @ WORKED @ R.T)
+        return gaussian_discord_numeric(R @ WORKED @ R.T)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1])
     def test_heterodyne_winner_reports_phi_zero(self, theta):
         res = self._rotated_worked_winner(theta)
-        assert res.entropy == pytest.approx(2.0, abs=1e-8)
-        assert (res.u, res.phi) == (1.0, 0.0)
+        assert res.s_min_cond == pytest.approx(2.0, abs=1e-8)
+        assert (res.u_opt, res.phi_opt) == (1.0, 0.0)
 
     def test_heterodyne_winner_reports_phi_zero_on_sweep(self):
         for theta in np.linspace(0.01, 3.1, 300):
             res = self._rotated_worked_winner(theta)
-            assert res.entropy == pytest.approx(2.0, abs=1e-8)
-            assert (res.u, res.phi) == (1.0, 0.0), theta
+            assert res.s_min_cond == pytest.approx(2.0, abs=1e-8)
+            assert (res.u_opt, res.phi_opt) == (1.0, 0.0), theta
 
     def test_numeric_report_joint_entropy(self):
         # S(AB) comes from the validation's spectrum, bit for bit entropy_two_mode
@@ -197,25 +196,25 @@ class TestScanObjective:
 
 class TestMinimizer:
     def test_heterodyne_optimal_for_squeezed_thermal(self):
-        res = minimize_conditional_entropy(WORKED)
-        assert res.entropy == pytest.approx(2.0, abs=1e-8)
-        assert res.u == pytest.approx(1.0, abs=1e-3)
+        res = gaussian_discord_numeric(WORKED)
+        assert res.s_min_cond == pytest.approx(2.0, abs=1e-8)
+        assert res.u_opt == pytest.approx(1.0, abs=1e-3)
 
     def test_product_state_constant_objective(self):
         V = embed_normal_form(NormalFormCM(2.7, 1.9, 0, 0))
-        res = minimize_conditional_entropy(V)
-        assert res.entropy == pytest.approx(h(2.7), abs=1e-10)
+        res = gaussian_discord_numeric(V)
+        assert res.s_min_cond == pytest.approx(h(2.7), abs=1e-10)
         # every seed ties; ties go to the first candidate, homodyne u = 0
-        assert (res.u, res.phi) == (0.0, 0.0)
+        assert (res.u_opt, res.phi_opt) == (0.0, 0.0)
 
     def test_homodyne_witness_at_family_edge(self):
         fp = FamilyParams(b=2, r=2, tau=1, eta=1, sign=1)
         V = embed_normal_form(family_cm_from_params(fp))
-        res = minimize_conditional_entropy(V)
-        assert res.entropy == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-9)
+        res = gaussian_discord_numeric(V)
+        assert res.s_min_cond == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-9)
         # u -> inf at phi = 0 is reported as u = 0 at phi = pi/2
-        assert res.u == 0.0
-        assert type(res.phi) is float
+        assert res.u_opt == 0.0
+        assert type(res.phi_opt) is float
 
     def test_matched_measurement_identity(self):
         rng = np.random.default_rng(31)
@@ -236,9 +235,9 @@ class TestMinimizer:
     def test_matches_phi_search_oracle_on_transformed_states(self):
         # the angle read off the reduction is as good as a brute-force phi search
         for V in seeded_states(np.random.default_rng(43), 120):
-            res = minimize_conditional_entropy(V)
+            res = gaussian_discord_numeric(V)
             oracle = conditional_entropy_measured(V, GaussianMeasurement(*phi_search_oracle(V)))
-            assert abs(res.entropy - oracle) <= 1e-13
+            assert abs(res.s_min_cond - oracle) <= 1e-13
 
     def test_heterodyne_never_beaten_on_squeezed_thermal(self):
         rng = np.random.default_rng(32)
@@ -246,19 +245,20 @@ class TestMinimizer:
         het = GaussianMeasurement.heterodyne()
         for i in range(200):
             V = embed_normal_form(NormalFormCM(a[i], b[i], c[i], -c[i]))
-            res = minimize_conditional_entropy(V)
-            assert conditional_entropy_measured(V, het) - res.entropy <= 1e-8
+            res = gaussian_discord_numeric(V)
+            assert conditional_entropy_measured(V, het) - res.s_min_cond <= 1e-8
 
     def test_result_is_folded_into_unit_interval(self):
         # (u, phi) and (1/u, phi + pi/2) are the same measurement; the scan
         # covers u in [0, 1] once and reports its optimum there
         for V in seeded_states(np.random.default_rng(38), 100):
-            res = minimize_conditional_entropy(V)
-            assert 0.0 <= res.u <= 1.0
-            twin = (GaussianMeasurement(1.0 / res.u, res.phi + 0.5 * math.pi) if res.u > 0.0
-                    else GaussianMeasurement.homodyne_p(res.phi + 0.5 * math.pi))
-            for m in (GaussianMeasurement(res.u, res.phi), twin):
-                assert conditional_entropy_measured(V, m) == pytest.approx(res.entropy, abs=1e-12)
+            res = gaussian_discord_numeric(V)
+            assert 0.0 <= res.u_opt <= 1.0
+            u, phi = res.u_opt, res.phi_opt
+            twin = (GaussianMeasurement(1.0 / u, phi + 0.5 * math.pi) if u > 0.0
+                    else GaussianMeasurement.homodyne_p(phi + 0.5 * math.pi))
+            for m in (GaussianMeasurement(u, phi), twin):
+                assert conditional_entropy_measured(V, m) == pytest.approx(res.s_min_cond, abs=1e-12)
 
 
 class TestTermination:
@@ -365,13 +365,13 @@ class TestInputValidation:
         V = WORKED.copy()
         V[0, 1] = V[1, 0] = math.nan
         with pytest.raises(DomainError, match="non-finite"):
-            minimize_conditional_entropy(V)
+            gaussian_discord_numeric(V)
 
     @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0])])
     def test_not_positive_definite_rejected(self, V):
         # the symplectic spectrum cannot tell V from -V
         with pytest.raises(DomainError, match="not positive definite"):
-            minimize_conditional_entropy(V)
+            gaussian_discord_numeric(V)
 
     def test_asymmetric_cm_rejected(self):
         V = WORKED.copy()

@@ -8,11 +8,9 @@ from gdiscord import (
     DomainError,
     FamilyParams,
     NormalFormCM,
-    NotSqueezedThermalForm,
     NumericalFailure,
     OutOfFamily,
     apply_to_mode_A,
-    decompose_squeezed_thermal,
     embed_normal_form,
     epr_cm,
     epr_squeezing_range,
@@ -27,7 +25,7 @@ from gdiscord import (
 from gdiscord.family import _correlation_arrays, _eta_arrays, _tau_bounds_arrays
 from gdiscord.serialize import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
-from gdiscord.verification import random_family_params
+from gdiscord.verification import random_family_params, random_squeezed_thermal
 
 SQRT6 = math.sqrt(6.0)
 
@@ -43,28 +41,29 @@ def composite_construction(fp: FamilyParams) -> np.ndarray:
 
 
 class TestDecomposeSqueezedThermal:
+    # membership on V(a, b, c, -c): an EPR state through a phase-insensitive channel
     def test_worked_state(self):
-        ch = decompose_squeezed_thermal(5, 2, SQRT6)
-        assert ch.tau == pytest.approx(2.0, abs=1e-12)
-        assert ch.eta == pytest.approx(1.0, abs=1e-12)
+        fp = membership(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        assert fp.tau == pytest.approx(2.0, abs=1e-12)
+        assert fp.eta == pytest.approx(1.0, abs=1e-12)
 
     def test_product(self):
-        ch = decompose_squeezed_thermal(3.7, 1.4, 0.0)
-        assert ch.tau == 0.0
-        assert ch.eta == 3.7
+        fp = membership(NormalFormCM(3.7, 1.4, 0.0, 0.0))
+        assert fp.tau == 0.0
+        assert fp.eta == 3.7
 
     def test_pure_epr(self):
-        ch = decompose_squeezed_thermal(3, 3, math.sqrt(8.0))
-        assert ch.tau == pytest.approx(1.0, abs=1e-12)
-        assert ch.eta == pytest.approx(0.0, abs=1e-12)
+        fp = membership(NormalFormCM(3, 3, math.sqrt(8.0), -math.sqrt(8.0)))
+        assert fp.tau == pytest.approx(1.0, abs=1e-12)
+        assert fp.eta == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_overcorrelated(self):
-        with pytest.raises(NotSqueezedThermalForm):
-            decompose_squeezed_thermal(2, 2, 2.0)
+        with pytest.raises(DomainError, match="is not bona fide"):
+            membership(NormalFormCM(2, 2, 2.0, -2.0))
 
     def test_rejects_b1_with_correlations(self):
-        with pytest.raises(DomainError):
-            decompose_squeezed_thermal(2, 1, 0.5)
+        with pytest.raises(DomainError, match="is not bona fide"):
+            membership(NormalFormCM(2, 1, 0.5, -0.5))
 
     def test_round_trip(self):
         rng = np.random.default_rng(21)
@@ -72,10 +71,18 @@ class TestDecomposeSqueezedThermal:
             a, b = rng.uniform(1.0, 5.0, 2)
             bound = a * b - 1.0 - abs(a - b)
             c = (1 if rng.uniform() < 0.5 else -1) * math.sqrt(bound * rng.uniform())
-            ch = decompose_squeezed_thermal(a, b, c)
-            rebuilt = apply_to_mode_A(ch, epr_cm(b, 1 if c >= 0 else -1))
+            fp = membership(NormalFormCM(a, b, c, -c))
+            rebuilt = apply_to_mode_A(fp.channel, epr_cm(b, fp.sign))
             target = embed_normal_form(NormalFormCM(a, b, c, -c))
             assert np.max(np.abs(rebuilt - target)) <= 1e-9
+
+    def test_is_the_r1_slice_of_membership(self):
+        # on verify's states the inversion is tau = c^2/(b^2 - 1), eta = a - tau b, bit for bit
+        a, b, c = random_squeezed_thermal(np.random.default_rng(20260809), 1000)
+        for i in range(1000):
+            fp = membership(NormalFormCM(a[i], b[i], c[i], -c[i]))
+            tau = c[i] * c[i] / (b[i] * b[i] - 1.0)
+            assert (fp.r, fp.tau, fp.eta) == (1.0, tau, a[i] - tau * b[i])
 
 
 class TestForwardMap:
@@ -202,8 +209,6 @@ def test_every_variance_has_one_domain_check(bad):
     # one check guards every local or EPR variance; NaN fails it like 0.5 does
     calls = [
         lambda: FamilyParams(b=bad, r=1.0, tau=0.0, eta=1.0),
-        lambda: decompose_squeezed_thermal(bad, 2.0, 0.0),
-        lambda: decompose_squeezed_thermal(2.0, bad, 0.0),
         lambda: eta_from_a(bad, 1.0, 0.5, 2.0),
         lambda: tau_bounds(2.0, bad, 1.0),
         lambda: sample_family(bad, 2.0, 3, 0),
