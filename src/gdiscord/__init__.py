@@ -25,7 +25,6 @@ from .discord import (
     matched_measurement,
 )
 from .entropy import (
-    entropy_single_mode,
     entropy_two_mode,
     h,
     thermal_entropy_fock,
@@ -63,9 +62,6 @@ from .symplectic import (
     Reduction,
     SymplecticSpectrum,
     assemble_cm,
-    block_a,
-    block_b,
-    block_c,
     embed_normal_form,
     epr_cm,
     normal_form_from_cm,

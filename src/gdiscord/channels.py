@@ -31,7 +31,7 @@ import numpy as np
 
 from .entropy import h
 from .errors import DomainError, InvalidChannelParams
-from .symplectic import assemble_cm, block_a, block_b, block_c
+from .symplectic import assemble_cm
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
 # small tolerance.  classify reads tau and eta this close to a boundary value
@@ -147,9 +147,9 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     if V.shape != (4, 4):
         raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
     K = params.K
-    A = K @ block_a(V) @ K.T + params.N
-    C = K @ block_c(V)
-    return assemble_cm(A, block_b(V), C)
+    A = K @ V[:2, :2] @ K.T + params.N
+    C = K @ V[:2, 2:]
+    return assemble_cm(A, V[2:, 2:], C)
 
 
 def min_output_entropy(params: GaussianChannelParams) -> float:

@@ -51,10 +51,11 @@ points.  At u = 1 the phi terms carry the factor ``y^2 - x^2 = 0`` exactly,
 so the heterodyne value is flat in phi to the last bit.  A root replaces the
 best endpoint only when lower by the same margin.  The ratio only ranks
 candidates: the entropy reported for the winner is
-:func:`conditional_entropy_measured` at it, which goes through
-:func:`remote_prep.conditional_cm`, the one place that forms
-``(B + V0)^{-1}``; so the route reports exactly what conditioning on a real
-measurement of V gives, and a wrong reduction could only raise it.
+:func:`conditional_entropy_measured` at it, which reads ``D = A - C (B +
+V0)^{-1} C^T`` from ``remote_prep._conditioning``, the one place that
+conditions on a measurement; so the route reports exactly what conditioning
+on a real measurement of V gives, and a wrong reduction could only raise it.
+The route reads V's entries once, as floats, and works on them alone.
 """
 
 from __future__ import annotations
@@ -65,19 +66,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import min_output_entropy
-from .entropy import entropy_single_mode, h
+from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
-from .remote_prep import GaussianMeasurement, conditional_cm
-from .symplectic import (
-    BonaFideDiagnosis,
-    block_a,
-    block_b,
-    block_c,
-    embed_normal_form,
-    normal_form_spectrum,
-    validate_bona_fide,
-)
+from .remote_prep import GaussianMeasurement, _conditioning
+from .symplectic import BonaFideDiagnosis, normal_form_spectrum, validate_bona_fide
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
@@ -105,12 +98,12 @@ class DiscordReport:
     phi_opt: float | None = None
 
 
-def _form(X: np.ndarray, scale: float) -> tuple[float, float, float, float]:
+def _form(x00: float, x01: float, x11: float, scale: float) -> tuple[float, float, float, float]:
     """Coefficients of ``xy (det X + 1) + x^2 s^T X s + y^2 r^T X r``, times scale.
 
-    In the order (xy, x^2 + y^2, (y^2 - x^2) cos 2phi, (y^2 - x^2) sin 2phi).
+    X is the symmetric 2x2 ``[[x00, x01], [x01, x11]]``.  In the order
+    (xy, x^2 + y^2, (y^2 - x^2) cos 2phi, (y^2 - x^2) sin 2phi).
     """
-    x00, x01, x11 = float(X[0, 0]), float(X[0, 1]), float(X[1, 1])
     return (
         scale * (x00 * x11 - x01 * x01 + 1.0),
         0.5 * scale * (x00 + x11),
@@ -119,11 +112,27 @@ def _form(X: np.ndarray, scale: float) -> tuple[float, float, float, float]:
     )
 
 
-def _scan_forms(V: np.ndarray):
-    """Numerator and denominator forms of the scan objective of V."""
-    A, B, C = block_a(V), block_b(V), block_c(V)
-    S = B - C.T @ np.linalg.solve(A, C)
-    return _form(S, float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])), _form(B, 1.0)
+def _scan_forms(rows):
+    """Numerator and denominator forms of the scan objective of the CM with entries ``rows``.
+
+    ``S = B - C^T A^{-1} C`` with ``A^{-1} C`` by elimination on A without
+    pivoting (A is positive definite), multiplying by the pivots' reciprocals
+    as LAPACK's ``solve`` does; a normal form's S is then
+    ``diag(b - c (c (1/a)), b - cp (cp (1/a)))``.
+    """
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
+    r0 = 1.0 / a00
+    l10 = a10 * r0
+    u11 = a11 - l10 * a01
+    if not u11 > 0.0:
+        raise NumericalFailure("A block is not positive definite to working precision")
+    r1 = 1.0 / u11
+    x10, x11 = (c10 - l10 * c00) * r1, (c11 - l10 * c01) * r1  # X = A^{-1} C
+    x00, x01 = (c00 - a01 * x10) * r0, (c01 - a01 * x11) * r0
+    s00 = b00 - (c00 * x00 + c10 * x10)
+    s01 = b01 - (c00 * x01 + c10 * x11)
+    s11 = b11 - (c01 * x01 + c11 * x11)
+    return _form(s00, s01, s11, a00 * a11 - a01 * a10), _form(b00, b01, b11, 1.0)
 
 
 def _scan_objective(forms, x, y, cos2, sin2):
@@ -172,22 +181,28 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     return best
 
 
+def _entropy_measured(rows, m: GaussianMeasurement) -> float:
+    """:func:`conditional_entropy_measured` of the CM with row-major entries ``rows``."""
+    _, ((d00, d01), (d10, d11)) = _conditioning(rows, m)
+    det = d00 * d11 - d01 * d10
+    if not math.isfinite(det):
+        raise NumericalFailure("conditional CM is not finite")
+    return h(math.sqrt(max(det, 0.0)))
+
+
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
     """Average entropy of mode A after measuring mode B with ``m``.
 
     The conditional CM is outcome-independent, so no averaging is needed:
     the value is ``h`` of its symplectic eigenvalue.
     """
-    D = conditional_cm(V, m)
-    det = float(D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0])
-    if not math.isfinite(det):
-        raise NumericalFailure("conditional CM is not finite")
-    return h(math.sqrt(max(det, 0.0)))
+    return _entropy_measured(np.asarray(V, float).tolist(), m)
 
 
-def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
-    """``(u, phi, entropy)`` of the least measured conditional entropy of V.
+def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
+    """``(u, phi, entropy)`` of the least measured conditional entropy of a CM.
 
+    ``rows`` are the CM's row-major entries and ``diag`` its diagnosis.
     Deterministic and loop-free: the angle comes from the normal-form
     reduction ``diag.reduction`` and u is minimised exactly at it (see the
     module docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner
@@ -196,13 +211,13 @@ def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> tuple[float, float, flo
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     nf, (t00, t01, t10, t11) = diag.reduction
-    _, x, y = _best_seed(_scan_forms(embed_normal_form(nf)), 0.0)
+    _, x, y = _best_seed(_scan_forms(nf.rows()), 0.0)
     xx, yy = x * x, y * y  # P = T_B^{-1} diag(x^2, y^2) T_B^{-T}, the seed on V
     p00 = t00 * t00 * xx + t01 * t01 * yy
     p01 = t00 * t10 * xx + t01 * t11 * yy
     p11 = t10 * t10 * xx + t11 * t11 * yy
     phi_star = 0.5 * math.atan2(2.0 * p01, p00 - p11)
-    forms = _scan_forms(V)
+    forms = _scan_forms(rows)
     phi, best = 0.0, _best_seed(forms, 0.0)
     rival = _best_seed(forms, phi_star)
     if rival[0] < best[0] * (1.0 - _ROUNDING_MARGIN):
@@ -211,7 +226,7 @@ def _minimize(V: np.ndarray, diag: BonaFideDiagnosis) -> tuple[float, float, flo
     if x > y:  # fold: (u, phi) is the measurement (1/u, phi + pi/2); u = inf is (1, 0)
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
-    return u, phi, conditional_entropy_measured(V, GaussianMeasurement(u, phi))
+    return u, phi, _entropy_measured(rows, GaussianMeasurement(u, phi))
 
 
 def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
@@ -268,9 +283,9 @@ def gaussian_discord_numeric(
     V = np.asarray(V, float)
     if diag is None:
         diag = validate_bona_fide(V)
-    u, phi, s_min = _minimize(V, diag)
+    u, phi, s_min = _minimize(V.tolist(), diag)
+    nf = diag.reduction.nf
     return _report(
-        entropy_single_mode(block_a(V)), entropy_single_mode(block_b(V)),
-        h(diag.nu_min) + h(diag.nu_plus), s_min,
+        h(nf.a), h(nf.b), h(diag.nu_min) + h(diag.nu_plus), s_min,
         "numeric_scan", u_opt=u, phi_opt=phi,
     )

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 from .symplectic import symplectic_spectrum
 
@@ -34,17 +32,8 @@ def h(x: float) -> float:
     return xp * math.log2(xp) - xm * math.log2(xm)
 
 
-def entropy_single_mode(cm: np.ndarray) -> float:
-    """Entropy of a single-mode Gaussian state: ``h(sqrt(det cm))``."""
-    cm = np.asarray(cm, float)
-    det = float(cm[0, 0] * cm[1, 1] - cm[0, 1] * cm[1, 0])
-    if det < 0.0:
-        raise DomainError(f"single-mode CM has negative determinant {det}")
-    return h(math.sqrt(det))
-
-
-def entropy_two_mode(V: np.ndarray) -> float:
-    """Entropy of a two-mode Gaussian state: ``h(nu_minus) + h(nu_plus)``."""
+def entropy_two_mode(V) -> float:
+    """Entropy of a two-mode Gaussian state of 4x4 CM V: ``h(nu_minus) + h(nu_plus)``."""
     nu = symplectic_spectrum(V)
     return h(nu.nu_minus) + h(nu.nu_plus)
 

@@ -12,9 +12,10 @@ Measuring mode B with outcome ``k`` (a real 2-vector ``(q, p)``):
 * conditional mean of A: ``xA - C (B + V0)^{-1} (xB - k)``,
 * conditional CM of A:   ``A - C (B + V0)^{-1} C^T`` (outcome-independent).
 
-Every conditioning formula goes through one kernel, ``_inverse_matrix``,
-which forms ``(B + V0)^{-1}`` with ``u = x/y`` in homogeneous weights.  With
-``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos phi)``,
+Every conditioning formula goes through one kernel, ``_conditioning``, which
+reads a CM's entries as floats and forms ``(B + V0)^{-1}`` with ``u = x/y`` in
+homogeneous weights.  With ``r = (cos phi, sin phi)`` and
+``s = (-sin phi, cos phi)``,
 
     (B + V0)^{-1} = (xy adj B + x^2 s s^T + y^2 r r^T)
                     / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r).
@@ -22,7 +23,10 @@ which forms ``(B + V0)^{-1}`` with ``u = x/y`` in homogeneous weights.  With
 ``(x, y) = (u, 1)`` is a finite seed, ``(0, 1)`` homodyne detection of the
 ``r`` quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).
 For positive definite B every term is nonnegative, so no limit needs a
-branch and no term cancels at large or small u.
+branch and no term cancels at large or small u.  The kernel returns ``L = C (B +
+V0)^{-1}`` and ``D = A - L C^T``; :func:`conditional_cm`,
+:func:`conditional_mean_map` and :func:`condition_on_outcome` are its array
+views.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .symplectic import block_a, block_b, block_c, check_variance, rotation_matrix
+from .symplectic import check_variance, rotation_matrix
 
 @dataclass(frozen=True)
 class GaussianMeasurement:
@@ -95,10 +99,14 @@ class GaussianMeasurement:
         return R @ np.diag([self.u, 1.0 / self.u]) @ R.T
 
 
-def _inverse_matrix(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
-    """``(B + V0)^{-1}`` of the B block of ``V`` by the module formula, as a 2x2 array."""
-    B = block_b(V)
-    b00, b01, b11 = float(B[0, 0]), float(B[0, 1]), float(B[1, 1])
+def _conditioning(rows, m: GaussianMeasurement):
+    """``(L, D)`` for measuring mode B of the CM with row-major entries ``rows``.
+
+    ``L = C (B + V0)^{-1}`` and ``D = A - L C^T``, each as 2x2 nested tuples
+    of floats, with ``(B + V0)^{-1}`` from the module formula.  Raises
+    NumericalFailure when B is not positive definite.
+    """
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     if not (b00 > 0.0 and b00 * b11 - b01 * b01 > 0.0):
         raise NumericalFailure("B block is not positive definite; cannot condition")
     x, y = m.weights
@@ -108,9 +116,15 @@ def _inverse_matrix(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     rbr = b00 * cc + 2.0 * b01 * cs + b11 * ss
     sbs = b00 * ss - 2.0 * b01 * cs + b11 * cc
     den = xy * (b00 * b11 - b01 * b01 + 1.0) + xx * sbs + yy * rbr
+    i00 = (xy * b11 + xx * ss + yy * cc) / den
     i01 = ((yy - xx) * cs - xy * b01) / den
-    return np.array([[(xy * b11 + xx * ss + yy * cc) / den, i01],
-                     [i01, (xy * b00 + xx * cc + yy * ss) / den]])
+    i11 = (xy * b00 + xx * cc + yy * ss) / den
+    l00, l01 = c00 * i00 + c01 * i01, c00 * i01 + c01 * i11
+    l10, l11 = c10 * i00 + c11 * i01, c10 * i01 + c11 * i11
+    return ((l00, l01), (l10, l11)), (
+        (a00 - (l00 * c00 + l01 * c01), a01 - (l00 * c10 + l01 * c11)),
+        (a10 - (l10 * c00 + l11 * c01), a11 - (l10 * c10 + l11 * c11)),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,13 +148,12 @@ def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Linear map L = C (B + V0)^{-1} sending (k - xB) to the mean shift of A."""
-    return block_c(V) @ _inverse_matrix(V, m)
+    return np.array(_conditioning(np.asarray(V, float).tolist(), m)[0])
 
 
 def conditional_cm(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Outcome-independent conditional CM of mode A: ``A - C (B+V0)^{-1} C^T``."""
-    C = block_c(V)
-    return block_a(V) - C @ _inverse_matrix(V, m) @ C.T
+    return np.array(_conditioning(np.asarray(V, float).tolist(), m)[1])
 
 
 def condition_on_outcome(
@@ -148,15 +161,14 @@ def condition_on_outcome(
 ) -> ConditionalState:
     """State of mode A after measuring mode B with outcome ``k``.
 
-    Raises NumericalFailure when the conditional mean or CM is not finite,
-    as when ``u^2`` overflows in ``_inverse_matrix``.
+    Raises NumericalFailure when the conditional mean or CM is not finite.
     """
     mean_a, mean_b = _split_mean(mean_AB)
     k = np.asarray(k, float).reshape(2)
-    L = conditional_mean_map(V, m)
+    L, D = _conditioning(np.asarray(V, float).tolist(), m)
+    cm = np.array(D)
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = mean_a + L @ (k - mean_b)
-        cm = block_a(V) - L @ block_c(V).T
+        mean = mean_a + np.array(L) @ (k - mean_b)
     if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
         raise NumericalFailure("conditional mean or CM is not finite")
     return ConditionalState(mean, cm)

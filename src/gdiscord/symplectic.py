@@ -56,21 +56,6 @@ def squeezer_matrix(r: float) -> np.ndarray:
     return np.diag([s, 1.0 / s])
 
 
-def block_a(V: np.ndarray) -> np.ndarray:
-    """Upper-left (mode A) 2x2 block."""
-    return np.asarray(V, dtype=float)[:2, :2]
-
-
-def block_b(V: np.ndarray) -> np.ndarray:
-    """Lower-right (mode B) 2x2 block."""
-    return np.asarray(V, dtype=float)[2:, 2:]
-
-
-def block_c(V: np.ndarray) -> np.ndarray:
-    """Upper-right (correlation) 2x2 block."""
-    return np.asarray(V, dtype=float)[:2, 2:]
-
-
 def assemble_cm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Assemble a 4x4 CM from blocks A, B and the correlation block C."""
     A = np.asarray(A, float)
@@ -95,12 +80,15 @@ class NormalFormCM:
     def to_matrix(self) -> np.ndarray:
         return embed_normal_form(self)
 
+    def rows(self) -> list[list[float]]:
+        """Row-major entries of :meth:`to_matrix`."""
+        a, b, c, cp = self.a, self.b, self.c, self.cp  # written out: np.block is ten times slower
+        return [[a, 0.0, c, 0.0], [0.0, a, 0.0, cp], [c, 0.0, b, 0.0], [0.0, cp, 0.0, b]]
+
 
 def embed_normal_form(nf: NormalFormCM) -> np.ndarray:
     """Embed normal-form parameters into the full 4x4 covariance matrix."""
-    a, b, c, cp = nf.a, nf.b, nf.c, nf.cp  # written out: np.block is ten times slower
-    rows = [[a, 0.0, c, 0.0], [0.0, a, 0.0, cp], [c, 0.0, b, 0.0], [0.0, cp, 0.0, b]]
-    return np.array(rows, dtype=float)
+    return np.array(nf.rows(), dtype=float)
 
 
 class Reduction(NamedTuple):

@@ -10,6 +10,7 @@ from gdiscord import (
     FamilyParams,
     GaussianMeasurement,
     NormalFormCM,
+    NumericalFailure,
     OutOfFamily,
     conditional_entropy_measured,
     embed_normal_form,
@@ -27,7 +28,7 @@ from gdiscord import (
     validate_bona_fide,
 )
 from gdiscord.cli import main
-from gdiscord.discord import _best_seed, _scan_forms, _scan_objective
+from gdiscord.discord import _best_seed, _form, _scan_forms, _scan_objective
 from gdiscord.family import eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
@@ -56,7 +57,7 @@ ORACLE_PHI_GRID = [k * ORACLE_PHI_STEP for k in range(32)]
 
 def phi_search_oracle(V):
     """(u, phi) of the scan's minimum over a phi grid and golden refinement, u exact."""
-    forms = _scan_forms(V)
+    forms = _scan_forms(V.tolist())
     g = lambda p: _best_seed(forms, p)[0]
     phi = min(ORACLE_PHI_GRID, key=g)
     lo, hi, ratio = phi - ORACLE_PHI_STEP, phi + ORACLE_PHI_STEP, 0.5 * (math.sqrt(5.0) - 1.0)
@@ -107,10 +108,25 @@ def seeded_states(rng, n):
 
 
 class TestScanObjective:
+    def test_normal_form_forms_keep_solve_rounding(self):
+        # A^{-1} C multiplies by 1/a, as LAPACK's solve does; c/a would move
+        # the last bit on 47 of these 400 states
+        for nf in zip(*random_normal_forms(np.random.default_rng(38), 400)):
+            a, b, c, cp = map(float, nf)
+            assert _scan_forms(NormalFormCM(a, b, c, cp).rows()) == (
+                _form(b - c * (c * (1 / a)), 0.0, b - cp * (cp * (1 / a)), a * a),
+                _form(b, 0.0, b, 1.0),
+            )
+
+    def test_singular_a_block_is_a_typed_error(self):
+        rows = [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        with pytest.raises(NumericalFailure, match="not positive definite"):
+            _scan_forms(rows)
+
     def test_matches_conditional_cm(self):
         # the ratio of quadratic forms ranks what conditional_cm evaluates
         for V in seeded_states(np.random.default_rng(39), 40):
-            forms = _scan_forms(V)
+            forms = _scan_forms(V.tolist())
             for u in (0.0, 1e-4, 0.3, 1.0, 3.0, 6.0, math.inf):  # inf: weights (1, 0)
                 for phi in (0.0, 0.4, 1.3, 2.9):
                     m = GaussianMeasurement(u, phi)
@@ -121,7 +137,7 @@ class TestScanObjective:
     def test_heterodyne_row_is_bit_flat(self):
         # at u = 1 the phi terms carry the factor y^2 - x^2 = 0 exactly
         for V in seeded_states(np.random.default_rng(40), 20):
-            forms = _scan_forms(V)
+            forms = _scan_forms(V.tolist())
             det = [_scan_objective(forms, 1.0, 1.0, math.cos(2 * p), math.sin(2 * p))
                    for p in ORACLE_PHI_GRID]
             assert all(d == det[0] for d in det)
@@ -133,7 +149,7 @@ class TestScanObjective:
         states = [WORKED, edge, np.array(EDGE_CM), *seeded_states(np.random.default_rng(41), 20)]
         seen = set()
         for V in states:
-            forms = _scan_forms(V)
+            forms = _scan_forms(V.tolist())
             for phi in ORACLE_PHI_GRID[::5] + [0.37, 1.21]:
                 cos2, sin2 = math.cos(2 * phi), math.sin(2 * phi)
                 d, x, y = _best_seed(forms, phi)

@@ -7,7 +7,6 @@ from gdiscord import (
     DomainError,
     NormalFormCM,
     embed_normal_form,
-    entropy_single_mode,
     entropy_two_mode,
     epr_cm,
     gaussian_discord_numeric,
@@ -55,11 +54,6 @@ class TestStateEntropies:
     def test_worked_state(self):
         V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
         assert entropy_two_mode(V) == pytest.approx(h(4.0), abs=1e-11)
-
-    def test_single_mode(self):
-        assert entropy_single_mode(np.eye(2)) == 0.0
-        assert entropy_single_mode(3.0 * np.eye(2)) == pytest.approx(2.0, abs=1e-14)
-        assert entropy_single_mode(np.diag([4.0, 0.25])) == 0.0  # pure squeezed
 
 
 class TestMutualInformation:
