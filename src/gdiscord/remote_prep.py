@@ -20,10 +20,11 @@ homogeneous weights.  With ``r = (cos phi, sin phi)`` and
     (B + V0)^{-1} = (xy adj B + x^2 s s^T + y^2 r r^T)
                     / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r).
 
-``(x, y) = (u, 1)`` is a finite seed, ``(0, 1)`` homodyne detection of the
-``r`` quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).
-For positive definite B every term is nonnegative, so no limit needs a
-branch and no term cancels at large or small u.  The kernel returns ``L = C (B +
+``(x, y) = (u, 1)`` is a seed with u <= 1 and ``(1, 1/u)`` one with u > 1,
+so no weight exceeds 1; ``(0, 1)`` is homodyne detection of the ``r``
+quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).  For
+positive definite B every term is nonnegative, so no limit needs a branch
+and no term cancels at large or small u.  The kernel returns ``L = C (B +
 V0)^{-1}`` and ``D = A - L C^T``; :func:`conditional_cm`,
 :func:`conditional_mean_map` and :func:`condition_on_outcome` are its array
 views.
@@ -78,8 +79,8 @@ class GaussianMeasurement:
 
     @property
     def weights(self) -> tuple[float, float]:
-        """Homogeneous seed weights ``(x, y)`` with ``u = x/y``."""
-        return (1.0, 0.0) if math.isinf(self.u) else (self.u, 1.0)
+        """Homogeneous seed weights ``(x, y)`` with ``u = x/y``, neither above 1."""
+        return (1.0, 1.0 / self.u) if self.u > 1.0 else (self.u, 1.0)
 
     @property
     def kind(self) -> str:
