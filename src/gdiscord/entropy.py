@@ -16,20 +16,22 @@ from .symplectic import symplectic_spectrum
 # [1 - H_CLAMP_TOL, 1] are treated as exactly 1.
 H_CLAMP_TOL = 1e-9
 _FOCK_TAIL = 1e-15
+_LN2 = math.log(2.0)
 
 
 def h(x: float) -> float:
     """Thermal entropy function, strictly increasing with h(1) = 0.
 
-    ``h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)``.
+    ``h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)``, evaluated
+    as ``(log1p(xm) + xm log1p(1/xm)) / ln 2`` with ``xm = (x-1)/2``: both
+    terms are positive, so nothing cancels at any x.
     """
     if x < 1.0 - H_CLAMP_TOL:
         raise DomainError(f"entropy argument must be >= 1, got {x}")
     if x <= 1.0:
         return 0.0
-    xp = 0.5 * (x + 1.0)
     xm = 0.5 * (x - 1.0)
-    return xp * math.log2(xp) - xm * math.log2(xm)
+    return (math.log1p(xm) + xm * math.log1p(1.0 / xm)) / _LN2
 
 
 def entropy_two_mode(V) -> float:

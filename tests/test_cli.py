@@ -39,7 +39,7 @@ WORKED_DISCORD_OUTPUT = """\
     "discord": 0.950067264908,
     "method": "closed_form"
   },
-  "agreement_delta": 6.14162054546e-11,
+  "agreement_delta": 6.14175377223e-11,
   "in_family": true
 }
 """
@@ -170,6 +170,12 @@ class TestDiscordCommand:
     def test_worked_state_output(self, runner):
         res = invoke(runner, ["discord", "--normal-form", "5,2,2.449489743,-2.449489743"])
         assert res.output == WORKED_DISCORD_OUTPUT
+
+    @pytest.mark.parametrize("state, s_a", [("1e16,1e16,0,0", 53.5935445591), ("1e8,3,0,0", 27.0181198)])
+    def test_large_variance_entropy(self, runner, state, s_a):
+        res = invoke(runner, ["discord", "--normal-form", state])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["numeric"]["s_a"] == s_a
 
 
     @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])

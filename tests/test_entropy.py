@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ class TestH:
     def test_domain(self):
         with pytest.raises(DomainError):
             h(0.999)
+
+    def test_against_decimal_reference(self):
+        # the reference form cancels about log10(x) digits, so it runs at
+        # log10(x) + 40 of them
+        xs = [1.0 + 2.0**-40] + [1.0 + 10.0 ** (k / 4) for k in range(-48, 1201, 3)]
+        for x in xs:
+            with decimal.localcontext() as ctx:
+                ctx.prec = int(math.log10(x)) + 40
+                xp, xm = (Decimal(x) + 1) / 2, (Decimal(x) - 1) / 2
+                ref = (xp * xp.ln() - xm * xm.ln()) / Decimal(2).ln()
+            assert abs(h(x) - float(ref)) <= 1e-15 * float(ref), x
 
     def test_strictly_increasing(self):
         xs = np.linspace(1.0, 20.0, 400)
