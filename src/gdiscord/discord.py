@@ -55,7 +55,6 @@ candidates: the entropy reported for the winner is
 V0)^{-1} C^T`` from ``remote_prep._conditioning``, the one place that
 conditions on a measurement; so the route reports exactly what conditioning
 on a real measurement of V gives, and a wrong reduction could only raise it.
-The route reads V's entries once, as floats, and works on them alone.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class DiscordReport:
 def _form(x00: float, x01: float, x11: float, scale: float) -> tuple[float, float, float, float]:
     """Coefficients of ``xy (det X + 1) + x^2 s^T X s + y^2 r^T X r``, times scale.
 
-    X is the symmetric 2x2 ``[[x00, x01], [x01, x11]]``.  In the order
-    (xy, x^2 + y^2, (y^2 - x^2) cos 2phi, (y^2 - x^2) sin 2phi).
+    X is ``[[x00, x01], [x01, x11]]``; the order is (xy, x^2 + y^2,
+    (y^2 - x^2) cos 2phi, (y^2 - x^2) sin 2phi).
     """
     return (
         scale * (x00 * x11 - x01 * x01 + 1.0),
@@ -115,10 +114,9 @@ def _form(x00: float, x01: float, x11: float, scale: float) -> tuple[float, floa
 def _scan_forms(rows):
     """Numerator and denominator forms of the scan objective of the CM with entries ``rows``.
 
-    ``S = B - C^T A^{-1} C`` with ``A^{-1} C`` by elimination on A without
-    pivoting (A is positive definite), multiplying by the pivots' reciprocals
-    as LAPACK's ``solve`` does; a normal form's S is then
-    ``diag(b - c (c (1/a)), b - cp (cp (1/a)))``.
+    ``S = B - C^T A^{-1} C``, eliminating on A without pivoting (A is positive
+    definite) and multiplying by the pivots' reciprocals as LAPACK's ``solve``
+    does, so a normal form's S is ``diag(b - c (c (1/a)), b - cp (cp (1/a)))``.
     """
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     r0 = 1.0 / a00
@@ -202,11 +200,11 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
 def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
     """``(u, phi, entropy)`` of the least measured conditional entropy of a CM.
 
-    ``rows`` are the CM's row-major entries and ``diag`` its diagnosis.
-    Deterministic and loop-free: the angle comes from the normal-form
-    reduction ``diag.reduction`` and u is minimised exactly at it (see the
-    module docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner
-    is reported with u = 0.  Raises DomainError for a CM that is not bona fide.
+    ``rows`` are its row-major entries, ``diag`` its diagnosis.  Deterministic
+    and loop-free: the angle comes from the normal-form reduction
+    ``diag.reduction`` and u is minimised exactly at it (see the module
+    docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner is
+    reported with u = 0.  Raises DomainError for a CM that is not bona fide.
     """
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")

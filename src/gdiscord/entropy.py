@@ -22,9 +22,8 @@ _LN2 = math.log(2.0)
 def h(x: float) -> float:
     """Thermal entropy function, strictly increasing with h(1) = 0.
 
-    ``h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)``, evaluated
-    as ``(log1p(xm) + xm log1p(1/xm)) / ln 2`` with ``xm = (x-1)/2``: both
-    terms are positive, so nothing cancels at any x.
+    ``h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)``, evaluated as
+    ``(log1p(xm) + xm log1p(1/xm)) / ln 2``, ``xm = (x-1)/2``, whose terms never cancel.
     """
     if x < 1.0 - H_CLAMP_TOL:
         raise DomainError(f"entropy argument must be >= 1, got {x}")

@@ -12,10 +12,9 @@ Measuring mode B with outcome ``k`` (a real 2-vector ``(q, p)``):
 * conditional mean of A: ``xA - C (B + V0)^{-1} (xB - k)``,
 * conditional CM of A:   ``A - C (B + V0)^{-1} C^T`` (outcome-independent).
 
-Every conditioning formula goes through one kernel, ``_conditioning``, which
-reads a CM's entries as floats and forms ``(B + V0)^{-1}`` with ``u = x/y`` in
-homogeneous weights.  With ``r = (cos phi, sin phi)`` and
-``s = (-sin phi, cos phi)``,
+Every conditioning formula goes through one kernel on a CM's entries,
+``_conditioning``, which forms ``(B + V0)^{-1}`` with ``u = x/y`` in
+homogeneous weights.  With ``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos phi)``,
 
     (B + V0)^{-1} = (xy adj B + x^2 s s^T + y^2 r r^T)
                     / (xy (det B + 1) + x^2 s^T B s + y^2 r^T B r).
@@ -25,9 +24,7 @@ so no weight exceeds 1; ``(0, 1)`` is homodyne detection of the ``r``
 quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).  For
 positive definite B every term is nonnegative, so no limit needs a branch
 and no term cancels at large or small u.  The kernel returns ``L = C (B +
-V0)^{-1}`` and ``D = A - L C^T``; :func:`conditional_cm`,
-:func:`conditional_mean_map` and :func:`condition_on_outcome` are its array
-views.
+V0)^{-1}`` and ``D = A - L C^T``; the public functions are array views of it.
 """
 
 from __future__ import annotations
