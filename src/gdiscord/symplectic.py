@@ -82,7 +82,7 @@ class NormalFormCM:
 
     def rows(self) -> list[list[float]]:
         """Row-major entries of :meth:`to_matrix`."""
-        a, b, c, cp = self.a, self.b, self.c, self.cp  # written out: np.block is ten times slower
+        a, b, c, cp = self.a, self.b, self.c, self.cp
         return [[a, 0.0, c, 0.0], [0.0, a, 0.0, cp], [c, 0.0, b, 0.0], [0.0, cp, 0.0, b]]
 
 

@@ -345,7 +345,7 @@ class TestConditionCommand:
     @pytest.mark.parametrize("state, phi", [
         ('{"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}}', 0.0),
         ('{"normal_form": {"a": 3, "b": 2, "c": 1.5, "cp": -0.7}}', 0.3),
-    ])
+    ], ids=["condition-state", "correlated-phi"])
     def test_huge_u_is_the_homodyne_limit(self, runner, state, phi):
         outs = [invoke(runner, ["condition", "--state", state, "--outcome", "0.4,-0.2",
                                 "--measurement", json.dumps({"u": u, "phi": phi})])
