@@ -26,12 +26,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entropy import h
 from .errors import DomainError, InvalidChannelParams
 from .symplectic import assemble_cm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
 # small tolerance.  classify reads tau and eta this close to a boundary value
@@ -63,11 +65,15 @@ class GaussianChannelParams:
 
     @property
     def K(self) -> np.ndarray:
+        import numpy as np
+
         s = 1.0 if self.tau >= 0.0 else -1.0
         return math.sqrt(abs(self.tau)) * np.diag([1.0, s])
 
     @property
     def N(self) -> np.ndarray:
+        import numpy as np
+
         return self.eta * np.eye(2)
 
     def is_quantum_limited(self) -> bool:
@@ -128,6 +134,8 @@ def pathological_form_matrices(
     and matrices only: no entropy optimization is offered, because no
     finite-energy optimal input is known for them.
     """
+    import numpy as np
+
     label = CanonicalForm(label)
     if label == CanonicalForm.A2:
         if n_bar < 0.0:
@@ -143,6 +151,8 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
 
     Implements ``V -> (K (+) I) V (K^T (+) I) + (N (+) 0)``.
     """
+    import numpy as np
+
     V = np.asarray(V, float)
     if V.shape != (4, 4):
         raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")

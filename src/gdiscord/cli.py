@@ -23,7 +23,6 @@ from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationErro
 from .family import membership, occupancy_grid, sample_family
 from .remote_prep import condition_on_outcome, conditioning_on_mode_A
 from .symplectic import NormalFormCM, validate_bona_fide
-from .verification import run_all
 
 _EXIT_CODES = [
     (OutOfFamily, 3, "out-of-family"),
@@ -79,7 +78,7 @@ def _state_from_options(normal_form: str | None, state: str | None):
     if (normal_form is None) == (state is None):
         raise ValidationError("provide exactly one of --normal-form or --state")
     if normal_form is not None:
-        V = NormalFormCM(*_parse_floats(normal_form, 4, "--normal-form")).to_matrix()
+        V = NormalFormCM(*_parse_floats(normal_form, 4, "--normal-form")).rows()
     else:
         V = serialize.parse_cm_payload(_load_json(state))
     diag = validate_bona_fide(V)
@@ -190,6 +189,8 @@ def condition(state, measurement, outcome, mean, mode):
 @handles_errors
 def verify(quick):
     """Run the acceptance suite and print one pass/fail line per criterion."""
+    from .verification import run_all
+
     results = run_all(quick=quick)
     for res in results:
         click.echo(res.line())

@@ -61,15 +61,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channels import min_output_entropy
 from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
-from .symplectic import BonaFideDiagnosis, normal_form_spectrum, validate_bona_fide
+from .symplectic import BonaFideDiagnosis, _cm_rows, normal_form_spectrum, validate_bona_fide
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
@@ -194,7 +196,7 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
     The conditional CM is outcome-independent, so no averaging is needed:
     the value is ``h`` of its symplectic eigenvalue.
     """
-    return _entropy_measured(np.asarray(V, float).tolist(), m)
+    return _entropy_measured(_cm_rows(V), m)
 
 
 def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
@@ -278,10 +280,10 @@ def gaussian_discord_numeric(
     ``diag`` is V's :func:`symplectic.validate_bona_fide` diagnosis, when the
     caller already has it; otherwise V is validated here.
     """
-    V = np.asarray(V, float)
+    rows = _cm_rows(V)
     if diag is None:
         diag = validate_bona_fide(V)
-    u, phi, s_min = _minimize(V.tolist(), diag)
+    u, phi, s_min = _minimize(rows, diag)
     nf = diag.reduction.nf
     return _report(
         h(nf.a), h(nf.b), h(diag.nu_min) + h(diag.nu_plus), s_min,

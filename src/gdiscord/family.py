@@ -40,21 +40,21 @@ implemented here in a cancellation-free rationalized form.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channels import GaussianChannelParams
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
     NormalFormCM,
     _bona_fide_verdict,
-    _pick,
     bona_fide_normal_form_mask,
     check_variance,
     squeezed_thermal_bound,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _R_DOMAIN_TOL = 1e-12
 # membership accepts a witness that reproduces (a, c, cp) to this share of a
@@ -111,12 +111,12 @@ def family_cm_from_params(fp: FamilyParams) -> NormalFormCM:
     """
     tb = abs(fp.tau) * fp.b
     a = math.sqrt((fp.eta * fp.r + tb) * (fp.eta / fp.r + tb))
-    c, cp = _correlation_arrays(fp.b, fp.r, fp.tau, fp.eta, fp.sign, math.sqrt)
+    c, cp = _correlation_arrays(fp.b, fp.r, fp.tau, fp.eta, fp.sign)
     return NormalFormCM(a=a, b=fp.b, c=c, cp=cp)
 
 
-def _correlation_arrays(b, r, tau, eta, sign, sqrt=np.sqrt):
-    """(c, cp) of the family normal form; arrays, or floats with ``sqrt=math.sqrt``."""
+def _correlation_arrays(b, r, tau, eta, sign, sqrt=math.sqrt):
+    """(c, cp) of the family normal form; floats, or arrays with ``sqrt=np.sqrt``."""
     tb = abs(tau) * b
     th_r, th_ri = sqrt(eta * r + tb), sqrt(eta / r + tb)
     amp = abs(tau) * (b * b - 1.0)
@@ -133,7 +133,7 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
     check_variance(a, "local variance a")
     check_variance(b, "local variance b")
     _check_r(r, b)
-    eta = _eta_arrays(a, r, tau, b, math.sqrt)
+    eta = _eta_arrays(a, r, tau, b)
     if eta < 0.0:
         if eta < -1e-12 * max(1.0, a):
             raise DomainError(
@@ -143,8 +143,8 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
     return eta
 
 
-def _eta_arrays(a, r, tau, b, sqrt=np.sqrt):
-    """Unclamped :func:`eta_from_a`; arrays, or floats with ``sqrt=math.sqrt``."""
+def _eta_arrays(a, r, tau, b, sqrt=math.sqrt):
+    """Unclamped :func:`eta_from_a`; floats, or arrays with ``sqrt=np.sqrt``."""
     tb = abs(tau) * b
     root = sqrt(4.0 * a * a * r * r + (r * r - 1.0) ** 2 * tau * tau * b * b)
     return (root - (1.0 + r * r) * tb) / (2.0 * r)
@@ -185,6 +185,8 @@ def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
     p+- = b (1 + r^2) +- 2 r.  A radicand below zero by more than rounding
     means r lies outside [1/b, b] and raises NumericalFailure.
     """
+    import numpy as np
+
     r = np.asarray(r, float)
     q = (r * r - 1.0) ** 2 * b * b
     g_plus = (r + b) * (r * b + 1.0)
@@ -237,14 +239,16 @@ def _sample_chunk(a: float, b: float, n: int, seed: int, chunk_index: int):
     finite (a, b) a draw is non-finite only when the closed forms overflow,
     which no redraw mends, so that raises NumericalFailure.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
     with np.errstate(invalid="ignore", over="ignore"):
         r = rng.uniform(1.0 / b, b, n)
         t_lo, t_hi = _tau_bounds_arrays(a, b, r)
         tau = t_lo + (t_hi - t_lo) * rng.uniform(0.0, 1.0, n)
         sign = np.where(rng.uniform(0.0, 1.0, n) < 0.5, 1.0, -1.0)
-        eta = np.maximum(_eta_arrays(a, r, tau, b), 0.0)
-        c, cp = _correlation_arrays(b, r, tau, eta, sign)
+        eta = np.maximum(_eta_arrays(a, r, tau, b, np.sqrt), 0.0)
+        c, cp = _correlation_arrays(b, r, tau, eta, sign, np.sqrt)
     if not all(np.isfinite(col).all() for col in (c, cp, tau, eta)):
         raise NumericalFailure(f"family formulae overflow at a = {a}, b = {b}")
     return c, cp, r, tau, eta, sign
@@ -260,6 +264,10 @@ def sample_family(
     a counter-based stream keyed on (seed, chunk).  Output is reproducible
     for a fixed seed, independent of ``threads``.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     check_variance(a, "local variance a")
@@ -293,6 +301,8 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
+    import numpy as np
+
     a, b = sample.a, sample.b
     half = correlation_half_width(a, b)
     if half <= 0.0:
@@ -343,7 +353,7 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     correlated states with ``b <= 1``.
     """
     a, b, c, cp = nf.a, nf.b, nf.c, nf.cp
-    if not _bona_fide_verdict(a, b, c, cp, math.sqrt, _pick)[0]:
+    if not _bona_fide_verdict(a, b, c, cp)[0]:
         raise DomainError(f"V({a}, {b}, {c}, {cp}) is not bona fide")
     scale = max(1.0, abs(c), abs(cp))
     if abs(c) <= 1e-12 * scale and abs(cp) <= 1e-12 * scale:

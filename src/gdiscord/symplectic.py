@@ -8,21 +8,22 @@ Conventions used throughout the package:
 * single-mode symplectic form ``Omega = [[0, 1], [-1, 0]]``,
 * annihilation operator ``a = (q + i*p) / 2``.
 
-A two-mode covariance matrix (CM) is a plain 4x4 ``numpy`` array with block
-structure ``[[A, C], [C.T, B]]``, where A, B, C are 2x2 real blocks and A, B
-are symmetric.  Normal-form states are the subset with ``A = a*I``,
-``B = b*I`` and ``C = diag(c, cp)``; every CM with positive definite A and B
-reaches one by local symplectics, in closed form (:func:`reduce_cm`), and
-validation and the spectrum read that reduction.
+A two-mode covariance matrix (CM) is a 4x4 ``numpy`` array, or four rows
+of four numbers, with block structure ``[[A, C], [C.T, B]]``, where A, B, C
+are 2x2 real blocks and A, B are symmetric.  Normal-form states are the
+subset with ``A = a*I``, ``B = b*I`` and ``C = diag(c, cp)``; every CM with
+positive definite A and B reaches one by local symplectics, in closed form
+(:func:`reduce_cm`), and validation and the spectrum read that reduction.
+Both read a CM's entries as floats (:func:`_cm_rows`); only the functions
+that build or return arrays import numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NumericalFailure
 
@@ -31,16 +32,14 @@ from .errors import DomainError, NumericalFailure
 BONA_FIDE_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
-OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-OMEGA_2 = np.block(
-    [[OMEGA_1, np.zeros((2, 2))], [np.zeros((2, 2)), OMEGA_1]]
-)
-Z = np.diag([1.0, -1.0])
-I2 = np.eye(2)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def rotation_matrix(phi: float) -> np.ndarray:
     """2x2 phase-space rotation by angle ``phi``."""
+    import numpy as np
+
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, -s], [s, c]])
 
@@ -52,12 +51,16 @@ def squeezer_matrix(r: float) -> np.ndarray:
     """
     if not r > 0.0:
         raise DomainError(f"squeezer parameter must be positive, got {r}")
+    import numpy as np
+
     s = np.sqrt(r)
     return np.diag([s, 1.0 / s])
 
 
 def assemble_cm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Assemble a 4x4 CM from blocks A, B and the correlation block C."""
+    import numpy as np
+
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     C = np.asarray(C, float)
@@ -88,6 +91,8 @@ class NormalFormCM:
 
 def embed_normal_form(nf: NormalFormCM) -> np.ndarray:
     """Embed normal-form parameters into the full 4x4 covariance matrix."""
+    import numpy as np
+
     return np.array(nf.rows(), dtype=float)
 
 
@@ -107,6 +112,37 @@ class Reduction(NamedTuple):
 # that normal form, keeping its own bits and (c, cp) order
 _PATTERN_RTOL = 1e-13
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def _cm_rows(V) -> list[list[float]]:
+    """A CM's entries as four rows of four floats: the one scalar boundary.
+
+    V is a 4x4 array (read with ``tolist``) or four rows of four numbers;
+    anything else raises DomainError.
+    """
+    dtype = getattr(V, "dtype", None)
+    if dtype is not None and dtype.char == "d" and V.shape == (4, 4):
+        return V.tolist()
+    rows = V.tolist() if dtype is not None else V
+    try:
+        rows = [list(map(float, row)) for row in rows if not isinstance(row, (str, bytes))]
+    except TypeError:  # rows are numbers, or hold sequences
+        rows = None
+    except ValueError:
+        raise DomainError("matrix contains non-numeric entries") from None
+    if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
+        raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
+    return rows
+
+
+def _shape_text(V) -> str:
+    """numpy's shape of V, for an error message; an error path, so numpy may load."""
+    import numpy as np
+
+    try:
+        return str(np.shape(V))
+    except ValueError:
+        return "a ragged sequence"
 
 
 def _unit_det_sqrt(x00: float, x01: float, x11: float):
@@ -137,14 +173,17 @@ def reduce_cm(V: np.ndarray) -> Reduction:
 
     so ``c >= |cp|`` and ``c cp = det C``; ``T_B^{-1} = M_B^{1/2} R(beta)``.
     A CM already in normal form is returned as it is, with ``T_B = I``.
-    Raises DomainError when A or B is not positive definite.
+    Raises DomainError when V is not a 4x4 matrix of numbers, or when A or B
+    is not positive definite.
     """
-    V = np.asarray(V, float)
-    if V.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = V.tolist()
+    rows = _cm_rows(V)
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     nf = NormalFormCM(a=a00, b=b00, c=c00, cp=c11)
-    if np.abs(V - embed_normal_form(nf)).max() <= _PATTERN_RTOL * max(1.0, np.abs(V).max()):
+    # max |V - nf| <= tol * max(1, max |V|), entry by entry, so a NaN fails it
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    bound = _PATTERN_RTOL * max(1.0, max(map(abs, entries)))
+    pattern = (a00, 0.0, c00, 0.0, 0.0, a00, 0.0, c11, c00, 0.0, b00, 0.0, 0.0, c11, 0.0, b00)
+    if all(map(bound.__ge__, map(abs, map(operator.sub, entries, pattern)))):
         return Reduction(nf, _IDENTITY)
     if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
         raise DomainError("not positive definite")
@@ -191,8 +230,10 @@ def epr_cm(b: float, sign: int = 1) -> np.ndarray:
     check_variance(b, "EPR variance")
     if sign not in (1, -1):
         raise DomainError(f"EPR correlation sign must be +1 or -1, got {sign}")
+    import numpy as np
+
     corr = sign * np.sqrt(max(b * b - 1.0, 0.0))
-    return assemble_cm(b * I2, b * I2, corr * Z)
+    return assemble_cm(b * np.eye(2), b * np.eye(2), corr * np.diag([1.0, -1.0]))
 
 
 class SymplecticSpectrum(NamedTuple):
@@ -213,8 +254,8 @@ def _pick(cond, x, y):
     return x if cond else y
 
 
-def _spectrum_arrays(a, b, c, cp, sqrt=np.sqrt, where=np.where):
-    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); arrays, or floats with ``math.sqrt, _pick``.
+def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
+    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); floats, or arrays with ``np.sqrt, np.where``.
 
     ``nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2`` with
     ``Delta = a^2 + b^2 + 2 c cp`` and ``det V = (ab - c^2)(ab - cp^2)``.  The
@@ -247,7 +288,7 @@ def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     Raises NumericalFailure when the discriminant is negative beyond
     tolerance, which indicates a corrupted input.
     """
-    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp, math.sqrt, _pick)
+    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp)
     if disc < -_DISC_TOL:
         raise NumericalFailure(_NEGATIVE_DISC.format(disc))
     return SymplecticSpectrum(nu_minus, nu_plus)
@@ -268,18 +309,22 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
 
     Independent of the closed form above; used as a cross-checking oracle.
     """
-    eig = np.linalg.eigvals(1j * OMEGA_2 @ np.asarray(V, float))
+    import numpy as np
+
+    omega = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+    eig = np.linalg.eigvals(1j * omega @ np.asarray(V, float))
     mods = np.sort(np.abs(eig))
     # eigenvalues come in +-nu pairs
     return SymplecticSpectrum(float(mods[0]), float(mods[2]))
 
 
-def _bona_fide_verdict(a, b, c, cp, sqrt=np.sqrt, where=np.where):
+def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp); the one bona fide rule.
 
     ``ok`` holds iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``)
-    and its spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  Arrays,
-    or floats with ``math.sqrt, _pick`` as for :func:`_spectrum_arrays`; NaN
+    and its spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  Floats,
+    or arrays with ``np.sqrt, np.where`` as for :func:`_spectrum_arrays`; NaN
     fails every comparison, so a non-finite input is never ok.  No ``a, b >=
     1`` term is needed: a positive definite V has ``a, b >= nu_minus``.
     """
@@ -296,8 +341,11 @@ def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
     The array call of the verdict :func:`validate_bona_fide` reads; inf
     entries give False, without a floating-point warning.
     """
+    import numpy as np
+
     with np.errstate(invalid="ignore", over="ignore"):
-        return _bona_fide_verdict(*(np.asarray(x, float) for x in (a, b, c, cp)))[0]
+        arrays = (np.asarray(x, float) for x in (a, b, c, cp))
+        return _bona_fide_verdict(*arrays, np.sqrt, np.where)[0]
 
 
 @dataclass(frozen=True)
@@ -318,7 +366,7 @@ class BonaFideDiagnosis:
         return self.bona_fide
 
 
-def validate_bona_fide(V: np.ndarray) -> BonaFideDiagnosis:
+def validate_bona_fide(V) -> BonaFideDiagnosis:
     """Check a 4x4 CM against the uncertainty principle.
 
     Never raises: every failure mode is reported in the diagnosis.  A state
@@ -330,14 +378,19 @@ def validate_bona_fide(V: np.ndarray) -> BonaFideDiagnosis:
     eigenvalues.  For the squeezed-thermal subclass (cp = -c) the eigenvalue
     test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
     which is quoted in the diagnosis when it is the constraint that failed.
+    The checks read V's entries as floats (:func:`_cm_rows`).
     """
-    V = np.asarray(V, dtype=float)
-    if V.shape != (4, 4):
-        return BonaFideDiagnosis(False, None, f"expected 4x4 matrix, got {V.shape}")
-    if not np.isfinite(V).all():
+    try:
+        rows = _cm_rows(V)
+    except DomainError as exc:
+        return BonaFideDiagnosis(False, None, str(exc))
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(map(math.isfinite, entries)):
         return BonaFideDiagnosis(False, None, "matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(V).max()))
-    asym = float(np.abs(V - V.T).max())
+    scale = max(1.0, max(map(abs, entries)))
+    (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = rows
+    asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
+               abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
     if asym > SYMMETRY_RTOL * scale:
         return BonaFideDiagnosis(False, None, f"not symmetric (max asymmetry {asym:.3e})")
     try:
@@ -345,7 +398,7 @@ def validate_bona_fide(V: np.ndarray) -> BonaFideDiagnosis:
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     a, b, c, cp = red.nf.a, red.nf.b, red.nf.c, red.nf.cp
-    ok, disc, nu_minus, nu_plus = _bona_fide_verdict(a, b, c, cp, math.sqrt, _pick)
+    ok, disc, nu_minus, nu_plus = _bona_fide_verdict(a, b, c, cp)
     if ok:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
     if disc < -_DISC_TOL:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -391,6 +392,48 @@ def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
     assert not re.search(r"nan|inf", res.stdout, re.IGNORECASE), res.stdout
+
+
+def run_module_cli(args, cwd):
+    """``python -m gdiscord.cli`` of this source tree, in its own interpreter."""
+    src = str(Path(gdiscord.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=30)
+
+
+def cli_cold_commands():
+    """The benchmark's cold CLI launches, read from its source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_COMMANDS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no CLI_COMMANDS")
+
+
+# runs the CLI in process, then reports its exit code and whether numpy loaded
+IN_PROCESS_CLI = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gdiscord.cli
+try:
+    gdiscord.cli.main(sys.argv[2:], prog_name="gdiscord")
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args", cli_cold_commands(), ids=lambda args: args[0])
+def test_cold_commands_never_import_numpy(args, tmp_path):
+    src = str(Path(gdiscord.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", IN_PROCESS_CLI, src, *args], cwd=tmp_path,
+                         capture_output=True, timeout=30)
+    assert res.stderr.decode().split() == ["0", "False"], res.stderr
+    ref = run_module_cli(args, tmp_path)
+    assert ref.returncode == 0, ref.stderr
+    assert res.stdout == ref.stdout
 
 
 class TestVerifyCommand:

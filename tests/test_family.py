@@ -270,8 +270,8 @@ class TestMembership:
         offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         r = np.repeat(r, counts)
         tau = np.minimum(np.repeat(lo, counts) + offsets * step, np.repeat(hi, counts))
-        eta = np.maximum(_eta_arrays(a, r, tau, b), np.abs(1.0 - tau))
-        c, cp = _correlation_arrays(b, r, tau, eta, 1.0)
+        eta = np.maximum(_eta_arrays(a, r, tau, b, np.sqrt), np.abs(1.0 - tau))
+        c, cp = _correlation_arrays(b, r, tau, eta, 1.0, np.sqrt)
         best = float(np.min(np.maximum(np.abs(c - target.c), np.abs(cp - target.cp))))
         # a member would be approximated to ~grid resolution (1e-3); the
         # nearest family point is orders of magnitude further away

@@ -9,6 +9,7 @@ from gdiscord import (
     NumericalFailure,
     embed_normal_form,
     epr_cm,
+    gaussian_discord_numeric,
     normal_form_from_cm,
     reduce_cm,
     rotation_matrix,
@@ -159,7 +160,7 @@ class TestSpectrum:
             nf = diag.reduction.nf
             assert bool(bona_fide_normal_form_mask(nf.a, nf.b, nf.c, nf.cp))
             arrays = [np.array([x]) for x in (nf.a, nf.b, nf.c, nf.cp)]
-            assert _spectrum_arrays(*arrays)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
+            assert _spectrum_arrays(*arrays, np.sqrt, np.where)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
             ref = symplectic_spectrum(V)
             assert diag.nu_min == pytest.approx(ref.nu_minus, abs=1e-9)
             assert diag.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
@@ -265,7 +266,7 @@ def test_nu_min_vectorized_matches_scalar():
     b = np.array([nf.b for nf in nfs])
     c = np.array([nf.c for nf in nfs])
     cp = np.array([nf.cp for nf in nfs])
-    nu_vec = _spectrum_arrays(a, b, c, cp)[1]
+    nu_vec = _spectrum_arrays(a, b, c, cp, np.sqrt, np.where)[1]
     for i, nf in enumerate(nfs):
         assert nu_vec[i] == pytest.approx(normal_form_spectrum(nf).nu_minus, abs=1e-12)
 
@@ -281,7 +282,7 @@ def test_mask_keeps_the_symmetric_anti_diagonal():
     c, cp = centers, centers[::-1]
     assert bool(np.all(bona_fide_normal_form_mask(2.0, 2.0, c, cp)))
     scalar = [normal_form_spectrum(NormalFormCM(2.0, 2.0, x, y)).nu_minus for x, y in zip(c, cp)]
-    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp)[1], scalar, atol=1e-9)
+    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp, np.sqrt, np.where)[1], scalar, atol=1e-9)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -295,3 +296,27 @@ def test_non_finite_parameters_are_never_bona_fide(slot, bad):
     assert mask.tolist() == [False, True]
     diag = validate_bona_fide(embed_normal_form(NormalFormCM(*params)))
     assert (diag.bona_fide, diag.reason) == (False, "matrix contains non-finite entries")
+
+
+def test_nested_rows_read_as_the_array():
+    # validation, the reduction and the numeric route read a CM's entries as
+    # floats, so an array and its nested rows give the same bits
+    rng = np.random.default_rng(107)
+    for k, nf in enumerate(random_normal_forms(rng, 200)):
+        V = embed_normal_form(nf)
+        if k % 2:
+            s1 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+            s2 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+            S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
+            V = S @ V @ S.T
+            V = 0.5 * (V + V.T)
+        for fn in (validate_bona_fide, reduce_cm, gaussian_discord_numeric):
+            assert repr(fn(V)) == repr(fn(V.tolist())), (k, fn.__name__)
+
+
+@pytest.mark.parametrize("V", [
+    [[1, 2], [3]], "abc", [["x"] * 4] * 4, ["1234"] * 4, None, 2.0, np.eye(3), np.ones((1, 4, 4)),
+], ids=["ragged", "string", "string-entries", "string-rows", "none", "number", "3x3", "1x4x4"])
+def test_malformed_input_is_a_diagnosis_not_an_error(V):
+    diag = validate_bona_fide(V)
+    assert not diag.bona_fide and diag.nu_min is None and diag.reason, diag
