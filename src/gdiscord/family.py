@@ -47,7 +47,7 @@ from .channels import GaussianChannelParams
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
     NormalFormCM,
-    _bona_fide_verdict,
+    _verdict,
     bona_fide_normal_form_mask,
     check_variance,
     squeezed_thermal_bound,
@@ -353,7 +353,7 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     correlated states with ``b <= 1``.
     """
     a, b, c, cp = nf.a, nf.b, nf.c, nf.cp
-    if not _bona_fide_verdict(a, b, c, cp)[0]:
+    if not _verdict(a, b, c, cp)[0]:
         raise DomainError(f"V({a}, {b}, {c}, {cp}) is not bona fide")
     scale = max(1.0, abs(c), abs(cp))
     if abs(c) <= 1e-12 * scale and abs(cp) <= 1e-12 * scale:

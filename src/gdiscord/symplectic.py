@@ -288,7 +288,7 @@ def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     Raises NumericalFailure when the discriminant is negative beyond
     tolerance, which indicates a corrupted input.
     """
-    disc, nu_minus, nu_plus = _spectrum_arrays(nf.a, nf.b, nf.c, nf.cp)
+    _, disc, nu_minus, nu_plus = _verdict(nf.a, nf.b, nf.c, nf.cp)
     if disc < -_DISC_TOL:
         raise NumericalFailure(_NEGATIVE_DISC.format(disc))
     return SymplecticSpectrum(nu_minus, nu_plus)
@@ -319,26 +319,61 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
     return SymplecticSpectrum(float(mods[0]), float(mods[2]))
 
 
-def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt, where=_pick):
-    """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp); the one bona fide rule.
+def _admits(a, b, c, cp, disc, nu_minus):
+    """The one bona fide rule on V(a, b, c, cp) and its spectrum; floats or arrays.
 
-    ``ok`` holds iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``)
-    and its spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  Floats,
-    or arrays with ``np.sqrt, np.where`` as for :func:`_spectrum_arrays`; NaN
-    fails every comparison, so a non-finite input is never ok.  No ``a, b >=
-    1`` term is needed: a positive definite V has ``a, b >= nu_minus``.
+    True iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``) and its
+    spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  NaN fails every
+    comparison, so a non-finite input is never admitted.  No ``a, b >= 1``
+    term is needed: a positive definite V has ``a, b >= nu_minus``.
+    """
+    ab = a * b
+    return (a > 0.0) & (ab > c * c) & (ab > cp * cp) & (disc >= -_DISC_TOL) \
+        & (nu_minus >= 1.0 - BONA_FIDE_TOL)
+
+
+def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt, where=_pick):
+    """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp) by :func:`_admits`.
+
+    Floats, or arrays with ``np.sqrt, np.where`` as for :func:`_spectrum_arrays`.
     """
     disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, sqrt, where)
+    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
+
+
+def _verdict(a: float, b: float, c: float, cp: float):
+    """:func:`_bona_fide_verdict` of floats, read on a rescaled copy where it overflows.
+
+    When finite parameters overflow an intermediate (``delta^2`` does from
+    about 1e77 on), the verdict is read on ``(a, b, c, cp) 2^-k``, with k
+    the binary exponent of the largest |parameter| less one, so they lie
+    below 2 and the scaling is exact.  Positivity and the discriminant are
+    judged on them (the discriminant in units of ``2^4k``), and nu scales
+    back by ``2^k``.  There ``nu_minus = sqrt(ab - c^2) sqrt(ab - cp^2) /
+    nu_plus``, as ``nu_minus nu_plus = sqrt(det V)``: ``delta - root``
+    cancels when nu_minus << nu_plus.  Every other input keeps the verdict
+    of :func:`_bona_fide_verdict`, bit for bit.
+    """
+    verdict = _bona_fide_verdict(a, b, c, cp)
+    if math.isfinite(verdict[1]) and math.isfinite(verdict[3]):
+        return verdict
+    top = max(abs(a), abs(b), abs(c), abs(cp))
+    if not top < math.inf:
+        return verdict
+    k = math.frexp(top)[1] - 1
+    a, b, c, cp = (math.ldexp(x, -k) for x in (a, b, c, cp))
+    disc, _, nu_plus = _spectrum_arrays(a, b, c, cp)
     ab = a * b
-    ok = (a > 0.0) & (ab > c * c) & (ab > cp * cp) & (disc >= -_DISC_TOL) \
-        & (nu_minus >= 1.0 - BONA_FIDE_TOL)
-    return ok, disc, nu_minus, nu_plus
+    root_det = math.sqrt(max(ab - c * c, 0.0)) * math.sqrt(max(ab - cp * cp, 0.0))
+    scale = math.ldexp(1.0, k)
+    nu_minus = (root_det / nu_plus if nu_plus > 0.0 else 0.0) * scale
+    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus * scale
 
 
 def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
     """Vectorized uncertainty-principle test for normal-form parameters.
 
-    The array call of the verdict :func:`validate_bona_fide` reads; inf
+    The array call of the rule :func:`validate_bona_fide` reads; inf
     entries give False, without a floating-point warning.
     """
     import numpy as np
@@ -373,7 +408,7 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     is accepted iff its smallest symplectic eigenvalue is >= 1 -
     BONA_FIDE_TOL and it is positive definite, which the spectrum alone
     cannot tell (V and -V have the same one).  Both are read off the normal
-    form of :func:`reduce_cm` by :func:`_bona_fide_verdict`: local
+    form of :func:`reduce_cm` by :func:`_verdict`: local
     symplectics keep the spectrum and, as a congruence, the signs of the
     eigenvalues.  For the squeezed-thermal subclass (cp = -c) the eigenvalue
     test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
@@ -398,12 +433,12 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     a, b, c, cp = red.nf.a, red.nf.b, red.nf.c, red.nf.cp
-    ok, disc, nu_minus, nu_plus = _bona_fide_verdict(a, b, c, cp)
+    ok, disc, nu_minus, nu_plus = _verdict(a, b, c, cp)
     if ok:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
     if disc < -_DISC_TOL:
         return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
-    if not nu_minus >= 1.0 - BONA_FIDE_TOL:  # also NaN, from an overflowed spectrum
+    if not nu_minus >= 1.0 - BONA_FIDE_TOL:  # also NaN
         reason = f"nu_min = {nu_minus:.12g} < 1"
         if abs(cp + c) <= 1e-9 * max(1.0, abs(c)):
             bound = squeezed_thermal_bound(a, b)

@@ -15,6 +15,7 @@ import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
 from gdiscord import symplectic
 from gdiscord.cli import main
+from gdiscord.serialize import round12
 
 WORKED_DISCORD_OUTPUT = """\
 {
@@ -400,6 +401,30 @@ def run_module_cli(args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=cwd, env=env,
                           capture_output=True, timeout=30)
+
+
+@pytest.mark.parametrize("cmd", ["discord", "decompose"])
+def test_spectrum_that_overflows_is_read_rescaled(runner, cmd):
+    # delta^2 overflows from about 1e77 on; the state is a product of thermal states
+    res = invoke(runner, [cmd, "--normal-form", "1e78,3,0,0"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    if cmd == "discord":
+        assert out["numeric"]["s_a"] == out["closed_form"]["s_a"] == round12(h(1e78))
+    else:
+        assert (out["b"], out["eta"]) == (3.0, 1e78)
+
+
+@pytest.mark.parametrize("cmd", ["discord", "decompose"])
+def test_huge_product_state_is_never_a_validation_error(cmd, tmp_path):
+    res = run_module_cli([cmd, "--normal-form", "1e160,1e160,0,0"], tmp_path)
+    assert res.returncode in (0, 4), res.stderr
+    if res.returncode == 4:
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: numerical: "), res.stderr
+    else:
+        json.loads(res.stdout)
+    assert not re.search(rb"nan|inf", res.stdout, re.IGNORECASE), res.stdout
 
 
 def cli_cold_commands():
