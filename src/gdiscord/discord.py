@@ -61,17 +61,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .channels import min_output_entropy
 from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
 from .symplectic import BonaFideDiagnosis, _cm_rows, normal_form_spectrum, validate_bona_fide
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .channels import GaussianChannelParams
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
@@ -52,9 +52,6 @@ from .symplectic import (
     check_variance,
     squeezed_thermal_bound,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _R_DOMAIN_TOL = 1e-12
 # membership accepts a witness that reproduces (a, c, cp) to this share of a
@@ -185,8 +182,6 @@ def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
     p+- = b (1 + r^2) +- 2 r.  A radicand below zero by more than rounding
     means r lies outside [1/b, b] and raises NumericalFailure.
     """
-    import numpy as np
-
     r = np.asarray(r, float)
     q = (r * r - 1.0) ** 2 * b * b
     g_plus = (r + b) * (r * b + 1.0)
@@ -239,8 +234,6 @@ def _sample_chunk(a: float, b: float, n: int, seed: int, chunk_index: int):
     finite (a, b) a draw is non-finite only when the closed forms overflow,
     which no redraw mends, so that raises NumericalFailure.
     """
-    import numpy as np
-
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
     with np.errstate(invalid="ignore", over="ignore"):
         r = rng.uniform(1.0 / b, b, n)
@@ -265,8 +258,6 @@ def sample_family(
     for a fixed seed, independent of ``threads``.
     """
     from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
 
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -301,8 +292,6 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    import numpy as np
-
     a, b = sample.a, sample.b
     half = correlation_half_width(a, b)
     if half <= 0.0:

@@ -31,13 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .errors import DomainError, NumericalFailure
 from .symplectic import _cm_rows, check_variance, rotation_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,6 @@ class GaussianMeasurement:
         """Seed CM for finite u; the homodyne limits have no finite seed."""
         if self.is_homodyne:
             raise DomainError("homodyne limits have no finite seed CM")
-        import numpy as np
-
         R = rotation_matrix(self.phi)
         return R @ np.diag([self.u, 1.0 / self.u]) @ R.T
 
@@ -138,15 +133,11 @@ class ConditionalState:
     cm: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         object.__setattr__(self, "mean", np.asarray(self.mean, float).reshape(2))
         object.__setattr__(self, "cm", np.asarray(self.cm, float).reshape(2, 2))
 
 
 def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
     if mean_AB is None:
         return np.zeros(2), np.zeros(2)
     mean_AB = np.asarray(mean_AB, float).reshape(4)
@@ -155,15 +146,11 @@ def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Linear map L = C (B + V0)^{-1} sending (k - xB) to the mean shift of A."""
-    import numpy as np
-
     return np.array(_conditioning(_cm_rows(V), m)[0])
 
 
 def conditional_cm(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Outcome-independent conditional CM of mode A: ``A - C (B+V0)^{-1} C^T``."""
-    import numpy as np
-
     return np.array(_conditioning(_cm_rows(V), m)[1])
 
 
@@ -174,8 +161,6 @@ def condition_on_outcome(
 
     Raises NumericalFailure when the conditional mean or CM is not finite.
     """
-    import numpy as np
-
     mean_a, mean_b = _split_mean(mean_AB)
     k = np.asarray(k, float).reshape(2)
     L, D = _conditioning(_cm_rows(V), m)
@@ -188,8 +173,6 @@ def condition_on_outcome(
 
 
 def _swap_modes(V: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     perm = [2, 3, 0, 1]
     return np.asarray(V, float)[np.ix_(perm, perm)]
 
@@ -198,8 +181,6 @@ def conditioning_on_mode_A(
     V: np.ndarray, mean_AB, m: GaussianMeasurement, k
 ) -> ConditionalState:
     """State of mode B after measuring mode A (A and B roles permuted)."""
-    import numpy as np
-
     mean_a, mean_b = _split_mean(mean_AB)
     swapped_mean = np.concatenate([mean_b, mean_a])
     return condition_on_outcome(_swap_modes(V), swapped_mean, m, k)

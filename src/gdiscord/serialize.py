@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
+from . import _numpy as np
 from .channels import ChannelClass, GaussianChannelParams
 from .discord import DiscordReport
 from .errors import ValidationError
 from .family import FamilyParams, FamilySample
 from .remote_prep import ConditionalState, GaussianMeasurement
 from .symplectic import NormalFormCM, embed_normal_form
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def fmt(x: float) -> str:
@@ -61,8 +59,6 @@ def parse_cm_payload(payload: dict) -> np.ndarray:
     When both keys are present they are cross-validated against each other,
     to ``_CM_AGREEMENT_RTOL``, and the 'cm' matrix is returned.
     """
-    import numpy as np
-
     if not isinstance(payload, dict):
         raise ValidationError("CM payload must be a JSON object")
     V = None
@@ -122,8 +118,6 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
 
 
 def matrix_to_lists(M: np.ndarray) -> list[list[float]]:
-    import numpy as np
-
     return [[round12(float(x)) for x in row] for row in np.asarray(M, float)]
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _numpy as np
 from .errors import DomainError, NumericalFailure
 
 # Uncertainty-principle tolerance: states with nu_min >= 1 - BONA_FIDE_TOL are
@@ -32,14 +33,9 @@ from .errors import DomainError, NumericalFailure
 BONA_FIDE_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 def rotation_matrix(phi: float) -> np.ndarray:
     """2x2 phase-space rotation by angle ``phi``."""
-    import numpy as np
-
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, -s], [s, c]])
 
@@ -51,16 +47,12 @@ def squeezer_matrix(r: float) -> np.ndarray:
     """
     if not r > 0.0:
         raise DomainError(f"squeezer parameter must be positive, got {r}")
-    import numpy as np
-
     s = np.sqrt(r)
     return np.diag([s, 1.0 / s])
 
 
 def assemble_cm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Assemble a 4x4 CM from blocks A, B and the correlation block C."""
-    import numpy as np
-
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     C = np.asarray(C, float)
@@ -91,8 +83,6 @@ class NormalFormCM:
 
 def embed_normal_form(nf: NormalFormCM) -> np.ndarray:
     """Embed normal-form parameters into the full 4x4 covariance matrix."""
-    import numpy as np
-
     return np.array(nf.rows(), dtype=float)
 
 
@@ -137,8 +127,6 @@ def _cm_rows(V) -> list[list[float]]:
 
 def _shape_text(V) -> str:
     """numpy's shape of V, for an error message; an error path, so numpy may load."""
-    import numpy as np
-
     try:
         return str(np.shape(V))
     except ValueError:
@@ -230,8 +218,6 @@ def epr_cm(b: float, sign: int = 1) -> np.ndarray:
     check_variance(b, "EPR variance")
     if sign not in (1, -1):
         raise DomainError(f"EPR correlation sign must be +1 or -1, got {sign}")
-    import numpy as np
-
     corr = sign * np.sqrt(max(b * b - 1.0, 0.0))
     return assemble_cm(b * np.eye(2), b * np.eye(2), corr * np.diag([1.0, -1.0]))
 
@@ -309,8 +295,6 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
 
     Independent of the closed form above; used as a cross-checking oracle.
     """
-    import numpy as np
-
     omega = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
     eig = np.linalg.eigvals(1j * omega @ np.asarray(V, float))
@@ -376,8 +360,6 @@ def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
     The array call of the rule :func:`validate_bona_fide` reads; inf
     entries give False, without a floating-point warning.
     """
-    import numpy as np
-
     with np.errstate(invalid="ignore", over="ignore"):
         arrays = (np.asarray(x, float) for x in (a, b, c, cp))
         return _bona_fide_verdict(*arrays, np.sqrt, np.where)[0]
