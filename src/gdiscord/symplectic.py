@@ -230,6 +230,9 @@ class SymplecticSpectrum(NamedTuple):
 # delta^2 - 4 det V carries rounding of order eps * delta^2; below this share
 # of delta^2 it has lost its digits and the sum form below is used instead
 _CANCELLED_SHARE = 1e-8
+# where delta - root is below this share of delta + root it has cancelled
+# over 10 bits, and nu_minus is read as sqrt(det V) / nu_plus instead
+_PRODUCT_SHARE = 2.0**-10
 # a discriminant at or above -DISC_TOL is rounding and reads as zero; below
 # it the parameters are no CM
 _DISC_TOL = 1e-9
@@ -250,13 +253,19 @@ def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     a = b and cp = -c) the difference is rounding of either sign, which the
     square root lifts to ~1e-8 in nu_minus, so a locally transformed pure
     state would fail the bona fide test.  Away from it the difference is
-    kept, so those results keep their bits.  A negative discriminant or nu^2
-    reads as zero (``0.5 * (x + abs(x))`` is ``max(x, 0)`` exactly, for floats
-    and arrays alike); callers reject a discriminant below ``-_DISC_TOL``.
+    kept, so those results keep their bits.  Likewise ``Delta - sqrt(disc)``
+    cancels when nu_minus << nu_plus (``1e16, 3, 0, 0`` read as nu_minus = 0);
+    below ``_PRODUCT_SHARE`` of ``Delta + sqrt(disc)``, nu_minus is taken from
+    ``nu_minus nu_plus = sqrt(det V)`` as ``sqrt(ab - c^2) sqrt(ab - cp^2) /
+    nu_plus``, which does not cancel.  A negative discriminant, nu^2 or
+    factor of det V reads as zero (``0.5 * (x + abs(x))`` is ``max(x, 0)``
+    exactly, for floats and arrays alike); callers reject a discriminant
+    below ``-_DISC_TOL``.
     """
     ab = a * b
     delta = a * a + b * b + 2.0 * c * cp
-    disc = delta * delta - 4.0 * ((ab - c * c) * (ab - cp * cp))
+    det_a, det_b = ab - c * c, ab - cp * cp
+    disc = delta * delta - 4.0 * (det_a * det_b)
     diff = a * a - b * b
     disc = where(
         disc < _CANCELLED_SHARE * (delta * delta),
@@ -265,7 +274,14 @@ def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     )
     root = sqrt(0.5 * (disc + abs(disc)))
     lo, hi = delta - root, delta + root  # 2 nu^2
-    return disc, sqrt(0.25 * (lo + abs(lo))), sqrt(0.25 * (hi + abs(hi)))
+    nu_plus = sqrt(0.25 * (hi + abs(hi)))
+    root_det = sqrt(0.5 * (det_a + abs(det_a))) * sqrt(0.5 * (det_b + abs(det_b)))
+    nu_minus = where(
+        lo < _PRODUCT_SHARE * hi,
+        root_det / where(nu_plus > 0.0, nu_plus, 1.0),
+        sqrt(0.25 * (lo + abs(lo))),
+    )
+    return disc, nu_minus, nu_plus
 
 
 def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
@@ -333,10 +349,8 @@ def _verdict(a: float, b: float, c: float, cp: float):
     the binary exponent of the largest |parameter| less one, so they lie
     below 2 and the scaling is exact.  Positivity and the discriminant are
     judged on them (the discriminant in units of ``2^4k``), and nu scales
-    back by ``2^k``.  There ``nu_minus = sqrt(ab - c^2) sqrt(ab - cp^2) /
-    nu_plus``, as ``nu_minus nu_plus = sqrt(det V)``: ``delta - root``
-    cancels when nu_minus << nu_plus.  Every other input keeps the verdict
-    of :func:`_bona_fide_verdict`, bit for bit.
+    back by ``2^k``.  Every other input keeps the verdict of
+    :func:`_bona_fide_verdict`, bit for bit.
     """
     verdict = _bona_fide_verdict(a, b, c, cp)
     if math.isfinite(verdict[1]) and math.isfinite(verdict[3]):
@@ -346,12 +360,9 @@ def _verdict(a: float, b: float, c: float, cp: float):
         return verdict
     k = math.frexp(top)[1] - 1
     a, b, c, cp = (math.ldexp(x, -k) for x in (a, b, c, cp))
-    disc, _, nu_plus = _spectrum_arrays(a, b, c, cp)
-    ab = a * b
-    root_det = math.sqrt(max(ab - c * c, 0.0)) * math.sqrt(max(ab - cp * cp, 0.0))
-    scale = math.ldexp(1.0, k)
-    nu_minus = (root_det / nu_plus if nu_plus > 0.0 else 0.0) * scale
-    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus * scale
+    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp)
+    nu_minus, nu_plus = math.ldexp(nu_minus, k), math.ldexp(nu_plus, k)
+    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
 
 
 def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:

@@ -415,6 +415,13 @@ def test_spectrum_that_overflows_is_read_rescaled(runner, cmd):
         assert (out["b"], out["eta"]) == (3.0, 1e78)
 
 
+def test_thermal_product_of_unequal_variances_is_bona_fide(runner):
+    # nu_minus = 3 << nu_plus = 1e16, where Delta - sqrt(disc) cancels to 0
+    res = invoke(runner, ["discord", "--normal-form", "1e16,3,0,0"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["numeric"]["s_a"] == round12(h(1e16))
+
+
 @pytest.mark.parametrize("cmd", ["discord", "decompose"])
 def test_huge_product_state_is_never_a_validation_error(cmd, tmp_path):
     res = run_module_cli([cmd, "--normal-form", "1e160,1e160,0,0"], tmp_path)

@@ -178,6 +178,15 @@ class TestSpectrum:
             nu = symplectic_spectrum(embed_normal_form(nf))
             assert nu.nu_minus >= 1.0 - 1e-9
 
+    def test_thermal_product_keeps_nu_minus_at_any_ratio(self):
+        # nu_minus = b << nu_plus = a: Delta - sqrt(disc) cancels, so nu_minus
+        # must come from sqrt(det V) / nu_plus
+        for b in (1.0, 1.0 + 1e-7, 3.0):
+            for k in range(1, 78):
+                diag = validate_bona_fide(NormalFormCM(10.0**k, b, 0.0, 0.0).rows())
+                assert diag.bona_fide, (b, k, diag.reason)
+                assert diag.nu_min == pytest.approx(b, rel=1e-15, abs=0.0), (b, k)
+
 
 class TestValidate:
     def test_identity_accepted(self):
