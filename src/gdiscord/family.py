@@ -335,7 +335,8 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     the state does not fix it, so r = 1 is reported in every local frame.
     The candidate is accepted when it reproduces (a, c, cp) to within
     ``_WITNESS_TOL`` (relative to a), and OutOfFamily is raised otherwise;
-    this forward check is the only verdict on a witness.
+    this forward check is the only verdict on a witness.  NumericalFailure is
+    raised when |tau| or eta overflows.
 
     States on the axes (exactly one of c, cp zero) are only reached in the
     infinite-entanglement limit and are reported OutOfFamily, as are
@@ -361,6 +362,8 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     x = max(a / rho - tb, 0.0)  # eta * r
     y = max(a * rho - tb, 0.0)  # eta / r
     eta = max(math.sqrt(x * y), abs(1.0 - tau))
+    if not (abs_tau < math.inf and eta < math.inf):  # also NaN
+        raise NumericalFailure(f"the family inversion overflows: |tau| = {abs_tau}, eta = {eta}")
     if x == y or eta * b <= _WITNESS_TOL * max(1.0, a):
         r = 1.0
     else:

@@ -375,6 +375,7 @@ HOSTILE_INPUTS = [
     (["sample", "--a", "2", "--b", "2", "--n", "3", "--bins", "0", "--grid-out", "g.json"], 2),
     (["discord", "--normal-form", "nan,2,0,0"], 2),
     (["decompose", "--normal-form", "2,2,nan,0"], 2),
+    (["decompose", "--normal-form", "1e160,1e160,1e159,1e159"], 4),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--outcome", "nan,0"], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--mean", "0,0,inf,0"], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1, "phi": "inf"}'], 2),
@@ -383,7 +384,7 @@ HOSTILE_INPUTS = [
 
 @pytest.mark.parametrize("args, code", HOSTILE_INPUTS, ids=[
     "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
-    "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi"])
+    "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
