@@ -61,7 +61,6 @@ from .symplectic import (
     NormalFormCM,
     Reduction,
     SymplecticSpectrum,
-    assemble_cm,
     embed_normal_form,
     epr_cm,
     normal_form_from_cm,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from . import _numpy as np
 from .entropy import h
 from .errors import DomainError, InvalidChannelParams
-from .symplectic import assemble_cm
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
 # small tolerance.  classify reads tau and eta this close to a boundary value
@@ -148,7 +147,7 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     K = params.K
     A = K @ V[:2, :2] @ K.T + params.N
     C = K @ V[:2, 2:]
-    return assemble_cm(A, V[2:, 2:], C)
+    return np.block([[A, C], [C.T, V[2:, 2:]]])
 
 
 def min_output_entropy(params: GaussianChannelParams) -> float:

@@ -51,14 +51,6 @@ def squeezer_matrix(r: float) -> np.ndarray:
     return np.diag([s, 1.0 / s])
 
 
-def assemble_cm(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Assemble a 4x4 CM from blocks A, B and the correlation block C."""
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    C = np.asarray(C, float)
-    return np.block([[A, C], [C.T, B]])
-
-
 @dataclass(frozen=True)
 class NormalFormCM:
     """Normal-form parameters (a, b, c, cp) of a two-mode Gaussian state.
@@ -72,11 +64,8 @@ class NormalFormCM:
     c: float
     cp: float
 
-    def to_matrix(self) -> np.ndarray:
-        return embed_normal_form(self)
-
     def rows(self) -> list[list[float]]:
-        """Row-major entries of :meth:`to_matrix`."""
+        """Row-major entries of :func:`embed_normal_form`."""
         a, b, c, cp = self.a, self.b, self.c, self.cp
         return [[a, 0.0, c, 0.0], [0.0, a, 0.0, cp], [c, 0.0, b, 0.0], [0.0, cp, 0.0, b]]
 
@@ -89,7 +78,7 @@ def embed_normal_form(nf: NormalFormCM) -> np.ndarray:
 class Reduction(NamedTuple):
     """A CM's normal form and the local map that carries it back on mode B.
 
-    Local symplectics ``T_A (+) T_B`` take the CM to ``nf.to_matrix()``;
+    Local symplectics ``T_A (+) T_B`` take the CM to ``embed_normal_form(nf)``;
     ``tb_inv`` is ``T_B^{-1}`` row-major, so a measurement seed ``sigma`` on
     the normal form is the seed ``T_B^{-1} sigma T_B^{-T}`` on the CM.
     """
@@ -218,8 +207,8 @@ def epr_cm(b: float, sign: int = 1) -> np.ndarray:
     check_variance(b, "EPR variance")
     if sign not in (1, -1):
         raise DomainError(f"EPR correlation sign must be +1 or -1, got {sign}")
-    corr = sign * np.sqrt(max(b * b - 1.0, 0.0))
-    return assemble_cm(b * np.eye(2), b * np.eye(2), corr * np.diag([1.0, -1.0]))
+    corr = sign * math.sqrt(max(b * b - 1.0, 0.0))
+    return embed_normal_form(NormalFormCM(b, b, corr, -corr))
 
 
 class SymplecticSpectrum(NamedTuple):
@@ -285,7 +274,7 @@ def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
 
 
 def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
-    """Symplectic eigenvalues of ``nf.to_matrix()``, in closed form.
+    """Symplectic eigenvalues of ``embed_normal_form(nf)``, in closed form.
 
     Raises NumericalFailure when the discriminant is negative beyond
     tolerance, which indicates a corrupted input.
