@@ -6,11 +6,11 @@ attribute (classify, and discord or decompose on a normal form) never loads
 numpy.  Dunder names are this module's own and never load it.
 """
 
+import importlib
+
 
 def __getattr__(name: str):
     if name.startswith("__"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy
-
-    value = globals()[name] = getattr(numpy, name)
+    value = globals()[name] = getattr(importlib.import_module("numpy"), name)
     return value

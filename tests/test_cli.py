@@ -469,6 +469,25 @@ def test_cold_commands_never_import_numpy(args, tmp_path):
     assert res.stdout == ref.stdout
 
 
+def test_numpy_is_reached_through_one_boundary():
+    # the package binds np to the lazy gdiscord._numpy; only verification,
+    # which is all arrays, imports numpy itself
+    importers, type_checking = [], []
+    for path in sorted(Path(gdiscord.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if any(alias.name == "TYPE_CHECKING" for alias in node.names):
+                    type_checking.append(path.name)
+            else:
+                continue
+            importers += [path.name for m in modules if m.split(".")[0] == "numpy"]
+    assert importers == ["verification.py"]
+    assert type_checking == []
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, runner):
         res = invoke(runner, ["verify", "--quick"])
