@@ -3,14 +3,12 @@
 Modules bind it with ``from . import _numpy as np``.  Reading ``np.<name>``
 imports numpy and caches that name here, so a path that reads no ``np.``
 attribute (classify, and discord or decompose on a normal form) never loads
-numpy.  Dunder names are this module's own and never load it.
+numpy.
 """
 
 import importlib
 
 
 def __getattr__(name: str):
-    if name.startswith("__"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module("numpy"), name)
     return value

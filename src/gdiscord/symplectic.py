@@ -14,8 +14,9 @@ are 2x2 real blocks and A, B are symmetric.  Normal-form states are the
 subset with ``A = a*I``, ``B = b*I`` and ``C = diag(c, cp)``; every CM with
 positive definite A and B reaches one by local symplectics, in closed form
 (:func:`reduce_cm`), and validation and the spectrum read that reduction.
-Both read a CM's entries as floats (:func:`_cm_rows`); only the functions
-that build or return arrays import numpy.
+Both read a CM's entries as floats (:func:`_cm_rows`); the functions that
+build or return arrays reach numpy through ``gdiscord._numpy``, which
+imports it on their first ``np.`` read.
 """
 
 from __future__ import annotations
