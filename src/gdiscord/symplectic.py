@@ -254,8 +254,8 @@ def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     """
     ab = a * b
     delta = a * a + b * b + 2.0 * c * cp
-    det_a, det_b = ab - c * c, ab - cp * cp
-    disc = delta * delta - 4.0 * (det_a * det_b)
+    det_q, det_p = ab - c * c, ab - cp * cp  # of the q and p blocks; det V = det_q det_p
+    disc = delta * delta - 4.0 * (det_q * det_p)
     diff = a * a - b * b
     disc = where(
         disc < _CANCELLED_SHARE * (delta * delta),
@@ -265,7 +265,7 @@ def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     root = sqrt(0.5 * (disc + abs(disc)))
     lo, hi = delta - root, delta + root  # 2 nu^2
     nu_plus = sqrt(0.25 * (hi + abs(hi)))
-    root_det = sqrt(0.5 * (det_a + abs(det_a))) * sqrt(0.5 * (det_b + abs(det_b)))
+    root_det = sqrt(0.5 * (det_q + abs(det_q))) * sqrt(0.5 * (det_p + abs(det_p)))
     nu_minus = where(
         lo < _PRODUCT_SHARE * hi,
         root_det / where(nu_plus > 0.0, nu_plus, 1.0),
