@@ -331,6 +331,16 @@ def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt, where=_pick):
     return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
 
 
+def _unit_scaled(a: float, b: float, c: float, cp: float):
+    """``(k, a, b, c, cp)`` with the parameters scaled by ``2^-k`` to below 2 in magnitude.
+
+    k is the binary exponent of the largest |parameter| less one, so the
+    scaling is exact for finite parameters.
+    """
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(cp)))[1] - 1
+    return (k, *(math.ldexp(x, -k) for x in (a, b, c, cp)))
+
+
 def _verdict(a: float, b: float, c: float, cp: float):
     """:func:`_bona_fide_verdict` of floats, read on a rescaled copy where it overflows.
 
@@ -345,11 +355,9 @@ def _verdict(a: float, b: float, c: float, cp: float):
     verdict = _bona_fide_verdict(a, b, c, cp)
     if math.isfinite(verdict[1]) and math.isfinite(verdict[3]):
         return verdict
-    top = max(abs(a), abs(b), abs(c), abs(cp))
-    if not top < math.inf:
+    if not max(abs(a), abs(b), abs(c), abs(cp)) < math.inf:
         return verdict
-    k = math.frexp(top)[1] - 1
-    a, b, c, cp = (math.ldexp(x, -k) for x in (a, b, c, cp))
+    k, a, b, c, cp = _unit_scaled(a, b, c, cp)
     disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp)
     nu_minus, nu_plus = math.ldexp(nu_minus, k), math.ldexp(nu_plus, k)
     return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
@@ -421,14 +429,19 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
     if disc < -_DISC_TOL:
         return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
-    if not nu_minus >= 1.0 - BONA_FIDE_TOL:  # also NaN
-        reason = f"nu_min = {nu_minus:.12g} < 1"
-        if abs(cp + c) <= 1e-9 * max(1.0, abs(c)):
-            bound = squeezed_thermal_bound(a, b)
-            if c * c > bound:
-                reason += (
-                    f"; squeezed-thermal bound violated: c^2 = {c * c:.12g}"
-                    f" > ab - 1 - |a - b| = {bound:.12g}"
-                )
-        return BonaFideDiagnosis(False, nu_minus, reason, nu_plus)
-    return BonaFideDiagnosis(False, None, "not positive definite")
+    # an indefinite V (reduce_cm has checked a, b > 0; a block determinant
+    # is negative) is named before nu_minus, which is no spectrum of it; a
+    # semidefinite V keeps its real spectrum (nu_min = 0) as the reason.
+    # Read on the scaled copy, so no product overflows; NaN reads as nu_min < 1
+    _, sa, sb, sc, scp = _unit_scaled(a, b, c, cp)
+    if nu_minus >= 1.0 - BONA_FIDE_TOL or sa * sb < sc * sc or sa * sb < scp * scp:
+        return BonaFideDiagnosis(False, None, "not positive definite")
+    reason = f"nu_min = {nu_minus:.12g} < 1"
+    if abs(cp + c) <= 1e-9 * max(1.0, abs(c)):
+        bound = squeezed_thermal_bound(a, b)
+        if c * c > bound:
+            reason += (
+                f"; squeezed-thermal bound violated: c^2 = {c * c:.12g}"
+                f" > ab - 1 - |a - b| = {bound:.12g}"
+            )
+    return BonaFideDiagnosis(False, nu_minus, reason, nu_plus)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -159,12 +160,16 @@ class TestDiscordCommand:
             assert res.stderr.startswith("error: validation:")
 
     def test_negative_definite_state_exits_2(self, runner):
-        # -V has the symplectic spectrum of V; only positive definiteness tells them apart
+        # -V has the symplectic spectrum of V; only positive definiteness tells them apart.
+        # 1,1,1000,1.0001 has ab < c^2 and ab < cp^2 but det V > 0; the spectrum
+        # formula reads nu_min = 0.316 there, which is no spectrum of it
         S = np.eye(4)
         S[:2, :2] = squeezer_matrix(2.0) @ rotation_matrix(0.3)
         for args in (["discord", "--state", json.dumps({"cm": (-2.0 * S @ S.T).tolist()})],
                      ["condition", "--state", json.dumps({"cm": (-2.0 * np.eye(4)).tolist()}),
-                      "--measurement", '{"u": 1}']):
+                      "--measurement", '{"u": 1}'],
+                     ["discord", "--normal-form", "1,1,1000,1.0001"],
+                     ["decompose", "--normal-form", "1,1,1000,1.0001"]):
             res = invoke(runner, args)
             assert res.exit_code == 2, args
             assert "not positive definite" in res.stderr
@@ -298,6 +303,17 @@ class TestSampleCommand:
         to_stdout = invoke(runner, args + ["--threads", "2"])
         assert to_file.exit_code == 0 and to_stdout.exit_code == 0
         assert to_stdout.stdout_bytes == path.read_bytes()
+
+    def test_grid_and_csv_digest_pins(self, runner, tmp_path):
+        csv_path, grid_path = tmp_path / "points.csv", tmp_path / "grid.json"
+        args = ["sample", "--a", "2.5", "--b", "1.5", "--n", "20000", "--seed", "3"]
+        to_file = invoke(runner, args + ["--out", str(csv_path), "--grid-out", str(grid_path),
+                                         "--bins", "60"])
+        to_stdout = invoke(runner, args)
+        assert to_file.exit_code == 0 and to_stdout.exit_code == 0
+        assert to_stdout.stdout_bytes == csv_path.read_bytes()
+        digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (csv_path, grid_path)}
+        assert digest == {"points.csv": "da83ed773fad5fb2", "grid.json": "239b01410f5636bb"}
 
     def test_stdout_output(self, runner):
         res = invoke(runner, ["sample", "--a", "1.5", "--b", "1.5", "--n", "3", "--seed", "0"])

@@ -219,10 +219,13 @@ class TestValidate:
 
     @pytest.mark.parametrize("V", [-2.0 * np.eye(4), np.diag([2.0, 2.0, -2.0, -2.0]),
                                    np.diag([1.0, 1.0, 1.0, 1.0]) + np.diag([2.0, 0.0, 0.0], 1)
-                                   + np.diag([2.0, 0.0, 0.0], -1)])
+                                   + np.diag([2.0, 0.0, 0.0], -1),
+                                   embed_normal_form(NormalFormCM(1.0, 1.0, 1000.0, 1.0001))])
     def test_not_positive_definite_rejected(self, V):
         # the spectrum formula reads nu_min = 2 for the first two, as it does
-        # for 2 I; the last has an indefinite A block, so it has no normal form
+        # for 2 I; the third has an indefinite A block, so it has no normal
+        # form; the last has det V > 0 but both block determinants negative,
+        # and the formula reads nu_min = 0.316 there
         diag = validate_bona_fide(V)
         assert not diag.bona_fide
         assert diag.reason == "not positive definite"
