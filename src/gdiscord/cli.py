@@ -155,11 +155,12 @@ def classify_cmd(tau, eta):
 def sample(a, b, n, seed, threads, out, grid_out, bins):
     """Sample family states at fixed (a, b): CSV cloud plus occupancy grid."""
     batch = sample_family(a, b, n, seed, threads=threads)
-    with click.open_file(out, "w") as fh:
-        fh.write(serialize.sample_to_csv(batch))
+    with click.open_file(out, "wb") as fh:
+        for block in serialize.sample_csv_blocks(batch):
+            fh.write(block)
     if grid_out is not None:
         info = occupancy_grid(batch, bins=bins)
-        Path(grid_out).write_text(serialize.dumps(serialize.occupancy_to_dict(info)))
+        Path(grid_out).write_text(serialize.occupancy_to_json(info))
 
 
 @main.command()

@@ -6,6 +6,7 @@ locale dependence, so identical requests produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterator
@@ -169,30 +170,130 @@ def conditional_state_to_dict(state: ConditionalState) -> dict:
 
 SAMPLE_CSV_HEADER = "a,b,c,cp,r,tau,eta,sign"
 _CSV_BLOCK_ROWS = 8192
+# uint32 words of one CSV field: ',' and sign, 12 integer digits, '.', 16
+# fraction digits; 36 bytes also hold the widest fmt text, ',-1.23456789012e-308'
+_CSV_FIELD = 9
+
+
+def _word(text: bytes):
+    """Four ASCII bytes as one uint32, in the byte order of the arrays they go to."""
+    return np.frombuffer(text, np.uint32)[0]
+
+
+@functools.cache
+def _csv_tables():
+    """(digit words, exact 10^0 .. 10^15 as floats and 10^0 .. 10^16 as int64).
+
+    The digit words are four tables of 10,000 uint32, one 4-digit group each:
+    all digits, leading zeros as NUL, the same but 0 as '0', and trailing
+    zeros as NUL.
+    """
+    digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(),
+                           np.uint8).reshape(10_000, 4)
+    nonzero = digits != ord("0")
+    lead = digits * np.logical_or.accumulate(nonzero, axis=1)
+    last = lead.copy()
+    last[0, 3] = ord("0")
+    trail = digits * np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    words = np.concatenate([digits, lead, last, trail]).view(np.uint32).ravel()
+    return (words, np.array([10.0**k for k in range(16)]),
+            np.array([10**k for k in range(17)], np.int64))
+
+
+def _csv_fields(x: np.ndarray) -> np.ndarray:
+    """``"," + fmt(v)`` for each value of ``x``: NUL-padded rows of ``_CSV_FIELD`` uint32.
+
+    For a value with decimal exponent X in [-4, 11] (fixed notation), one
+    multiply by the exact 10^(11 - X) puts its 12 significant digits before
+    the point; the product is within half an ulp (<= 2^-14 below 1e12) of
+    the exact one, so ``rint`` gives the correctly rounded digits N wherever
+    the fraction lies more than 2^-12 from 1/2.  The integer part of the
+    value, N // 10^(11 - X), is written right-aligned before a fixed point
+    column, and the rest of N, scaled to 16 digits, left-aligned after it,
+    with the leading zeros of the one and the trailing zeros of the other
+    (and the point, when no fraction is left) as NUL.  Ties, decade edges
+    (the product within 1 of 1e11 or 1e12), exponent notation, zero and
+    non-finite values take :func:`fmt` itself.
+    """
+    words, pow10, ipow10 = _csv_tables()
+    ax = np.abs(x)
+    ok = np.isfinite(ax) & (ax > 0.0)
+    ax = np.where(ok, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    ok &= (e >= -4) & (e <= 11)
+    e = np.clip(e, -4, 11)
+    p = ax * pow10[11 - e]
+    ok &= (p >= 1e11 + 1.0) & (p <= 1e12 - 1.0) & (np.abs(p - np.floor(p) - 0.5) > 2.0**-12)
+    n = np.where(ok, np.rint(p), 1e11).astype(np.int64)
+    unit = ipow10[11 - e]
+    whole = n // unit
+    frac = (n - whole * unit) * ipow10[5 + e]
+    out = np.empty((len(x), _CSV_FIELD), np.uint32)
+    out[:, 0] = np.where(x < 0.0, _word(b",-\0\0"), _word(b",\0\0\0"))
+    w0, whole = np.divmod(whole, 10**8)
+    w1, w2 = np.divmod(whole, 10**4)
+    out[:, 1] = words[10_000 + w0]
+    out[:, 2] = words[np.where(w0 == 0, 10_000, 0) + w1]
+    out[:, 3] = words[np.where((w0 | w1) == 0, 20_000, 0) + w2]
+    out[:, 4] = np.where(frac != 0, _word(b".\0\0\0"), 0)
+    f0, frac = np.divmod(frac, 10**12)
+    f1, frac = np.divmod(frac, 10**8)
+    f2, f3 = np.divmod(frac, 10**4)
+    out[:, 8] = words[30_000 + f3]
+    out[:, 7] = words[np.where(f3 == 0, 30_000, 0) + f2]
+    out[:, 6] = words[np.where((f2 | f3) == 0, 30_000, 0) + f1]
+    out[:, 5] = words[np.where((f1 | f2 | f3) == 0, 30_000, 0) + f0]
+    for i in np.flatnonzero(~ok):
+        text = f",{fmt(float(x[i]))}".encode().ljust(4 * _CSV_FIELD, b"\0")
+        out[i] = np.frombuffer(text, np.uint32)
+    return out
+
+
+def sample_csv_blocks(sample: FamilySample) -> Iterator[bytes]:
+    """The sample CSV as ASCII bytes: the header line, then blocks of ``_CSV_BLOCK_ROWS`` rows.
+
+    Fixed column order, every number as :func:`fmt` writes it.  Each row is
+    built in fixed slots of uint32 words padded with NUL bytes, which
+    ``translate`` drops.  ``sign`` is +-1.
+    """
+    yield f"{SAMPLE_CSV_HEADER}\n".encode()
+    text = f"{fmt(sample.a)},{fmt(sample.b)}".encode()
+    head = np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
+    ends = _word(b",-1\n"), _word(b",1\n\0")
+    cols = (sample.c, sample.cp, sample.r, sample.tau, sample.eta)
+    for lo in range(0, sample.n, _CSV_BLOCK_ROWS):
+        part = slice(lo, lo + _CSV_BLOCK_ROWS)
+        sign = sample.sign[part]
+        rows = np.empty((len(sign), len(head) + 5 * _CSV_FIELD + 1), np.uint32)
+        rows[:, :len(head)] = head
+        rows[:, len(head):-1] = _csv_fields(
+            np.stack([col[part] for col in cols], axis=1).ravel()).reshape(len(sign), -1)
+        rows[:, -1] = np.where(sign < 0.0, *ends)
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def sample_csv_lines(sample: FamilySample) -> Iterator[str]:
-    """CSV rows for a sample batch, fixed column order, 12 significant digits.
-
-    Built column by column in blocks of ``_CSV_BLOCK_ROWS`` rows; ``+ 0.0``
-    turns -0.0 into 0.0, as :func:`fmt` does.
-    """
-    yield SAMPLE_CSV_HEADER
-    row = f"{fmt(sample.a)},{fmt(sample.b)}," + "{:.12g}," * 5 + "{}"
-    for lo in range(0, sample.n, _CSV_BLOCK_ROWS):
-        part = slice(lo, lo + _CSV_BLOCK_ROWS)
-        cols = [(col[part] + 0.0).tolist()
-                for col in (sample.c, sample.cp, sample.r, sample.tau, sample.eta)]
-        yield from map(row.format, *cols, sample.sign[part].astype(int).tolist())
+    """CSV lines (no newline) of :func:`sample_csv_blocks`, header first."""
+    for block in sample_csv_blocks(sample):
+        yield from block.decode("ascii").split("\n")[:-1]
 
 
 def sample_to_csv(sample: FamilySample) -> str:
-    return "\n".join(sample_csv_lines(sample)) + "\n"
+    """The whole CSV text of :func:`sample_csv_blocks`."""
+    return b"".join(sample_csv_blocks(sample)).decode("ascii")
 
 
-def occupancy_to_dict(info: dict) -> dict:
+def occupancy_to_json(info: dict) -> str:
+    """:func:`dumps` text of an :func:`occupancy_grid` record.
+
+    The grid rows are written directly, as ``json.dumps(indent=2)`` lays out
+    a list of int lists at this depth; the other fields go through
+    :func:`dumps`.
+    """
     out = dict(info)
     out["extent"] = [round12(float(x)) for x in info["extent"]]
     out["coverage_fraction"] = round12(info["coverage_fraction"])
-    out["grid"] = [[int(x) for x in row] for row in info["grid"]]
-    return out
+    out["grid"] = None
+    rows = ",\n    ".join("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
+                          for row in info["grid"].tolist())
+    return dumps(out).replace('"grid": null', f'"grid": [\n    {rows}\n  ]', 1)

@@ -12,6 +12,7 @@ from gdiscord import (
     membership,
     sample_family,
 )
+from gdiscord.family import FamilySample
 from gdiscord.serialize import (
     SAMPLE_CSV_HEADER,
     discord_report_to_dict,
@@ -20,6 +21,7 @@ from gdiscord.serialize import (
     parse_cm_payload,
     parse_measurement_payload,
     round12,
+    sample_csv_blocks,
     sample_csv_lines,
     sample_to_csv,
 )
@@ -141,3 +143,42 @@ class TestEmission:
         ]
         assert lines == ref
         assert sample_to_csv(sample) == "\n".join(ref) + "\n"
+
+
+def _kernel_values():
+    """Values for the CSV kernel: seeded, near ties, decade edges, exponent notation, specials."""
+    rng = np.random.default_rng(19)
+    seeded = 10.0 ** rng.uniform(-8, 14, 60_000) * rng.choice([-1.0, 1.0], 60_000)
+    # 12-digit products within 2^-12 of a tie, at every fixed-notation exponent
+    k = rng.integers(-4, 12, 20_000)
+    scaled = rng.integers(10**11, 10**12, 20_000) + 0.5 + rng.integers(-16, 17, 20_000) * 2.0**-16
+    ties = scaled / 10.0 ** (11 - k) * rng.choice([-1.0, 1.0], 20_000)
+    decades = 10.0 ** np.arange(-6, 15)
+    edges = np.concatenate([
+        [9.9999999999995, 99999999999.95, 999999999999.5, 1e12],
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        decades * (1 - 5e-13), decades * (1 - 4.99e-13), decades * (1 - 5.01e-13),
+    ])
+    exponent = [1e-4, 9.99999999999e-5, 9.999999999995e-5, 1.2345e-7, 1.5e12, 1e13,
+                123456789012345.0, 1e100, 1e-100]
+    special = [0.0, 5e-324, 1.1e-308, math.inf, math.nan, 1.7e308]
+    fixed = np.concatenate([edges, exponent, special])
+    return np.concatenate([seeded, ties, fixed, -fixed])
+
+
+class TestCsvKernel:
+    def test_rows_match_fmt(self):
+        values = _kernel_values()
+        n = len(values) // 5
+        assert n % 8192 != 0  # a partial last block
+        cols = values[:5 * n].reshape(5, n).copy()
+        sign = np.where(np.random.default_rng(20).uniform(size=n) < 0.5, 1.0, -1.0)
+        sample = FamilySample(2.5, 1e-5, n, 0, *cols, sign)
+        ref = [SAMPLE_CSV_HEADER] + [
+            ",".join(["2.5", "1e-05"] + [fmt(float(col[i])) for col in cols]
+                     + [str(int(sign[i]))])
+            for i in range(n)
+        ]
+        assert list(sample_csv_lines(sample)) == ref
+        assert sample_to_csv(sample) == "\n".join(ref) + "\n"
+        assert b"".join(sample_csv_blocks(sample)) == ("\n".join(ref) + "\n").encode()
