@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from . import _numpy as np
 from .entropy import h
 from .errors import DomainError, InvalidChannelParams
+from .symplectic import _cm_rows
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
 # small tolerance.  classify reads tau and eta this close to a boundary value
@@ -139,11 +140,10 @@ def pathological_form_matrices(
 def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     """Apply the channel to mode A of a two-mode CM.
 
-    Implements ``V -> (K (+) I) V (K^T (+) I) + (N (+) 0)``.
+    Implements ``V -> (K (+) I) V (K^T (+) I) + (N (+) 0)``; V passes the
+    CM gate of :func:`symplectic._cm_rows`.
     """
-    V = np.asarray(V, float)
-    if V.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 covariance matrix, got shape {V.shape}")
+    V = np.array(_cm_rows(V))
     K = params.K
     A = K @ V[:2, :2] @ K.T + params.N
     C = K @ V[:2, 2:]

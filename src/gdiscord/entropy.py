@@ -25,8 +25,8 @@ def h(x: float) -> float:
     ``h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)``, evaluated as
     ``(log1p(xm) + xm log1p(1/xm)) / ln 2``, ``xm = (x-1)/2``, whose terms never cancel.
     """
-    if x < 1.0 - H_CLAMP_TOL:
-        raise DomainError(f"entropy argument must be >= 1, got {x}")
+    if not 1.0 - H_CLAMP_TOL <= x < math.inf:
+        raise DomainError(f"entropy argument must be finite and >= 1, got {x}")
     if x <= 1.0:
         return 0.0
     xm = 0.5 * (x - 1.0)
@@ -46,8 +46,8 @@ def thermal_entropy_fock(x: float) -> float:
     photon-number distribution ``p_n = nbar^n / (nbar+1)^(n+1)`` until the
     remaining probability mass drops below ``_FOCK_TAIL``.
     """
-    if x < 1.0:
-        raise DomainError(f"thermal variance must be >= 1, got {x}")
+    if not 1.0 <= x < math.inf:
+        raise DomainError(f"thermal variance must be finite and >= 1, got {x}")
     nbar = 0.5 * (x - 1.0)
     if nbar <= 0.0:
         return 0.0

@@ -294,26 +294,18 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
         raise DomainError(f"bins must be >= 1, got {bins}")
     a, b = sample.a, sample.b
     half = correlation_half_width(a, b)
-    if half <= 0.0:
-        grid = np.zeros((bins, bins), dtype=int)
-        return {
-            "a": a, "b": b, "n": sample.n, "seed": sample.seed, "bins": bins,
-            "extent": [0.0, 0.0], "redraws": sample.redraws,
-            "physical_cells": 0, "occupied_physical_cells": 0,
-            "coverage_fraction": 0.0, "grid": grid,
-        }
-    width = 2.0 * half / bins
-    idx_c = np.clip(((sample.c + half) / width).astype(int), 0, bins - 1)
-    idx_cp = np.clip(((sample.cp + half) / width).astype(int), 0, bins - 1)
     grid = np.zeros((bins, bins), dtype=np.int64)
-    np.add.at(grid, (idx_c, idx_cp), 1)
-
-    centers = -half + width * (np.arange(bins) + 0.5)
-    cc, pp = np.meshgrid(centers, centers, indexing="ij")
-    physical = bona_fide_normal_form_mask(a, b, cc, pp)
-    occupied = (grid > 0) & physical
-    n_phys = int(physical.sum())
-    n_occ = int(occupied.sum())
+    n_phys = n_occ = 0
+    if half > 0.0:  # a or b = 1 leaves no correlations: an empty grid on one point
+        width = 2.0 * half / bins
+        idx_c = np.clip(((sample.c + half) / width).astype(int), 0, bins - 1)
+        idx_cp = np.clip(((sample.cp + half) / width).astype(int), 0, bins - 1)
+        np.add.at(grid, (idx_c, idx_cp), 1)
+        centers = -half + width * (np.arange(bins) + 0.5)
+        cc, pp = np.meshgrid(centers, centers, indexing="ij")
+        physical = bona_fide_normal_form_mask(a, b, cc, pp)
+        n_phys = int(physical.sum())
+        n_occ = int(((grid > 0) & physical).sum())
     return {
         "a": a, "b": b, "n": sample.n, "seed": sample.seed, "bins": bins,
         "extent": [-half, half], "redraws": sample.redraws,

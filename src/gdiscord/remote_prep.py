@@ -172,18 +172,14 @@ def condition_on_outcome(
     return ConditionalState(mean, cm)
 
 
-def _swap_modes(V: np.ndarray) -> np.ndarray:
-    perm = [2, 3, 0, 1]
-    return np.asarray(V, float)[np.ix_(perm, perm)]
-
-
 def conditioning_on_mode_A(
     V: np.ndarray, mean_AB, m: GaussianMeasurement, k
 ) -> ConditionalState:
     """State of mode B after measuring mode A (A and B roles permuted)."""
     mean_a, mean_b = _split_mean(mean_AB)
-    swapped_mean = np.concatenate([mean_b, mean_a])
-    return condition_on_outcome(_swap_modes(V), swapped_mean, m, k)
+    rows = _cm_rows(V)
+    swapped = [row[2:] + row[:2] for row in rows[2:] + rows[:2]]
+    return condition_on_outcome(swapped, np.concatenate([mean_b, mean_a]), m, k)
 
 
 def epr_squeezing_range(mu: float, u: float) -> float:

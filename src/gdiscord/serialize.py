@@ -99,15 +99,7 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
     """Read a measurement from {"u": number|"inf", "phi": number}."""
     if not isinstance(payload, dict) or "u" not in payload:
         raise ValidationError("measurement payload must be an object with 'u'")
-    u_raw = payload["u"]
-    if isinstance(u_raw, str):
-        text = u_raw.strip().lower()
-        if text in ("inf", "infinity", "+inf"):
-            u = math.inf
-        else:
-            u = _as_float(u_raw, "u")
-    else:
-        u = _as_float(u_raw, "u")
+    u = _as_float(payload["u"], "u")
     phi = _as_float(payload.get("phi", 0.0), "phi")
     if not math.isfinite(phi):
         raise ValidationError(f"field 'phi' must be finite, got {phi}")

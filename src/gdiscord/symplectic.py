@@ -14,9 +14,11 @@ are 2x2 real blocks and A, B are symmetric.  Normal-form states are the
 subset with ``A = a*I``, ``B = b*I`` and ``C = diag(c, cp)``; every CM with
 positive definite A and B reaches one by local symplectics, in closed form
 (:func:`reduce_cm`), and validation and the spectrum read that reduction.
-Both read a CM's entries as floats (:func:`_cm_rows`); the functions that
-build or return arrays reach numpy through ``gdiscord._numpy``, which
-imports it on their first ``np.`` read.
+Every function of the package that takes a CM reads its entries as floats
+through one gate, :func:`_cm_rows`, which admits only sixteen finite numbers
+symmetric to ``SYMMETRY_RTOL``; the functions that build or return arrays
+reach numpy through ``gdiscord._numpy``, which imports it on their first
+``np.`` read.
 """
 
 from __future__ import annotations
@@ -95,23 +97,33 @@ _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 def _cm_rows(V) -> list[list[float]]:
-    """A CM's entries as four rows of four floats: the one scalar boundary.
+    """A CM's entries as four rows of four floats: the one gate every CM passes.
 
-    V is a 4x4 array (read with ``tolist``) or four rows of four numbers;
-    anything else raises DomainError.
+    V is a 4x4 array (read with ``tolist``) or four rows of four numbers,
+    all finite, symmetric to ``SYMMETRY_RTOL * max(1, max |V|)``; anything
+    else raises DomainError, in that order of checks.
     """
     dtype = getattr(V, "dtype", None)
     if dtype is not None and dtype.char == "d" and V.shape == (4, 4):
-        return V.tolist()
-    rows = V.tolist() if dtype is not None else V
-    try:
-        rows = [list(map(float, row)) for row in rows if not isinstance(row, (str, bytes))]
-    except TypeError:  # rows are numbers, or hold sequences
-        rows = None
-    except ValueError:
-        raise DomainError("matrix contains non-numeric entries") from None
-    if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
-        raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
+        rows = V.tolist()
+    else:
+        rows = V.tolist() if dtype is not None else V
+        try:
+            rows = [list(map(float, row)) for row in rows if not isinstance(row, (str, bytes))]
+        except TypeError:  # rows are numbers, or hold sequences
+            rows = None
+        except ValueError:
+            raise DomainError("matrix contains non-numeric entries") from None
+        if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
+            raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(map(math.isfinite, entries)):
+        raise DomainError("matrix contains non-finite entries")
+    (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = rows
+    asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
+               abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
+    if asym > SYMMETRY_RTOL * max(1.0, max(map(abs, entries))):
+        raise DomainError(f"not symmetric (max asymmetry {asym:.3e})")
     return rows
 
 
@@ -157,7 +169,7 @@ def reduce_cm(V: np.ndarray) -> Reduction:
     rows = _cm_rows(V)
     (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     nf = NormalFormCM(a=a00, b=b00, c=c00, cp=c11)
-    # max |V - nf| <= tol * max(1, max |V|), entry by entry, so a NaN fails it
+    # max |V - nf| <= tol * max(1, max |V|), entry by entry
     entries = rows[0] + rows[1] + rows[2] + rows[3]
     bound = _PATTERN_RTOL * max(1.0, max(map(abs, entries)))
     pattern = (a00, 0.0, c00, 0.0, 0.0, a00, 0.0, c11, c00, 0.0, b00, 0.0, 0.0, c11, 0.0, b00)
@@ -404,21 +416,8 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     eigenvalues.  For the squeezed-thermal subclass (cp = -c) the eigenvalue
     test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
     which is quoted in the diagnosis when it is the constraint that failed.
-    The checks read V's entries as floats (:func:`_cm_rows`).
+    A V that fails the gate of :func:`_cm_rows` is reported with its reason.
     """
-    try:
-        rows = _cm_rows(V)
-    except DomainError as exc:
-        return BonaFideDiagnosis(False, None, str(exc))
-    entries = rows[0] + rows[1] + rows[2] + rows[3]
-    if not all(map(math.isfinite, entries)):
-        return BonaFideDiagnosis(False, None, "matrix contains non-finite entries")
-    scale = max(1.0, max(map(abs, entries)))
-    (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = rows
-    asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
-               abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
-    if asym > SYMMETRY_RTOL * scale:
-        return BonaFideDiagnosis(False, None, f"not symmetric (max asymmetry {asym:.3e})")
     try:
         red = reduce_cm(V)
     except DomainError as exc:

@@ -315,6 +315,15 @@ class TestSampleCommand:
         digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (csv_path, grid_path)}
         assert digest == {"points.csv": "da83ed773fad5fb2", "grid.json": "239b01410f5636bb"}
 
+    def test_degenerate_grid_digest_pin(self, runner, tmp_path):
+        # a = 1 leaves no correlations: the grid spans one point and holds no physical cell
+        grid_path = tmp_path / "grid.json"
+        res = invoke(runner, ["sample", "--a", "1", "--b", "3", "--n", "5", "--seed", "0",
+                              "--bins", "3", "--grid-out", str(grid_path)])
+        assert res.exit_code == 0
+        assert json.loads(grid_path.read_text())["extent"] == [0.0, 0.0]
+        assert hashlib.sha256(grid_path.read_bytes()).hexdigest()[:16] == "f1ea73870dce0548"
+
     def test_stdout_output(self, runner):
         res = invoke(runner, ["sample", "--a", "1.5", "--b", "1.5", "--n", "3", "--seed", "0"])
         assert res.exit_code == 0

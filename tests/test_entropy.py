@@ -35,8 +35,10 @@ class TestH:
         assert h(1.0 - 1e-10) == 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            h(0.999)
+        for fn in (h, thermal_entropy_fock):
+            for x in (0.999, math.nan, math.inf):
+                with pytest.raises(DomainError, match="finite and >= 1"):
+                    fn(x)
 
     def test_against_decimal_reference(self):
         # the reference form cancels about log10(x) digits, so it runs at

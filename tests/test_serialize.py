@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gdiscord import (
+    DomainError,
     NormalFormCM,
     ValidationError,
     embed_normal_form,
@@ -82,12 +83,19 @@ class TestParseOthers:
         assert m.u == 2.0 and m.phi == 0.25
 
     def test_measurement_inf(self):
-        assert parse_measurement_payload({"u": "inf"}).kind == "homodyne_p"
+        # float() spellings of +inf, with the surrounding space and case it allows
+        for text in ("inf", " INF ", "+Infinity", "infinity", "+inf"):
+            assert parse_measurement_payload({"u": text}).kind == "homodyne_p", text
+        assert parse_measurement_payload({"u": "1e308"}).u == 1e308
         assert parse_measurement_payload({"u": 0}).kind == "homodyne_q"
 
     def test_measurement_malformed(self):
-        with pytest.raises(ValidationError):
-            parse_measurement_payload({"phi": 0.2})
+        for payload in ({"phi": 0.2}, {"u": "abc"}, {"u": None}):
+            with pytest.raises(ValidationError):
+                parse_measurement_payload(payload)
+        for text in ("-inf", "nan"):
+            with pytest.raises(DomainError, match="u must be >= 0"):
+                parse_measurement_payload({"u": text})
 
 
 class TestEmission:

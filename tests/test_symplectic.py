@@ -5,9 +5,18 @@ import pytest
 
 from gdiscord import (
     DomainError,
+    GaussianChannelParams,
+    GaussianMeasurement,
     NormalFormCM,
     NumericalFailure,
+    apply_to_mode_A,
+    condition_on_outcome,
+    conditional_cm,
+    conditional_entropy_measured,
+    conditional_mean_map,
+    conditioning_on_mode_A,
     embed_normal_form,
+    entropy_two_mode,
     epr_cm,
     gaussian_discord_numeric,
     normal_form_from_cm,
@@ -332,3 +341,53 @@ def test_nested_rows_read_as_the_array():
 def test_malformed_input_is_a_diagnosis_not_an_error(V):
     diag = validate_bona_fide(V)
     assert not diag.bona_fide and diag.nu_min is None and diag.reason, diag
+
+
+_HETERODYNE = GaussianMeasurement(1.0)
+# every public function that reads a two-mode CM, called on V alone
+CM_READERS = {
+    "reduce_cm": reduce_cm,
+    "normal_form_from_cm": normal_form_from_cm,
+    "symplectic_spectrum": symplectic_spectrum,
+    "entropy_two_mode": entropy_two_mode,
+    "gaussian_discord_numeric": gaussian_discord_numeric,
+    "conditional_entropy_measured": lambda V: conditional_entropy_measured(V, _HETERODYNE),
+    "conditional_cm": lambda V: conditional_cm(V, _HETERODYNE),
+    "conditional_mean_map": lambda V: conditional_mean_map(V, _HETERODYNE),
+    "condition_on_outcome": lambda V: condition_on_outcome(V, None, _HETERODYNE, [0.5, -0.5]),
+    "apply_to_mode_A": lambda V: apply_to_mode_A(GaussianChannelParams(0.5, 0.6), V),
+    "conditioning_on_mode_A": lambda V: conditioning_on_mode_A(V, None, _HETERODYNE, [0.5, -0.5]),
+}
+
+
+def _spoiled_epr(kind):
+    V = epr_cm(2.0)
+    if kind == "inf-entry":
+        V[0, 0] = math.inf
+    elif kind == "nan-pair":
+        V[0, 1] = V[1, 0] = math.nan
+    else:
+        V[0, 2] += 0.5
+    return V
+
+
+@pytest.mark.parametrize("kind", ["inf-entry", "nan-pair", "asymmetric"])
+@pytest.mark.parametrize("name", list(CM_READERS))
+def test_every_cm_reader_rejects_what_validation_rejects(name, kind):
+    V = _spoiled_epr(kind)
+    reason = validate_bona_fide(V).reason
+    assert reason in ("matrix contains non-finite entries", "not symmetric (max asymmetry 5.000e-01)")
+    with pytest.raises(DomainError) as err:
+        CM_READERS[name](V)
+    assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("name", list(CM_READERS))
+def test_every_cm_reader_takes_a_rounded_local_frame(name):
+    # S V S^T as computed, not symmetrized: its asymmetry is rounding, ~1e-16
+    S = np.zeros((4, 4))
+    S[:2, :2] = squeezer_matrix(1.7) @ rotation_matrix(0.4)
+    S[2:, 2:] = squeezer_matrix(0.6) @ rotation_matrix(2.1)
+    V = S @ embed_normal_form(NormalFormCM(3.0, 2.0, 1.5, -1.2)) @ S.T
+    assert 0.0 < np.max(np.abs(V - V.T)) < 1e-14
+    CM_READERS[name](V)
