@@ -2,7 +2,8 @@
 
 The package computes discord through two independent routes (a closed form
 for states decomposable into an EPR state plus a local Gaussian channel, and
-a numerical scan over rank-one Gaussian measurements), decomposes states
+an exact minimisation over rank-one Gaussian measurements, over u at phi = 0
+and at the angle phi* of the state's normal form), decomposes states
 into EPR-plus-channel form, simulates Gaussian measurement conditioning
 (remote state preparation), and samples the decomposition family over the
 correlation plane.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -155,9 +156,17 @@ def classify_cmd(tau, eta):
 def sample(a, b, n, seed, threads, out, grid_out, bins):
     """Sample family states at fixed (a, b): CSV cloud plus occupancy grid."""
     batch = sample_family(a, b, n, seed, threads=threads)
-    with click.open_file(out, "wb") as fh:
-        for block in serialize.sample_csv_blocks(batch):
-            fh.write(block)
+    try:
+        with click.open_file(out, "wb") as fh:
+            for block in serialize.sample_csv_blocks(batch):
+                fh.write(block)
+            fh.flush()
+    except BrokenPipeError:
+        # the reader took what it wanted (`| head`): a success; stdout goes
+        # to devnull, so the interpreter's final flush finds no pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if grid_out is not None:
         info = occupancy_grid(batch, bins=bins)
         Path(grid_out).write_text(serialize.occupancy_to_json(info))

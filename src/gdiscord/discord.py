@@ -5,14 +5,16 @@ Two routes are provided and cross-checked:
 * a closed form for states in the EPR-plus-channel family, where the optimal
   measurement is known and the minimal conditional entropy is the channel's
   minimum output entropy ``h(|tau| + eta)``;
-* an independent numerical scan over the full rank-one Gaussian POVM family
-  (seed ``R(phi) diag(u, 1/u) R(phi)^T``).
+* an independent numeric route over the full rank-one Gaussian POVM family
+  (seed ``R(phi) diag(u, 1/u) R(phi)^T``), which needs no family structure
+  and no search: it minimises exactly over u at phi = 0 and at the angle
+  phi* read off the state's normal-form reduction.
 
 The seed at ``(u, phi)`` is the seed at ``(1/u, phi + pi/2)``, so u in
 [0, 1] with phi in [0, pi) covers every measurement once: u = 0 is homodyne
 detection (u -> inf is u = 0 at phi + pi/2) and u = 1 heterodyne.
 
-The scan ranks measurements by ``det(A - C (B + V0)^{-1} C^T)``: the
+The route ranks measurements by ``det(A - C (B + V0)^{-1} C^T)``: the
 measured conditional entropy is ``h`` of its square root, which increases
 with it.  In homogeneous seed weights ``u = x/y``, with
 ``r = (cos phi, sin phi)``, ``s = (-sin phi, cos phi)`` and the Schur
@@ -60,7 +62,7 @@ on a real measurement of V gives, and a wrong reduction could only raise it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .channels import min_output_entropy
@@ -68,20 +70,22 @@ from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
-from .symplectic import BonaFideDiagnosis, _cm_rows, normal_form_spectrum, validate_bona_fide
+from .symplectic import (
+    BonaFideDiagnosis, _cm_rows, _diagnose, _reduce_rows, normal_form_spectrum,
+)
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
 _ROUNDING_MARGIN = 8.0 * 2.0**-52
 
 
-@dataclass(frozen=True)
-class DiscordReport:
+class DiscordReport(NamedTuple):
     """Entropic breakdown of the correlations of a two-mode Gaussian state.
 
     All quantities in bits.  ``method`` records whether the minimal
     conditional entropy came from the family closed form or from the
-    numerical POVM scan; the scan also reports its optimizer (u, phi).
+    numeric route's exact minimisation over u at phi = 0 and at phi*; the
+    numeric route also reports its optimal measurement (u, phi).
     """
 
     s_a: float
@@ -250,10 +254,7 @@ def _report(
     i_ab = s_a + s_b - s_ab
     classical = s_a - s_min
     return DiscordReport(
-        s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=i_ab,
-        s_min_cond=s_min, classical_corr=classical,
-        discord=i_ab - classical, method=method,
-        u_opt=u_opt, phi_opt=phi_opt,
+        s_a, s_b, s_ab, i_ab, s_min, classical, i_ab - classical, method, u_opt, phi_opt,
     )
 
 
@@ -272,14 +273,16 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
 def gaussian_discord_numeric(
     V: np.ndarray, diag: BonaFideDiagnosis | None = None
 ) -> DiscordReport:
-    """Discord via the numerical measurement scan; no family structure assumed.
+    """Discord minimised over every rank-one Gaussian measurement; no family structure assumed.
 
-    ``diag`` is V's :func:`symplectic.validate_bona_fide` diagnosis, when the
-    caller already has it; otherwise V is validated here.
+    The least conditional entropy is found in closed form, minimising exactly
+    over u at phi = 0 and at phi* (see the module docstring).  ``diag`` is
+    V's :func:`symplectic.validate_bona_fide` diagnosis, when the caller
+    already has it; otherwise V is validated here, on the same one read of V.
     """
     rows = _cm_rows(V)
     if diag is None:
-        diag = validate_bona_fide(V)
+        diag = _diagnose(rows, _reduce_rows)
     u, phi, s_min = _minimize(rows, diag)
     nf = diag.reduction.nf
     return _report(

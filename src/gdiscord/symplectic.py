@@ -24,8 +24,6 @@ reach numpy through ``gdiscord._numpy``, which imports it on their first
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -54,8 +52,7 @@ def squeezer_matrix(r: float) -> np.ndarray:
     return np.diag([s, 1.0 / s])
 
 
-@dataclass(frozen=True)
-class NormalFormCM:
+class NormalFormCM(NamedTuple):
     """Normal-form parameters (a, b, c, cp) of a two-mode Gaussian state.
 
     ``a`` and ``b`` are the local variances of modes A and B, ``c`` and
@@ -166,15 +163,20 @@ def reduce_cm(V: np.ndarray) -> Reduction:
     Raises DomainError when V is not a 4x4 matrix of numbers, or when A or B
     is not positive definite.
     """
-    rows = _cm_rows(V)
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
-    nf = NormalFormCM(a=a00, b=b00, c=c00, cp=c11)
-    # max |V - nf| <= tol * max(1, max |V|), entry by entry
-    entries = rows[0] + rows[1] + rows[2] + rows[3]
-    bound = _PATTERN_RTOL * max(1.0, max(map(abs, entries)))
-    pattern = (a00, 0.0, c00, 0.0, 0.0, a00, 0.0, c11, c00, 0.0, b00, 0.0, 0.0, c11, 0.0, b00)
-    if all(map(bound.__ge__, map(abs, map(operator.sub, entries, pattern)))):
-        return Reduction(nf, _IDENTITY)
+    return _reduce_rows(_cm_rows(V))
+
+
+def _reduce_rows(rows) -> Reduction:
+    """:func:`reduce_cm` of a CM already read by :func:`_cm_rows`."""
+    (a00, a01, c00, c01), (v10, a11, c10, c11), (v20, v21, b00, b01), (v30, v31, v32, b11) = rows
+    # max |V - nf| <= tol * max(1, max |V|), entry by entry; the four entries
+    # that define nf match themselves exactly
+    bound = _PATTERN_RTOL * max(
+        1.0, abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
+        abs(v20), abs(v21), abs(b00), abs(b01), abs(v30), abs(v31), abs(v32), abs(b11))
+    if max(abs(a01), abs(c01), abs(v10), abs(a11 - a00), abs(c10), abs(v20 - c00),
+           abs(v21), abs(b01), abs(v30), abs(v31 - c11), abs(v32), abs(b11 - b00)) <= bound:
+        return Reduction(NormalFormCM(a00, b00, c00, c11), _IDENTITY)
     if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
         raise DomainError("not positive definite")
     a, _, (p00, p01, p11) = _unit_det_sqrt(a00, a01, a11)
@@ -189,7 +191,7 @@ def reduce_cm(V: np.ndarray) -> Reduction:
     beta = 0.5 * (math.atan2(g, f) - math.atan2(h, e))
     cb, sb = math.cos(beta), math.sin(beta)
     tb_inv = (h00 * cb + h01 * sb, h01 * cb - h00 * sb, h01 * cb + h11 * sb, h11 * cb - h01 * sb)
-    return Reduction(NormalFormCM(a=a, b=b, c=q + r, cp=q - r), tb_inv)
+    return Reduction(NormalFormCM(a, b, q + r, q - r), tb_inv)
 
 
 def normal_form_from_cm(V: np.ndarray) -> NormalFormCM:
@@ -361,8 +363,9 @@ def _verdict(a: float, b: float, c: float, cp: float):
     the binary exponent of the largest |parameter| less one, so they lie
     below 2 and the scaling is exact.  Positivity and the discriminant are
     judged on them (the discriminant in units of ``2^4k``), and nu scales
-    back by ``2^k``.  Every other input keeps the verdict of
-    :func:`_bona_fide_verdict`, bit for bit.
+    back by ``2^k``, exactly, or to inf where it lies past the float range
+    (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).  Every other
+    input keeps the verdict of :func:`_bona_fide_verdict`, bit for bit.
     """
     verdict = _bona_fide_verdict(a, b, c, cp)
     if math.isfinite(verdict[1]) and math.isfinite(verdict[3]):
@@ -371,7 +374,8 @@ def _verdict(a: float, b: float, c: float, cp: float):
         return verdict
     k, a, b, c, cp = _unit_scaled(a, b, c, cp)
     disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp)
-    nu_minus, nu_plus = math.ldexp(nu_minus, k), math.ldexp(nu_plus, k)
+    scale = 2.0**k  # k <= 1023, so finite; a product past the range is inf, not an error
+    nu_minus, nu_plus = nu_minus * scale, nu_plus * scale
     return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
 
 
@@ -386,8 +390,7 @@ def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
         return _bona_fide_verdict(*arrays, np.sqrt, np.where)[0]
 
 
-@dataclass(frozen=True)
-class BonaFideDiagnosis:
+class BonaFideDiagnosis(NamedTuple):
     """Result of the uncertainty-principle check on a CM.
 
     ``nu_min`` and ``nu_plus`` are the spectrum, where computed, and
@@ -417,12 +420,22 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
     which is quoted in the diagnosis when it is the constraint that failed.
     A V that fails the gate of :func:`_cm_rows` is reported with its reason.
+    A spectrum past the float range has ``nu_plus = inf``.
+    """
+    return _diagnose(V, reduce_cm)
+
+
+def _diagnose(V, reduce) -> BonaFideDiagnosis:
+    """:func:`validate_bona_fide` of V, reduced by ``reduce``.
+
+    ``reduce`` is :func:`reduce_cm` on a CM, or :func:`_reduce_rows` on the
+    rows :func:`_cm_rows` has read, so a caller holding them reads V once.
     """
     try:
-        red = reduce_cm(V)
+        red = reduce(V)
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
-    a, b, c, cp = red.nf.a, red.nf.b, red.nf.c, red.nf.cp
+    a, b, c, cp = red.nf
     ok, disc, nu_minus, nu_plus = _verdict(a, b, c, cp)
     if ok:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)

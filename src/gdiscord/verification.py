@@ -2,7 +2,7 @@
 
 Each check pins its own seed and tolerances and reports one pass/fail line.
 The checks are intentionally redundant with independent oracles: closed
-forms are compared against numerical scans, spectra against a generic
+forms are compared against the numeric route, spectra against a generic
 eigensolver, entropies against number-basis sums, and decompositions against
 explicit matrix reconstructions.
 """

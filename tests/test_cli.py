@@ -330,6 +330,20 @@ class TestSampleCommand:
         assert res.output.startswith("a,b,c,cp,r,tau,eta,sign\n")
         assert len(res.output.strip().split("\n")) == 4
 
+    def test_reader_closing_the_pipe_is_a_success(self, tmp_path):
+        # `sample ... | head -1`: 16 MB of rows cannot fit the pipe, so the
+        # reader closes it while sample is still writing
+        src = str(Path(gdiscord.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        args = ["sample", "--a", "2", "--b", "2", "--n", "200000", "--seed", "1"]
+        with subprocess.Popen([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"a,b,c,cp,r,tau,eta,sign\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=30)
+        assert (code, stderr) == (0, b"")
+
 
 class TestConditionCommand:
     def test_epr_heterodyne(self, runner):
@@ -458,6 +472,20 @@ def test_huge_product_state_is_never_a_validation_error(cmd, tmp_path):
     else:
         json.loads(res.stdout)
     assert not re.search(rb"nan|inf", res.stdout, re.IGNORECASE), res.stdout
+
+
+@pytest.mark.parametrize("cmd", ["discord", "decompose"])
+def test_spectrum_past_the_float_range_ends_in_a_typed_exit(cmd, tmp_path):
+    # nu_plus = 1.9e308 is past the float range; validation reads it as inf
+    nf = "1e308,1e308,9e307,9e307"
+    res = run_module_cli([cmd, "--normal-form", nf], tmp_path)
+    assert res.returncode in (0, 2, 3, 4), res.stderr
+    if res.returncode:
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert b"Traceback" not in res.stderr
+    diag = symplectic.validate_bona_fide(NormalFormCM(1e308, 1e308, 9e307, 9e307).rows())
+    assert isinstance(diag, symplectic.BonaFideDiagnosis)
 
 
 def cli_cold_commands():

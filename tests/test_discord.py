@@ -27,6 +27,7 @@ from gdiscord import (
     squeezer_matrix,
     validate_bona_fide,
 )
+from gdiscord import discord, symplectic
 from gdiscord.cli import main
 from gdiscord.discord import _best_seed, _form, _scan_forms, _scan_objective
 from gdiscord.family import eta_from_a, tau_bounds
@@ -489,3 +490,36 @@ class TestDiscordReports:
             rep = gaussian_discord_numeric(R @ V @ R.T)
             assert rep.s_min_cond == pytest.approx(ref.s_min_cond, abs=1e-8)
             assert rep.discord == pytest.approx(ref.discord, abs=1e-8)
+
+
+@pytest.mark.parametrize("frame", [False, True], ids=["normal-form", "local-frame"])
+@pytest.mark.parametrize("with_diag", [False, True], ids=["validated-here", "diagnosis-passed"])
+def test_state_is_read_once(monkeypatch, frame, with_diag):
+    # validation and the route share one read of V through the checked gate
+    V = WORKED
+    if frame:
+        S = local_symplectic(np.random.default_rng(37))
+        V = S @ V @ S.T
+        V = 0.5 * (V + V.T)
+    diag = validate_bona_fide(V) if with_diag else None
+    calls = []
+    cm_rows = symplectic._cm_rows
+    counted = lambda V: calls.append(V) or cm_rows(V)
+    monkeypatch.setattr(symplectic, "_cm_rows", counted)
+    monkeypatch.setattr(discord, "_cm_rows", counted)
+    rep = gaussian_discord_numeric(V, diag)
+    assert len(calls) == 1
+    assert rep.discord == pytest.approx(0.950067264945, abs=1e-9)
+
+
+def test_report_is_a_read_only_record():
+    rep = gaussian_discord_numeric(WORKED)
+    with pytest.raises(AttributeError):
+        rep.discord = 0.0
+    assert repr(rep) == (
+        "DiscordReport(s_a=2.7548875021634687, s_b=1.3774437510817343, s_ab=2.427376486136684,"
+        " i_ab=1.7049547671085192, s_min_cond=2.0000000000000004,"
+        " classical_corr=0.7548875021634682, discord=0.950067264945051,"
+        " method='numeric_scan', u_opt=1.0, phi_opt=0.0)")
+    closed = gaussian_discord_closed_form(membership(NormalFormCM(5.0, 2.0, SQRT6, -SQRT6)))
+    assert repr(closed).endswith("method='closed_form', u_opt=None, phi_opt=None)")

@@ -27,7 +27,12 @@ from gdiscord import (
     symplectic_spectrum_eigen,
     validate_bona_fide,
 )
-from gdiscord.symplectic import _spectrum_arrays, bona_fide_normal_form_mask, normal_form_spectrum
+from gdiscord.symplectic import (
+    _PATTERN_RTOL,
+    _spectrum_arrays,
+    bona_fide_normal_form_mask,
+    normal_form_spectrum,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -391,3 +396,61 @@ def test_every_cm_reader_takes_a_rounded_local_frame(name):
     V = S @ embed_normal_form(NormalFormCM(3.0, 2.0, 1.5, -1.2)) @ S.T
     assert 0.0 < np.max(np.abs(V - V.T)) < 1e-14
     CM_READERS[name](V)
+
+
+class TestRecords:
+    WORKED_NF = NormalFormCM(5.0, 2.0, SQRT6, -SQRT6)
+
+    def test_fields_are_read_only(self):
+        diag = validate_bona_fide(self.WORKED_NF.rows())
+        for record, field in ((self.WORKED_NF, "a"), (diag, "nu_min")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 3.0)
+
+    def test_truth_follows_the_verdict(self):
+        accepted = validate_bona_fide(self.WORKED_NF.rows())
+        rejected = validate_bona_fide(NormalFormCM(2.0, 2.0, 2.0, -2.0).rows())
+        assert (bool(accepted), bool(rejected)) == (True, False)
+        assert not validate_bona_fide([[1.0]])  # a non-empty record can still be false
+
+    def test_reprs_name_every_field(self):
+        assert repr(self.WORKED_NF) == (
+            "NormalFormCM(a=5.0, b=2.0, c=2.449489742783178, cp=-2.449489742783178)")
+        assert repr(validate_bona_fide(self.WORKED_NF.rows())) == (
+            "BonaFideDiagnosis(bona_fide=True, nu_min=1.0000000000000004, reason=None,"
+            " nu_plus=4.0, reduction=Reduction(nf=NormalFormCM(a=5.0, b=2.0,"
+            " c=2.449489742783178, cp=-2.449489742783178), tb_inv=(1.0, 0.0, 0.0, 1.0)))")
+        assert repr(validate_bona_fide([[1.0]])) == (
+            "BonaFideDiagnosis(bona_fide=False, nu_min=None, reason='expected 4x4 matrix,"
+            " got (1, 1)', nu_plus=None, reduction=None)")
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-ulp-past"])
+def test_pattern_bound_is_inclusive(past):
+    # an off-pattern entry at _PATTERN_RTOL max(1, max |V|) still reads as the
+    # normal form, in its own (c, cp) order; one ulp more and V is reduced,
+    # which puts c >= |cp|
+    nf = NormalFormCM(5.0, 2.0, 1.0, -2.0)
+    bound = _PATTERN_RTOL * 5.0
+    rows = nf.rows()
+    rows[0][1] = rows[1][0] = math.nextafter(bound, math.inf) if past else bound
+    red = reduce_cm(rows)
+    if past:
+        assert red.nf.c == pytest.approx(2.0, rel=1e-12)
+        assert red.nf.cp == pytest.approx(-1.0, rel=1e-12)
+    else:
+        assert red == (nf, (1.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("nf", [NormalFormCM(1e308, 1e308, 9e307, 9e307),
+                                NormalFormCM(1.7e308, 1.7e308, -1.7e308, -1.7e308)],
+                         ids=["bona-fide", "semidefinite"])
+def test_spectrum_past_the_float_range_is_a_diagnosis(nf):
+    # nu_plus is 1.9e308 and 3.4e308: read on the rescaled copy, it scales
+    # back to inf rather than raising, and the verdict stands
+    diag = validate_bona_fide(nf.rows())
+    assert diag.nu_plus == math.inf
+    if nf.c > 0:
+        assert diag.bona_fide and diag.nu_min == pytest.approx(1e307, rel=1e-12)
+    else:
+        assert not diag.bona_fide and diag.reason == "nu_min = 0 < 1"
