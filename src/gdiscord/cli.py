@@ -18,12 +18,12 @@ from pathlib import Path
 import click
 
 from . import serialize
-from .channels import GaussianChannelParams, classify
-from .discord import gaussian_discord_numeric, gaussian_discord_closed_form
 from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
-from .family import membership, occupancy_grid, sample_family
-from .remote_prep import condition_on_outcome, conditioning_on_mode_A
 from .symplectic import NormalFormCM, validate_bona_fide
+
+# Each command imports the modules it runs in its own body, so a launch
+# loads only those: classify never loads family or numpy, and sample never
+# loads discord or remote_prep.
 
 _EXIT_CODES = [
     (OutOfFamily, 3, "out-of-family"),
@@ -99,6 +99,9 @@ def main():
 @handles_errors
 def discord(normal_form, state):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
+    from .discord import gaussian_discord_closed_form, gaussian_discord_numeric
+    from .family import membership
+
     V, diag = _state_from_options(normal_form, state)
     numeric = gaussian_discord_numeric(V, diag)
     out = {"numeric": serialize.discord_report_to_dict(numeric)}
@@ -123,6 +126,8 @@ def discord(normal_form, state):
 @handles_errors
 def decompose(normal_form, state):
     """EPR-plus-channel decomposition witness (b, r, tau, eta, sign, xi)."""
+    from .family import membership
+
     _, diag = _state_from_options(normal_form, state)
     fp = membership(diag.reduction.nf)
     click.echo(serialize.dumps(serialize.family_params_to_dict(fp)), nl=False)
@@ -134,6 +139,8 @@ def decompose(normal_form, state):
 @handles_errors
 def classify_cmd(tau, eta):
     """Canonical-form label of an extended channel (tau, eta)."""
+    from .channels import GaussianChannelParams, classify
+
     params = GaussianChannelParams(tau, eta)
     click.echo(
         serialize.dumps(serialize.channel_class_to_dict(classify(params), params)),
@@ -155,6 +162,8 @@ def classify_cmd(tau, eta):
 @handles_errors
 def sample(a, b, n, seed, threads, out, grid_out, bins):
     """Sample family states at fixed (a, b): CSV cloud plus occupancy grid."""
+    from .family import occupancy_grid, sample_family
+
     batch = sample_family(a, b, n, seed, threads=threads)
     try:
         with click.open_file(out, "wb") as fh:
@@ -183,6 +192,8 @@ def sample(a, b, n, seed, threads, out, grid_out, bins):
 @handles_errors
 def condition(state, measurement, outcome, mean, mode):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
+    from .remote_prep import condition_on_outcome, conditioning_on_mode_A
+
     V, _ = _state_from_options(None, state)
     m = serialize.parse_measurement_payload(_load_json(measurement))
     k = _parse_floats(outcome, 2, "--outcome")

@@ -136,24 +136,13 @@ def _scan_forms(rows):
     return _form(s00, s01, s11, a00 * a11 - a01 * a10), _form(b00, b01, b11, 1.0)
 
 
-def _scan_objective(forms, x, y, cos2, sin2):
-    """``det(A - C (B + V0)^{-1} C^T)`` for the seed ``u = x/y`` at angle phi.
-
-    ``cos2``, ``sin2`` are cos 2phi and sin 2phi.
-    """
-    (kn, tn, dn, en), (kd, td, dd, ed) = forms
-    xy, sq, diff = x * y, x * x + y * y, y * y - x * x
-    num = xy * kn + sq * tn + diff * (dn * cos2 + en * sin2)
-    return num / (xy * kd + sq * td + diff * (dd * cos2 + ed * sin2))
-
-
 def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     """``(value, x, y)`` of the best seed weights at angle phi, u in [0, inf].
 
     At fixed phi each form ``(k, t, d, e)`` is ``(t - p) u^2 + k u + (t + p)``
     with ``p = d cos 2phi + e sin 2phi``; the candidates are u = 0, inf and 1
-    and the positive roots of ``N'D - ND'``, valued as :func:`_scan_objective`
-    does, written out with the same rounding.
+    and the positive roots of ``N'D - ND'``, each valued as the ratio of the
+    two forms at its weights.
     """
     (kn, tn, dn, en), (kd, td, dd, ed) = forms
     cos2, sin2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
@@ -228,23 +217,6 @@ def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
     return u, phi, _entropy_measured(rows, GaussianMeasurement(u, phi))
-
-
-def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
-    """Measurement whose remote preparation matches a family witness.
-
-    Measuring the EPR mode with seed squeezing ``u = (r b - 1)/(b - r)``
-    prepares squeezed states of exactly the witness squeezing ``r``; the
-    endpoints r = 1/b and r = b map to the two homodyne limits.
-    """
-    b, r = fp.b, fp.r
-    num = r * b - 1.0
-    den = b - r
-    if num <= 0.0:
-        return GaussianMeasurement.homodyne_q()
-    if den <= 0.0:
-        return GaussianMeasurement.homodyne_p()
-    return GaussianMeasurement(num / den)
 
 
 def _report(

@@ -257,8 +257,6 @@ def sample_family(
     a counter-based stream keyed on (seed, chunk).  Output is reproducible
     for a fixed seed, independent of ``threads``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     check_variance(a, "local variance a")
@@ -270,6 +268,8 @@ def sample_family(
                             zeros, np.full(n, a), np.ones(n))
     sizes = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
     if threads > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda s: _sample_chunk(a, b, s[1], seed, s[0]), sizes))
     else:
@@ -347,15 +347,19 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     if b <= 1.0:
         raise OutOfFamily(f"b = {b} leaves no EPR correlations for c, cp to come from")
     sign = 1 if c > 0 else -1
-    abs_tau = abs(c * cp) / (b * b - 1.0)
-    tau = abs_tau if c * cp < 0 else -abs_tau
+    cc, bb = c * cp, b * b - 1.0
+    abs_tau = abs(cc) / bb
+    tau = abs_tau if cc < 0 else -abs_tau
     tb = abs_tau * b
     rho = abs(c / cp)
     x = max(a / rho - tb, 0.0)  # eta * r
     y = max(a * rho - tb, 0.0)  # eta / r
     eta = max(math.sqrt(x * y), abs(1.0 - tau))
     if not (abs_tau < math.inf and eta < math.inf):  # also NaN
-        raise NumericalFailure(f"the family inversion overflows: |tau| = {abs_tau}, eta = {eta}")
+        # name the first quantity past the float range, not the NaNs it leads to
+        steps = (("c*cp", abs(cc)), ("b^2 - 1", bb), ("|tau|", abs_tau), ("eta^2", x * y))
+        name = next(name for name, value in steps if not value < math.inf)
+        raise NumericalFailure(f"the family inversion overflows: {name} is past the float range")
     if x == y or eta * b <= _WITNESS_TOL * max(1.0, a):
         r = 1.0
     else:

@@ -12,12 +12,12 @@ import math
 from typing import Iterator
 
 from . import _numpy as np
-from .channels import ChannelClass, GaussianChannelParams
-from .discord import DiscordReport
 from .errors import ValidationError
-from .family import FamilyParams, FamilySample
-from .remote_prep import ConditionalState, GaussianMeasurement
 from .symplectic import NormalFormCM, embed_normal_form
+
+# The records named in annotations here (DiscordReport, FamilySample, ...) are
+# not imported: annotations stay unevaluated text, and importing their
+# modules would load discord, family and remote_prep into every command.
 
 
 def fmt(x: float) -> str:
@@ -97,6 +97,8 @@ def parse_cm_payload(payload: dict) -> np.ndarray:
 
 def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
     """Read a measurement from {"u": number|"inf", "phi": number}."""
+    from .remote_prep import GaussianMeasurement
+
     if not isinstance(payload, dict) or "u" not in payload:
         raise ValidationError("measurement payload must be an object with 'u'")
     u = _as_float(payload["u"], "u")
@@ -162,104 +164,113 @@ def conditional_state_to_dict(state: ConditionalState) -> dict:
 
 SAMPLE_CSV_HEADER = "a,b,c,cp,r,tau,eta,sign"
 _CSV_BLOCK_ROWS = 8192
-# uint32 words of one CSV field: ',' and sign, 12 integer digits, '.', 16
-# fraction digits; 36 bytes also hold the widest fmt text, ',-1.23456789012e-308'
-_CSV_FIELD = 9
+# little-endian uint64 words of one CSV field: an 8-byte prefix (',', the
+# sign, and '0.000' below 1) and a 16-byte body (12 digits and the point);
+# 24 bytes also hold the widest fmt text, ',-1.23456789012e-308'
+_CSV_FIELD = 3
+_U64 = "<u8"
 
 
-def _word(text: bytes):
-    """Four ASCII bytes as one uint32, in the byte order of the arrays they go to."""
-    return np.frombuffer(text, np.uint32)[0]
+def _words(text: bytes, size: int):
+    """``text``, NUL-padded to ``size`` uint64 words."""
+    return np.frombuffer(text.ljust(8 * size, b"\0"), _U64)
 
 
 @functools.cache
 def _csv_tables():
-    """(digit words, exact 10^0 .. 10^15 as floats and 10^0 .. 10^16 as int64).
+    """The kernel's lookup tables, as little-endian uint64 words.
 
-    The digit words are four tables of 10,000 uint32, one 4-digit group each:
-    all digits, leading zeros as NUL, the same but 0 as '0', and trailing
-    zeros as NUL.
+    * digits: 20,000 words of one 4-digit group each (in the low four
+      bytes), first as all its digits, then with trailing zeros as NUL;
+    * prefix: 32 words, ``","``, ``",-"``, ``",0.000"``, ... indexed by
+      16 * (value < 0) + e + 4 for the decimal exponent e in [-4, 11];
+    * by e + 4, the 128-bit masks (low word, high word) of the body: the
+      integer part's bytes as ASCII '0', the bytes before the point (all 16
+      for e < 0), and the point itself;
+    * the exact powers 10^0 .. 10^15 as floats.
     """
-    digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(),
-                           np.uint8).reshape(10_000, 4)
-    nonzero = digits != ord("0")
-    lead = digits * np.logical_or.accumulate(nonzero, axis=1)
-    last = lead.copy()
-    last[0, 3] = ord("0")
-    trail = digits * np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    words = np.concatenate([digits, lead, last, trail]).view(np.uint32).ravel()
-    return (words, np.array([10.0**k for k in range(16)]),
-            np.array([10**k for k in range(17)], np.int64))
+    group = np.arange(10_000, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32)
+    group = (group % 10).astype(np.uint8)
+    trail = np.logical_or.accumulate(group[:, ::-1] != 0, axis=1)[:, ::-1]
+    ascii_ = group + np.uint8(ord("0"))
+    digits = np.concatenate([ascii_, ascii_ * trail]).view("<u4").ravel().astype(_U64)
+    prefix = b"".join((sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")).ljust(8, b"\0")
+                      for sign in (b",", b",-") for e in range(-4, 12))
+    body = []
+    for e in range(-4, 12):
+        int_bytes = max(e + 1, 0)
+        zeros = int.from_bytes(b"0" * int_bytes, "little")
+        keep = (1 << 8 * int_bytes) - 1 if e >= 0 else (1 << 128) - 1
+        point = ord(".") << 8 * int_bytes if e >= 0 else 0
+        body.append([m >> shift & (2**64 - 1) for m in (zeros, keep, point) for shift in (0, 64)])
+    return (digits, np.frombuffer(prefix, _U64), *np.array(body, np.uint64).T.astype(_U64),
+            np.array([10.0**k for k in range(16)]))
 
 
-def _csv_fields(x: np.ndarray) -> np.ndarray:
-    """``"," + fmt(v)`` for each value of ``x``: NUL-padded rows of ``_CSV_FIELD`` uint32.
+def _csv_fields(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"," + fmt(v)`` for each value of ``x`` to ``out``, as NUL-padded uint64.
 
-    For a value with decimal exponent X in [-4, 11] (fixed notation), one
-    multiply by the exact 10^(11 - X) puts its 12 significant digits before
+    ``out`` has the shape of ``x`` plus a last axis of ``_CSV_FIELD`` words.
+
+    For a value with decimal exponent e in [-4, 11] (fixed notation), one
+    multiply by the exact 10^(11 - e) puts its 12 significant digits before
     the point; the product is within half an ulp (<= 2^-14 below 1e12) of
     the exact one, so ``rint`` gives the correctly rounded digits N wherever
-    the fraction lies more than 2^-12 from 1/2.  The integer part of the
-    value, N // 10^(11 - X), is written right-aligned before a fixed point
-    column, and the rest of N, scaled to 16 digits, left-aligned after it,
-    with the leading zeros of the one and the trailing zeros of the other
-    (and the point, when no fraction is left) as NUL.  Ties, decade edges
-    (the product within 1 of 1e11 or 1e12), exponent notation, zero and
-    non-finite values take :func:`fmt` itself.
+    the fraction lies more than 2^-12 from 1/2.  The prefix word holds ','
+    and the sign, and for e < 0 the '0.' and zeros before the digits.  The
+    body holds N as three 4-digit words, NUL after its last nonzero digit
+    but, for e >= 0, '0' through the integer part's e + 1 digits; when a
+    fraction digit is left, the bytes from e + 1 on move up one byte and the
+    point goes in between.  Ties, decade edges (the product within 1 of
+    1e11 or 1e12), exponent notation, zero and non-finite values take
+    :func:`fmt` itself.
     """
-    words, pow10, ipow10 = _csv_tables()
+    digits, prefix, zeros_lo, zeros_hi, keep_lo, keep_hi, point_lo, point_hi, pow10 = _csv_tables()
     ax = np.abs(x)
     ok = np.isfinite(ax) & (ax > 0.0)
     ax = np.where(ok, ax, 1.0)
     e = np.floor(np.log10(ax)).astype(np.intp)
     ok &= (e >= -4) & (e <= 11)
-    e = np.clip(e, -4, 11)
-    p = ax * pow10[11 - e]
+    e = np.clip(e, -4, 11) + 4
+    p = ax * pow10.take(15 - e)
     ok &= (p >= 1e11 + 1.0) & (p <= 1e12 - 1.0) & (np.abs(p - np.floor(p) - 0.5) > 2.0**-12)
     n = np.where(ok, np.rint(p), 1e11).astype(np.int64)
-    unit = ipow10[11 - e]
-    whole = n // unit
-    frac = (n - whole * unit) * ipow10[5 + e]
-    out = np.empty((len(x), _CSV_FIELD), np.uint32)
-    out[:, 0] = np.where(x < 0.0, _word(b",-\0\0"), _word(b",\0\0\0"))
-    w0, whole = np.divmod(whole, 10**8)
-    w1, w2 = np.divmod(whole, 10**4)
-    out[:, 1] = words[10_000 + w0]
-    out[:, 2] = words[np.where(w0 == 0, 10_000, 0) + w1]
-    out[:, 3] = words[np.where((w0 | w1) == 0, 20_000, 0) + w2]
-    out[:, 4] = np.where(frac != 0, _word(b".\0\0\0"), 0)
-    f0, frac = np.divmod(frac, 10**12)
-    f1, frac = np.divmod(frac, 10**8)
-    f2, f3 = np.divmod(frac, 10**4)
-    out[:, 8] = words[30_000 + f3]
-    out[:, 7] = words[np.where(f3 == 0, 30_000, 0) + f2]
-    out[:, 6] = words[np.where((f2 | f3) == 0, 30_000, 0) + f1]
-    out[:, 5] = words[np.where((f1 | f2 | f3) == 0, 30_000, 0) + f0]
-    for i in np.flatnonzero(~ok):
-        text = f",{fmt(float(x[i]))}".encode().ljust(4 * _CSV_FIELD, b"\0")
-        out[i] = np.frombuffer(text, np.uint32)
-    return out
+    d0, n = np.divmod(n, 10**8)
+    d1, d2 = np.divmod(n, 10**4)
+    out[..., 0] = prefix.take(np.where(x < 0.0, 16, 0) + e)
+    hi = digits.take(10_000 + d2) | zeros_hi.take(e)
+    lo = (digits.take(np.where(d2 == 0, 10_000, 0) + d1) << np.uint64(32)
+          | digits.take(np.where((d1 | d2) == 0, 10_000, 0) + d0) | zeros_lo.take(e))
+    up_lo, up_hi = lo & ~keep_lo.take(e), hi & ~keep_hi.take(e)
+    frac = (up_lo | up_hi) != 0
+    # the bytes after the integer part (up) move up one byte; the point goes in the gap
+    out[..., 1] = lo ^ up_lo | up_lo << np.uint64(8) | np.where(frac, point_lo.take(e), 0)
+    out[..., 2] = (hi ^ up_hi | up_hi << np.uint64(8) | up_lo >> np.uint64(56)
+                   | np.where(frac, point_hi.take(e), 0))
+    for i in zip(*np.nonzero(~ok)):
+        out[i] = _words(f",{fmt(float(x[i]))}".encode(), _CSV_FIELD)
 
 
 def sample_csv_blocks(sample: FamilySample) -> Iterator[bytes]:
     """The sample CSV as ASCII bytes: the header line, then blocks of ``_CSV_BLOCK_ROWS`` rows.
 
     Fixed column order, every number as :func:`fmt` writes it.  Each row is
-    built in fixed slots of uint32 words padded with NUL bytes, which
+    built in fixed slots of uint64 words padded with NUL bytes, which
     ``translate`` drops.  ``sign`` is +-1.
     """
     yield f"{SAMPLE_CSV_HEADER}\n".encode()
     text = f"{fmt(sample.a)},{fmt(sample.b)}".encode()
-    head = np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
-    ends = _word(b",-1\n"), _word(b",1\n\0")
+    head = _words(text, -(-len(text) // 8))
+    ends = _words(b",-1\n", 1)[0], _words(b",1\n", 1)[0]
     cols = (sample.c, sample.cp, sample.r, sample.tau, sample.eta)
     for lo in range(0, sample.n, _CSV_BLOCK_ROWS):
         part = slice(lo, lo + _CSV_BLOCK_ROWS)
         sign = sample.sign[part]
-        rows = np.empty((len(sign), len(head) + 5 * _CSV_FIELD + 1), np.uint32)
+        rows = np.empty((len(sign), len(head) + 5 * _CSV_FIELD + 1), _U64)
         rows[:, :len(head)] = head
-        rows[:, len(head):-1] = _csv_fields(
-            np.stack([col[part] for col in cols], axis=1).ravel()).reshape(len(sign), -1)
+        # a view of each row's field words, as 5 fields of _CSV_FIELD words
+        _csv_fields(np.stack([col[part] for col in cols], axis=1),
+                    rows[:, len(head):-1].reshape(len(sign), 5, _CSV_FIELD))
         rows[:, -1] = np.where(sign < 0.0, *ends)
         yield rows.tobytes().translate(None, b"\0")
 

@@ -488,6 +488,16 @@ def test_spectrum_past_the_float_range_ends_in_a_typed_exit(cmd, tmp_path):
     assert isinstance(diag, symplectic.BonaFideDiagnosis)
 
 
+def test_overflowing_family_inversion_names_what_overflowed(tmp_path):
+    # c*cp and b^2 - 1 pass the float range; |tau| and eta are then NaN
+    res = run_module_cli(["decompose", "--normal-form", "1e308,1e308,9e307,9e307"], tmp_path)
+    assert res.returncode == 4, res.stderr
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numerical: "), res.stderr
+    assert "c*cp" in lines[0]
+    assert "nan" not in lines[0].lower(), lines[0]
+
+
 def cli_cold_commands():
     """The benchmark's cold CLI launches, read from its source without importing it."""
     tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
@@ -520,6 +530,65 @@ def test_cold_commands_never_import_numpy(args, tmp_path):
     ref = run_module_cli(args, tmp_path)
     assert ref.returncode == 0, ref.stderr
     assert res.stdout == ref.stdout
+
+
+# runs the CLI in process, then lists the modules loaded, one a line
+LOADED_MODULES_CLI = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gdiscord.cli
+try:
+    gdiscord.cli.main(sys.argv[2:], prog_name="gdiscord")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+sys.stdout.flush()
+print(*sorted(sys.modules), sep="\\n", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args, loaded, absent", [
+    (["sample", "--a", "2", "--b", "2", "--n", "10", "--seed", "0", "--threads", "1"],
+     {"gdiscord.family", "gdiscord.serialize", "numpy"},
+     {"gdiscord.discord", "gdiscord.remote_prep", "gdiscord.verification", "concurrent.futures"}),
+    (["classify", "--tau", "0.5", "--eta", "0.6"],
+     {"gdiscord.channels", "gdiscord.serialize"},
+     {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "numpy"}),
+], ids=["sample", "classify"])
+def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
+    src = str(Path(gdiscord.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, src, *args], cwd=tmp_path,
+                         capture_output=True, timeout=30)
+    modules = set(res.stderr.decode().split())
+    assert res.returncode == 0 and res.stdout, res.stderr
+    assert loaded <= modules
+    assert not absent & modules, absent & modules
+
+
+# imports the package alone, then reads every exported name two ways
+PACKAGE_EXPORTS = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import gdiscord
+assert not [m for m in sys.modules if m.startswith("gdiscord.")], sys.modules
+listed = set(dir(gdiscord))
+values = {name: getattr(gdiscord, name) for name in gdiscord.__all__}
+star = {}
+exec("from gdiscord import *", star)
+print(len(values), all(name in listed for name in values),
+      all(star[name] is value for name, value in values.items()))
+"""
+
+
+def test_package_exports_resolve_lazily(tmp_path):
+    src = str(Path(gdiscord.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", PACKAGE_EXPORTS, src], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [str(len(gdiscord.__all__)), "True", "True"]
+    assert len(set(gdiscord.__all__)) == len(gdiscord.__all__)
+    assert "matched_measurement" not in gdiscord.__all__
+    with pytest.raises(AttributeError):
+        gdiscord.matched_measurement
 
 
 def test_numpy_is_reached_through_one_boundary():

@@ -20,7 +20,6 @@ from gdiscord import (
     gaussian_discord_closed_form,
     gaussian_discord_numeric,
     h,
-    matched_measurement,
     membership,
     normal_form_from_cm,
     rotation_matrix,
@@ -29,7 +28,7 @@ from gdiscord import (
 )
 from gdiscord import discord, symplectic
 from gdiscord.cli import main
-from gdiscord.discord import _best_seed, _form, _scan_forms, _scan_objective
+from gdiscord.discord import _best_seed, _form, _scan_forms
 from gdiscord.family import eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
@@ -48,6 +47,34 @@ EDGE_CM = [
     [0.4390670376374667, -0.01036061669447979, 1.8493232464685119, 0],
     [0.2851396594617031, -0.7944371156548117, 0, 1.031639623501059],
 ]
+
+
+def _scan_objective(forms, x, y, cos2, sin2):
+    """``det(A - C (B + V0)^{-1} C^T)`` for the seed ``u = x/y`` at angle phi.
+
+    ``forms`` are :func:`_scan_forms` of the CM; ``cos2``, ``sin2`` are
+    cos 2phi and sin 2phi.
+    """
+    (kn, tn, dn, en), (kd, td, dd, ed) = forms
+    xy, sq, diff = x * y, x * x + y * y, y * y - x * x
+    num = xy * kn + sq * tn + diff * (dn * cos2 + en * sin2)
+    return num / (xy * kd + sq * td + diff * (dd * cos2 + ed * sin2))
+
+
+def matched_measurement(fp: FamilyParams) -> GaussianMeasurement:
+    """Measurement whose remote preparation matches a family witness.
+
+    Measuring the EPR mode with seed squeezing ``u = (r b - 1)/(b - r)``
+    prepares squeezed states of exactly the witness squeezing ``r``; the
+    endpoints r = 1/b and r = b map to the two homodyne limits.
+    """
+    num = fp.r * fp.b - 1.0
+    den = fp.b - fp.r
+    if num <= 0.0:
+        return GaussianMeasurement.homodyne_q()
+    if den <= 0.0:
+        return GaussianMeasurement.homodyne_p()
+    return GaussianMeasurement(num / den)
 
 
 # brute-force phi search for the oracle: a 32-point grid over [0, pi/2), the

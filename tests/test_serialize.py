@@ -15,7 +15,9 @@ from gdiscord import (
 )
 from gdiscord.family import FamilySample
 from gdiscord.serialize import (
+    _CSV_FIELD,
     SAMPLE_CSV_HEADER,
+    _csv_fields,
     discord_report_to_dict,
     family_params_to_dict,
     fmt,
@@ -174,7 +176,50 @@ def _kernel_values():
     return np.concatenate([seeded, ties, fixed, -fixed])
 
 
+def _kernel_fields(values):
+    """The kernel's text of each value, one CSV field each."""
+    x = np.array(values, float)
+    out = np.empty((len(x), _CSV_FIELD), "<u8")
+    _csv_fields(x, out)
+    return [row.tobytes().translate(None, b"\0").decode() for row in out]
+
+
+def _with_signs(values):
+    return [*values, *(-v for v in values)]
+
+
 class TestCsvKernel:
+    def test_integer_part_ending_in_zeros(self):
+        # zeros inside the integer part are digits, never padding
+        values = _with_signs([120.0, 1000.5, 699441066210.32, 100000000000.0, 10.0, 100.25,
+                              5000000.0, 120000.000001, 30.5, 200000000000.4, 100.0])
+        assert _kernel_fields(values) == [f",{fmt(v)}" for v in values]
+        assert _kernel_fields([699441066210.32])[0] == ",699441066210"
+
+    def test_fraction_that_rounds_away(self):
+        # 12 significant digits leave no fraction digit, so no point either
+        values = _with_signs([12.0000000000001, 3.0000000000004, 123456.0000004,
+                              99.00000000000003, 0.1000000000000004, 0.0005000000000000001,
+                              45000.00000001, 98765432101.2, 7.00000000000049])
+        fields = _kernel_fields(values)
+        assert fields == [f",{fmt(v)}" for v in values]
+        assert fields[:3] == [",12", ",3", ",123456"]
+
+    def test_every_fixed_exponent_and_digit_count(self):
+        # e = -4 .. 11 (every exponent fmt writes without one), 1 to 12
+        # significant digits: random, with inner zeros, and all nines
+        rng = np.random.default_rng(22)
+        values = []
+        for e in range(-4, 12):
+            for k in range(1, 13):
+                inner = rng.integers(0, 10, max(k - 2, 0))
+                for digits in ([rng.integers(1, 10), *inner, rng.integers(1, 10)][:k],
+                               [1, *[0] * (k - 2), 1][:k], [9] * k):
+                    text = "".join(map(str, digits))
+                    values.append(float(f"{text[0]}.{text[1:]}e{e}"))
+        values = _with_signs(values)
+        assert _kernel_fields(values) == [f",{fmt(v)}" for v in values]
+
     def test_rows_match_fmt(self):
         values = _kernel_values()
         n = len(values) // 5
