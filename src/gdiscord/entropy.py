@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .symplectic import symplectic_spectrum
+from .symplectic import BONA_FIDE_TOL, symplectic_spectrum
 
 # Floating-point spectra of pure states may dip slightly below 1; values in
-# [1 - H_CLAMP_TOL, 1] are treated as exactly 1.
-H_CLAMP_TOL = 1e-9
+# [1 - H_CLAMP_TOL, 1] are treated as exactly 1.  h must accept every
+# nu_minus the bona fide test admits, so the two tolerances are one.
+H_CLAMP_TOL = BONA_FIDE_TOL
 _FOCK_TAIL = 1e-15
 _LN2 = math.log(2.0)
 

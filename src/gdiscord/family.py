@@ -91,13 +91,9 @@ class FamilyParams:
     @property
     def xi(self) -> float:
         """Output squeezing that brings the state back to normal form."""
-        return self.r * _theta(1.0 / self.r, self.tau, self.eta, self.b) / _theta(
-            self.r, self.tau, self.eta, self.b
-        )
-
-
-def _theta(r: float, tau: float, eta: float, b: float) -> float:
-    return math.sqrt(eta * r + abs(tau) * b)
+        tb = abs(self.tau) * self.b  # theta(r)^2 = eta r + |tau| b
+        return self.r * math.sqrt(self.eta * (1.0 / self.r) + tb) / math.sqrt(
+            self.eta * self.r + tb)
 
 
 def family_cm_from_params(fp: FamilyParams) -> NormalFormCM:
@@ -278,11 +274,6 @@ def sample_family(
     return FamilySample(a, b, n, seed, *cols)
 
 
-def correlation_half_width(a: float, b: float) -> float:
-    """Half-width of the bounding box of the physical (c, cp) region."""
-    return math.sqrt(max(squeezed_thermal_bound(a, b), 0.0))
-
-
 def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
     """Bin a sample onto the (c, cp) plane and measure region coverage.
 
@@ -293,7 +284,7 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     a, b = sample.a, sample.b
-    half = correlation_half_width(a, b)
+    half = math.sqrt(max(squeezed_thermal_bound(a, b), 0.0))  # the box's half-width
     grid = np.zeros((bins, bins), dtype=np.int64)
     n_phys = n_occ = 0
     if half > 0.0:  # a or b = 1 leaves no correlations: an empty grid on one point

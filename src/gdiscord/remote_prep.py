@@ -79,16 +79,6 @@ class GaussianMeasurement:
         """Homogeneous seed weights ``(x, y)`` with ``u = x/y``, neither above 1."""
         return (1.0, 1.0 / self.u) if self.u > 1.0 else (self.u, 1.0)
 
-    @property
-    def kind(self) -> str:
-        if self.u == 0.0:
-            return "homodyne_q"
-        if math.isinf(self.u):
-            return "homodyne_p"
-        if self.u == 1.0:
-            return "heterodyne"
-        return "squeezed"
-
     def seed_cm(self) -> np.ndarray:
         """Seed CM for finite u; the homodyne limits have no finite seed."""
         if self.is_homodyne:

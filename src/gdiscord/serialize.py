@@ -12,8 +12,8 @@ import math
 from typing import Iterator
 
 from . import _numpy as np
-from .errors import ValidationError
-from .symplectic import NormalFormCM, embed_normal_form
+from .errors import DomainError, ValidationError
+from .symplectic import NormalFormCM, _cm_rows
 
 # The records named in annotations here (DiscordReport, FamilySample, ...) are
 # not imported: annotations stay unevaluated text, and importing their
@@ -54,15 +54,17 @@ def _as_float(value, name: str) -> float:
 _CM_AGREEMENT_RTOL = 1e-9
 
 
-def parse_cm_payload(payload: dict) -> np.ndarray:
-    """Read a 4x4 CM from {"normal_form": {...}} and/or {"cm": [[...]]}.
+def parse_cm_payload(payload: dict) -> list[list[float]]:
+    """Read a CM, as four rows of four floats, from {"normal_form": {...}} and/or {"cm": [[...]]}.
 
-    When both keys are present they are cross-validated against each other,
-    to ``_CM_AGREEMENT_RTOL``, and the 'cm' matrix is returned.
+    'cm' passes the CM gate :func:`symplectic._cm_rows`, whose reason a
+    rejection quotes.  When both keys are present they are cross-validated
+    against each other, to ``_CM_AGREEMENT_RTOL``, and the 'cm' rows are
+    returned.
     """
     if not isinstance(payload, dict):
         raise ValidationError("CM payload must be a JSON object")
-    V = None
+    rows = None
     if "normal_form" in payload:
         raw = payload["normal_form"]
         if not isinstance(raw, dict):
@@ -70,29 +72,21 @@ def parse_cm_payload(payload: dict) -> np.ndarray:
         missing = {"a", "b", "c", "cp"} - raw.keys()
         if missing:
             raise ValidationError(f"'normal_form' is missing fields {sorted(missing)}")
-        V = embed_normal_form(NormalFormCM(
-            a=_as_float(raw["a"], "a"),
-            b=_as_float(raw["b"], "b"),
-            c=_as_float(raw["c"], "c"),
-            cp=_as_float(raw["cp"], "cp"),
-        ))
+        rows = NormalFormCM(*(_as_float(raw[k], k) for k in ("a", "b", "c", "cp"))).rows()
     if "cm" in payload:
-        raw = payload["cm"]
         try:
-            M = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError("'cm' must be a numeric matrix")
-        if M.size != 16:
-            raise ValidationError(f"'cm' must hold 16 numbers, got {M.size}")
-        M = M.reshape(4, 4)
-        if V is not None:
-            scale = max(1.0, float(np.max(np.abs(V))))
-            if float(np.max(np.abs(M - V))) > _CM_AGREEMENT_RTOL * scale:
+            cm = _cm_rows(payload["cm"])
+        except DomainError as exc:
+            raise ValidationError(f"'cm' is not a covariance matrix: {exc}") from None
+        if rows is not None:
+            pairs = [(x, y) for row, nf_row in zip(cm, rows) for x, y in zip(row, nf_row)]
+            tol = _CM_AGREEMENT_RTOL * max(1.0, *(abs(y) for _, y in pairs))
+            if not all(abs(x - y) <= tol for x, y in pairs):  # a NaN disagrees
                 raise ValidationError("'cm' and 'normal_form' disagree")
-        V = M
-    if V is None:
+        rows = cm
+    if rows is None:
         raise ValidationError("CM payload needs 'normal_form' or 'cm'")
-    return V
+    return rows
 
 
 def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
@@ -110,10 +104,6 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
 
 # ---------------------------------------------------------------------------
 # emission
-
-
-def matrix_to_lists(M: np.ndarray) -> list[list[float]]:
-    return [[round12(float(x)) for x in row] for row in np.asarray(M, float)]
 
 
 def discord_report_to_dict(report: DiscordReport) -> dict:
@@ -158,7 +148,7 @@ def channel_class_to_dict(cc: ChannelClass, params: GaussianChannelParams) -> di
 def conditional_state_to_dict(state: ConditionalState) -> dict:
     return {
         "mean": [round12(float(x)) for x in state.mean],
-        "cm": matrix_to_lists(state.cm),
+        "cm": [[round12(x) for x in row] for row in state.cm.tolist()],
     }
 
 

@@ -231,61 +231,37 @@ class SymplecticSpectrum(NamedTuple):
     nu_plus: float
 
 
-# delta^2 - 4 det V carries rounding of order eps * delta^2; below this share
-# of delta^2 it has lost its digits and the sum form below is used instead
-_CANCELLED_SHARE = 1e-8
-# where delta - root is below this share of delta + root it has cancelled
-# over 10 bits, and nu_minus is read as sqrt(det V) / nu_plus instead
-_PRODUCT_SHARE = 2.0**-10
 # a discriminant at or above -DISC_TOL is rounding and reads as zero; below
 # it the parameters are no CM
 _DISC_TOL = 1e-9
 _NEGATIVE_DISC = "negative symplectic discriminant {}; input is not a valid CM"
 
 
-def _pick(cond, x, y):
-    return x if cond else y
+def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt):
+    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); floats, or arrays with ``sqrt=np.sqrt``.
 
-
-def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt, where=_pick):
-    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); floats, or arrays with ``np.sqrt, np.where``.
-
-    ``nu_pm^2 = (Delta +- sqrt(Delta^2 - 4 det V)) / 2`` with
-    ``Delta = a^2 + b^2 + 2 c cp`` and ``det V = (ab - c^2)(ab - cp^2)``.  The
-    discriminant equals ``(a^2 - b^2)^2 + 4 (ac + b cp)(bc + a cp)``, which
-    keeps its digits near a degenerate spectrum: there (pure states have
-    a = b and cp = -c) the difference is rounding of either sign, which the
-    square root lifts to ~1e-8 in nu_minus, so a locally transformed pure
-    state would fail the bona fide test.  Away from it the difference is
-    kept, so those results keep their bits.  Likewise ``Delta - sqrt(disc)``
-    cancels when nu_minus << nu_plus (``1e16, 3, 0, 0`` read as nu_minus = 0);
-    below ``_PRODUCT_SHARE`` of ``Delta + sqrt(disc)``, nu_minus is taken from
-    ``nu_minus nu_plus = sqrt(det V)`` as ``sqrt(ab - c^2) sqrt(ab - cp^2) /
-    nu_plus``, which does not cancel.  A negative discriminant, nu^2 or
-    factor of det V reads as zero (``0.5 * (x + abs(x))`` is ``max(x, 0)``
-    exactly, for floats and arrays alike); callers reject a discriminant
-    below ``-_DISC_TOL``.
+    ``nu_pm^2 = (Delta +- sqrt(disc)) / 2`` with ``Delta = a^2 + b^2 + 2 c cp``
+    and ``disc = Delta^2 - 4 det V``, read as the identical
+    ``(a^2 - b^2)^2 + 4 (ac + b cp)(bc + a cp)``: near a degenerate spectrum
+    (pure states have a = b and cp = -c) the difference form is rounding of
+    either sign, which the square root lifts to ~1e-8 in nu_minus.  nu_minus
+    is read from ``nu_minus nu_plus = sqrt(det V)`` as
+    ``sqrt(ab - c^2) sqrt(ab - cp^2) / nu_plus``, which does not cancel where
+    ``Delta - sqrt(disc)`` does, at nu_minus << nu_plus (``1e16, 3, 0, 0``
+    has nu_minus = 3); a zero nu_plus divides by 1 instead.  A negative
+    discriminant, nu^2 or factor of det V reads as zero (``0.5 * (x + abs(x))``
+    is ``max(x, 0)`` exactly, for floats and arrays alike); callers reject a
+    discriminant below ``-_DISC_TOL``.
     """
     ab = a * b
     delta = a * a + b * b + 2.0 * c * cp
     det_q, det_p = ab - c * c, ab - cp * cp  # of the q and p blocks; det V = det_q det_p
-    disc = delta * delta - 4.0 * (det_q * det_p)
     diff = a * a - b * b
-    disc = where(
-        disc < _CANCELLED_SHARE * (delta * delta),
-        diff * diff + 4.0 * ((a * c + b * cp) * (b * c + a * cp)),
-        disc,
-    )
-    root = sqrt(0.5 * (disc + abs(disc)))
-    lo, hi = delta - root, delta + root  # 2 nu^2
+    disc = diff * diff + 4.0 * ((a * c + b * cp) * (b * c + a * cp))
+    hi = delta + sqrt(0.5 * (disc + abs(disc)))  # 2 nu_plus^2
     nu_plus = sqrt(0.25 * (hi + abs(hi)))
     root_det = sqrt(0.5 * (det_q + abs(det_q))) * sqrt(0.5 * (det_p + abs(det_p)))
-    nu_minus = where(
-        lo < _PRODUCT_SHARE * hi,
-        root_det / where(nu_plus > 0.0, nu_plus, 1.0),
-        sqrt(0.25 * (lo + abs(lo))),
-    )
-    return disc, nu_minus, nu_plus
+    return disc, root_det / (nu_plus + (nu_plus == 0.0)), nu_plus
 
 
 def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
@@ -336,12 +312,12 @@ def _admits(a, b, c, cp, disc, nu_minus):
         & (nu_minus >= 1.0 - BONA_FIDE_TOL)
 
 
-def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt, where=_pick):
+def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt):
     """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp) by :func:`_admits`.
 
-    Floats, or arrays with ``np.sqrt, np.where`` as for :func:`_spectrum_arrays`.
+    Floats, or arrays with ``sqrt=np.sqrt``, as for :func:`_spectrum_arrays`.
     """
-    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, sqrt, where)
+    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, sqrt)
     return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
 
 
@@ -382,12 +358,14 @@ def _verdict(a: float, b: float, c: float, cp: float):
 def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
     """Vectorized uncertainty-principle test for normal-form parameters.
 
-    The array call of the rule :func:`validate_bona_fide` reads; inf
-    entries give False, without a floating-point warning.
+    The rule :func:`validate_bona_fide` reads, through the same formulae
+    with ``np.sqrt``; inf entries give False, without a floating-point
+    warning.  Where an intermediate overflows (parameters from about 1e77)
+    an entry gives False; the float call reads a rescaled copy instead.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         arrays = (np.asarray(x, float) for x in (a, b, c, cp))
-        return _bona_fide_verdict(*arrays, np.sqrt, np.where)[0]
+        return _bona_fide_verdict(*arrays, np.sqrt)[0]
 
 
 class BonaFideDiagnosis(NamedTuple):

@@ -60,6 +60,14 @@ from .symplectic import (
 )
 
 WORKED_DISCORD = 0.950067  # h(2) - h(1) - h(4) + h(3), rounded to 6 decimals
+# the random states have local variances in [1, VMAX]
+VMAX = 5.0
+SWEEP_SEED = 20260809
+ROUND_TRIP_SEED = 20260810
+COVERAGE_SEED = 42
+ORACLE_SEED = 20260811
+REMOTE_PREP_SEED = 20260812
+SAMPLER_SEED = 42
 
 
 @dataclass
@@ -82,17 +90,17 @@ def _finish(name: str, passed: bool, detail: str, t0: float) -> CheckResult:
 # random state generators
 
 
-def random_squeezed_thermal(rng: np.random.Generator, n: int, vmax: float = 5.0):
+def random_squeezed_thermal(rng: np.random.Generator, n: int):
     """Arrays (a, b, c) of bona fide squeezed-thermal normal forms."""
-    a = rng.uniform(1.0, vmax, n)
-    b = rng.uniform(1.0, vmax, n)
+    a = rng.uniform(1.0, VMAX, n)
+    b = rng.uniform(1.0, VMAX, n)
     frac = rng.uniform(0.0, 1.0, n)
     sign = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
     bound = np.maximum(squeezed_thermal_bound(a, b), 0.0)
     c = sign * np.sqrt(frac * bound)
     return a, b, c
 
-def random_normal_forms(rng: np.random.Generator, n: int, vmax: float = 5.0):
+def random_normal_forms(rng: np.random.Generator, n: int):
     """Arrays (a, b, c, cp) of general bona fide normal forms (rejection)."""
     out_a = np.empty(n)
     out_b = np.empty(n)
@@ -101,8 +109,8 @@ def random_normal_forms(rng: np.random.Generator, n: int, vmax: float = 5.0):
     filled = 0
     while filled < n:
         m = max(2 * (n - filled), 128)
-        a = rng.uniform(1.0, vmax, m)
-        b = rng.uniform(1.0, vmax, m)
+        a = rng.uniform(1.0, VMAX, m)
+        b = rng.uniform(1.0, VMAX, m)
         half = np.sqrt(np.maximum(squeezed_thermal_bound(a, b), 0.0))
         c = rng.uniform(-1.0, 1.0, m) * half
         cp = rng.uniform(-1.0, 1.0, m) * half
@@ -116,12 +124,12 @@ def random_normal_forms(rng: np.random.Generator, n: int, vmax: float = 5.0):
     return out_a, out_b, out_c, out_cp
 
 
-def random_family_params(rng: np.random.Generator, n: int, b_max: float = 5.0):
+def random_family_params(rng: np.random.Generator, n: int):
     """List of random decomposition witnesses drawn over the full domain."""
     params = []
     while len(params) < n:
-        b = rng.uniform(1.0 + 1e-6, b_max)
-        a = rng.uniform(1.0, b_max)
+        b = rng.uniform(1.0 + 1e-6, VMAX)
+        a = rng.uniform(1.0, VMAX)
         r = rng.uniform(1.0 / b, b)
         t_lo, t_hi = tau_bounds(a, b, r)
         tau = rng.uniform(t_lo, t_hi)
@@ -136,9 +144,9 @@ def random_family_params(rng: np.random.Generator, n: int, b_max: float = 5.0):
 # criteria 1 and 2 share one sweep over the same random states
 
 
-def discord_sweep(n: int = 1000, seed: int = 20260809) -> tuple[CheckResult, CheckResult]:
+def discord_sweep(n: int = 1000) -> tuple[CheckResult, CheckResult]:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SWEEP_SEED)
     a, b, c = random_squeezed_thermal(rng, n)
     heterodyne = GaussianMeasurement.heterodyne()
     max_dd = 0.0
@@ -196,9 +204,9 @@ def check_worked_number() -> CheckResult:
     )
 
 
-def check_decomposition_round_trips(n: int = 10_000, seed: int = 20260810) -> CheckResult:
+def check_decomposition_round_trips(n: int = 10_000) -> CheckResult:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROUND_TRIP_SEED)
 
     a, b, c = random_squeezed_thermal(rng, n)
     max_err_st = 0.0
@@ -233,8 +241,8 @@ def check_decomposition_round_trips(n: int = 10_000, seed: int = 20260810) -> Ch
     )
 
 
-def _coverage_panel(a: float, b: float, n: int, seed: int) -> tuple[dict, bool]:
-    sample = sample_family(a, b, n, seed)
+def _coverage_panel(a: float, b: float, n: int) -> tuple[dict, bool]:
+    sample = sample_family(a, b, n, COVERAGE_SEED)
     bona = bona_fide_normal_form_mask(a, b, sample.c, sample.cp)
     all_bona = bool(np.all(bona))
 
@@ -248,10 +256,10 @@ def _coverage_panel(a: float, b: float, n: int, seed: int) -> tuple[dict, bool]:
     return info, all_bona
 
 
-def check_family_coverage(n: int = 500_000, seed: int = 42) -> CheckResult:
+def check_family_coverage(n: int = 500_000) -> CheckResult:
     t0 = time.perf_counter()
-    panel22, bona22 = _coverage_panel(2.0, 2.0, n, seed)
-    panel24, bona24 = _coverage_panel(2.0, 4.0, n, seed)
+    panel22, bona22 = _coverage_panel(2.0, 2.0, n)
+    panel24, bona24 = _coverage_panel(2.0, 4.0, n)
     bis = [panel22["_bisector_main"], panel22["_bisector_anti"],
            panel24["_bisector_main"], panel24["_bisector_anti"]]
     frac22 = panel22["coverage_fraction"]
@@ -271,12 +279,12 @@ def check_family_coverage(n: int = 500_000, seed: int = 42) -> CheckResult:
     )
 
 
-def check_entropy_oracles(n: int = 10_000, seed: int = 20260811) -> CheckResult:
+def check_entropy_oracles(n: int = 10_000) -> CheckResult:
     t0 = time.perf_counter()
     xs = [1.0, 1.5, 2.0, 3.0, 5.0, 10.0]
     max_h_err = max(abs(h(x) - thermal_entropy_fock(x)) for x in xs)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     a, b, c, cp = random_normal_forms(rng, n)
     max_nu_err = 0.0
     mats = np.empty((n, 4, 4))
@@ -306,9 +314,9 @@ def check_entropy_oracles(n: int = 10_000, seed: int = 20260811) -> CheckResult:
     )
 
 
-def check_remote_prep_identities(n: int = 2_000, seed: int = 20260812) -> CheckResult:
+def check_remote_prep_identities(n: int = 2_000) -> CheckResult:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(REMOTE_PREP_SEED)
 
     # law of total variance: A = V_cond + L (B + V0) L^T
     a, b, c, cp = random_normal_forms(rng, n)
@@ -406,17 +414,17 @@ def check_channel_classification() -> CheckResult:
     )
 
 
-def check_sampler_determinism(n: int = 200_000, seed: int = 42) -> CheckResult:
+def check_sampler_determinism(n: int = 200_000) -> CheckResult:
     t0 = time.perf_counter()
-    csv_a = sample_to_csv(sample_family(2.0, 2.0, n, seed, threads=1))
-    csv_b = sample_to_csv(sample_family(2.0, 2.0, n, seed, threads=1))
-    csv_c = sample_to_csv(sample_family(2.0, 2.0, n, seed, threads=4))
+    csv_a = sample_to_csv(sample_family(2.0, 2.0, n, SAMPLER_SEED, threads=1))
+    csv_b = sample_to_csv(sample_family(2.0, 2.0, n, SAMPLER_SEED, threads=1))
+    csv_c = sample_to_csv(sample_family(2.0, 2.0, n, SAMPLER_SEED, threads=4))
     same = csv_a == csv_b == csv_c
     digest = hashlib.sha256(csv_a.encode()).hexdigest()[:16]
     return _finish(
         "9-sampler-determinism",
         same,
-        f"{n} rows, seed {seed}: repeat run and 4-thread run byte-identical = {same} "
+        f"{n} rows, seed {SAMPLER_SEED}: repeat run and 4-thread run byte-identical = {same} "
         f"(sha256 {digest})",
         t0,
     )

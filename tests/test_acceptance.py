@@ -53,4 +53,4 @@ def test_criterion_8_channel_classification():
 
 
 def test_criterion_9_sampler_determinism():
-    _assert(ver.check_sampler_determinism(n=200_000, seed=42))
+    _assert(ver.check_sampler_determinism(n=200_000))

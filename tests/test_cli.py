@@ -162,7 +162,7 @@ class TestDiscordCommand:
     def test_negative_definite_state_exits_2(self, runner):
         # -V has the symplectic spectrum of V; only positive definiteness tells them apart.
         # 1,1,1000,1.0001 has ab < c^2 and ab < cp^2 but det V > 0; the spectrum
-        # formula reads nu_min = 0.316 there, which is no spectrum of it
+        # formula reads nu_min = 0 there, which is no spectrum of it
         S = np.eye(4)
         S[:2, :2] = squeezer_matrix(2.0) @ rotation_matrix(0.3)
         for args in (["discord", "--state", json.dumps({"cm": (-2.0 * S @ S.T).tolist()})],
@@ -532,6 +532,9 @@ def test_cold_commands_never_import_numpy(args, tmp_path):
     assert res.stdout == ref.stdout
 
 
+# V(2, 2, 1, -1) with mode A rotated by pi/2: a full CM off the normal-form pattern
+LOCAL_FRAME_STATE = '{"cm": [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]]}'
+
 # runs the CLI in process, then lists the modules loaded, one a line
 LOADED_MODULES_CLI = """\
 import sys
@@ -553,7 +556,13 @@ print(*sorted(sys.modules), sep="\\n", file=sys.stderr)
     (["classify", "--tau", "0.5", "--eta", "0.6"],
      {"gdiscord.channels", "gdiscord.serialize"},
      {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "numpy"}),
-], ids=["sample", "classify"])
+    (["discord", "--state", LOCAL_FRAME_STATE],
+     {"gdiscord.discord", "gdiscord.family", "gdiscord.serialize"},
+     {"gdiscord.verification", "numpy"}),
+    (["decompose", "--state", LOCAL_FRAME_STATE],
+     {"gdiscord.family", "gdiscord.serialize"},
+     {"gdiscord.discord", "gdiscord.verification", "numpy"}),
+], ids=["sample", "classify", "discord-state", "decompose-state"])
 def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, src, *args], cwd=tmp_path,

@@ -268,10 +268,10 @@ class TestMinimizer:
             assert s == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-8)
 
     def test_matched_measurement_endpoints(self):
-        for r, kind in [(0.5, "homodyne_q"), (2.0, "homodyne_p")]:
+        for r, u in [(0.5, 0.0), (2.0, math.inf)]:  # the q and p homodyne limits
             fp = FamilyParams(b=2.0, r=r, tau=0.8, eta=1.1, sign=1)
             m = matched_measurement(fp)
-            assert m.kind == kind
+            assert m.u == u
             V = embed_normal_form(family_cm_from_params(fp))
             s = conditional_entropy_measured(V, m)
             assert s == pytest.approx(h(abs(fp.tau) + fp.eta), abs=1e-8)
@@ -544,9 +544,9 @@ def test_report_is_a_read_only_record():
     with pytest.raises(AttributeError):
         rep.discord = 0.0
     assert repr(rep) == (
-        "DiscordReport(s_a=2.7548875021634687, s_b=1.3774437510817343, s_ab=2.427376486136684,"
-        " i_ab=1.7049547671085192, s_min_cond=2.0000000000000004,"
-        " classical_corr=0.7548875021634682, discord=0.950067264945051,"
+        "DiscordReport(s_a=2.7548875021634687, s_b=1.3774437510817343, s_ab=2.427376486136672,"
+        " i_ab=1.7049547671085312, s_min_cond=2.0000000000000004,"
+        " classical_corr=0.7548875021634682, discord=0.950067264945063,"
         " method='numeric_scan', u_opt=1.0, phi_opt=0.0)")
     closed = gaussian_discord_closed_form(membership(NormalFormCM(5.0, 2.0, SQRT6, -SQRT6)))
     assert repr(closed).endswith("method='closed_form', u_opt=None, phi_opt=None)")

@@ -78,6 +78,18 @@ class TestParseCM:
         with pytest.raises(ValidationError):
             parse_cm_payload({"cm": [["x"] * 4] * 4})
 
+    @pytest.mark.parametrize("cm", [list(range(16)), [list(range(8))] * 2], ids=["flat", "2x8"])
+    def test_cm_is_four_rows_of_four(self, cm):
+        # sixteen numbers in another shape are not reshaped: the CM gate names the shape
+        with pytest.raises(ValidationError, match="expected 4x4 matrix"):
+            parse_cm_payload({"cm": cm})
+
+    def test_nan_normal_form_disagrees_with_any_cm(self):
+        payload = {"normal_form": {"a": 2, "b": 2, "c": 1, "cp": math.nan},
+                   "cm": NormalFormCM(2, 2, 1, -1).rows()}
+        with pytest.raises(ValidationError, match="disagree"):
+            parse_cm_payload(payload)
+
 
 class TestParseOthers:
     def test_measurement(self):
@@ -87,9 +99,9 @@ class TestParseOthers:
     def test_measurement_inf(self):
         # float() spellings of +inf, with the surrounding space and case it allows
         for text in ("inf", " INF ", "+Infinity", "infinity", "+inf"):
-            assert parse_measurement_payload({"u": text}).kind == "homodyne_p", text
+            assert parse_measurement_payload({"u": text}).u == math.inf, text
         assert parse_measurement_payload({"u": "1e308"}).u == 1e308
-        assert parse_measurement_payload({"u": 0}).kind == "homodyne_q"
+        assert parse_measurement_payload({"u": 0}).u == 0.0
 
     def test_measurement_malformed(self):
         for payload in ({"phi": 0.2}, {"u": "abc"}, {"u": None}):

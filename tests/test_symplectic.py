@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -174,7 +175,7 @@ class TestSpectrum:
             nf = diag.reduction.nf
             assert bool(bona_fide_normal_form_mask(nf.a, nf.b, nf.c, nf.cp))
             arrays = [np.array([x]) for x in (nf.a, nf.b, nf.c, nf.cp)]
-            assert _spectrum_arrays(*arrays, np.sqrt, np.where)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
+            assert _spectrum_arrays(*arrays, np.sqrt)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
             ref = symplectic_spectrum(V)
             assert diag.nu_min == pytest.approx(ref.nu_minus, abs=1e-9)
             assert diag.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
@@ -239,7 +240,7 @@ class TestValidate:
         # the spectrum formula reads nu_min = 2 for the first two, as it does
         # for 2 I; the third has an indefinite A block, so it has no normal
         # form; the last has det V > 0 but both block determinants negative,
-        # and the formula reads nu_min = 0.316 there
+        # and the formula reads nu_min = 0 there, from the clamped determinants
         diag = validate_bona_fide(V)
         assert not diag.bona_fide
         assert diag.reason == "not positive definite"
@@ -292,7 +293,7 @@ def test_nu_min_vectorized_matches_scalar():
     b = np.array([nf.b for nf in nfs])
     c = np.array([nf.c for nf in nfs])
     cp = np.array([nf.cp for nf in nfs])
-    nu_vec = _spectrum_arrays(a, b, c, cp, np.sqrt, np.where)[1]
+    nu_vec = _spectrum_arrays(a, b, c, cp, np.sqrt)[1]
     for i, nf in enumerate(nfs):
         assert nu_vec[i] == pytest.approx(normal_form_spectrum(nf).nu_minus, abs=1e-12)
 
@@ -308,7 +309,86 @@ def test_mask_keeps_the_symmetric_anti_diagonal():
     c, cp = centers, centers[::-1]
     assert bool(np.all(bona_fide_normal_form_mask(2.0, 2.0, c, cp)))
     scalar = [normal_form_spectrum(NormalFormCM(2.0, 2.0, x, y)).nu_minus for x, y in zip(c, cp)]
-    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp, np.sqrt, np.where)[1], scalar, atol=1e-9)
+    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp, np.sqrt)[1], scalar, atol=1e-9)
+
+
+def spectrum_reference(a, b, c, cp):
+    """(nu_minus, nu_plus) of V(a, b, c, cp) from Delta and det V, in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b, c, cp = map(decimal.Decimal, (a, b, c, cp))
+        delta = a * a + b * b + 2 * c * cp
+        root = max(delta * delta - 4 * (a * b - c * c) * (a * b - cp * cp), 0).sqrt()
+        return ((delta - root) / 2).sqrt(), ((delta + root) / 2).sqrt()
+
+
+def _local_frame_forms(rng, n):
+    out = []
+    for nf in random_normal_forms(rng, n):
+        S = np.zeros((4, 4))
+        S[:2, :2] = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+        S[2:, 2:] = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, np.pi))
+        V = embed_normal_form(nf)
+        out.append(normal_form_from_cm(S @ V @ S.T))
+    return out
+
+
+def _equal_variance_forms(rng, n):
+    out = []
+    while len(out) < n:
+        a = rng.uniform(1.0, 5.0)
+        c, cp = rng.uniform(-1.0, 1.0, 2) * math.sqrt(a * a - 1.0)
+        if bona_fide_normal_form_mask(a, a, c, cp):
+            out.append(NormalFormCM(a, a, c, cp))
+    return out
+
+
+def _positive_product_forms(rng, n):
+    out = []
+    while len(out) < n:
+        a, b = rng.uniform(1.0, 5.0, 2)
+        c, cp = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0, 2) * math.sqrt(a * b - 1.0)
+        if bona_fide_normal_form_mask(a, b, c, cp):
+            out.append(NormalFormCM(a, b, c, cp))
+    return out
+
+
+def _boundary_squeezed_thermal_forms(rng, n):
+    out = []
+    for a, b in rng.uniform(1.0, 5.0, (n, 2)):
+        c = math.sqrt(a * b - 1.0 - abs(a - b))  # nu_minus = 1
+        out.append(NormalFormCM(a, b, c, -c))
+    return out
+
+
+# each class draws 1000 normal forms with variances up to 5, unless named
+# otherwise.  Left out: pure EPR states of large b in a squeezed frame, whose
+# input fixes ab - c^2 only to eps b^2, so no formula can do better than that
+# noise floor (ROADMAP item 2)
+SPECTRUM_CLASSES = {
+    "generic": lambda rng, n: random_normal_forms(rng, n),
+    "local-frame": _local_frame_forms,
+    "thermal-product-to-1e8": lambda rng, n: [
+        NormalFormCM(*(10.0 ** rng.uniform(0.0, 8.0, 2)), 0.0, 0.0) for _ in range(n)],
+    "a-equals-b": _equal_variance_forms,
+    "positive-c-cp": _positive_product_forms,
+    "boundary-squeezed-thermal": _boundary_squeezed_thermal_forms,
+}
+SPECTRUM_ULPS = 512
+
+
+@pytest.mark.parametrize("name", SPECTRUM_CLASSES)
+def test_spectrum_is_accurate_to_the_last_bits(name):
+    nfs = SPECTRUM_CLASSES[name](np.random.default_rng(2026), 1000)
+    _, arr_minus, arr_plus = _spectrum_arrays(*map(np.array, zip(*nfs)), np.sqrt)
+    worst = {}
+    for nf, arrays in zip(nfs, zip(arr_minus.tolist(), arr_plus.tolist())):
+        refs = spectrum_reference(*nf)
+        for path, got in (("float", normal_form_spectrum(nf)), ("array", arrays)):
+            for which, x, ref in zip(("nu_minus", "nu_plus"), got, refs):
+                ulps = abs(decimal.Decimal(x) - ref) / decimal.Decimal(math.ulp(float(ref)))
+                worst[path, which] = max(worst.get((path, which), 0.0), float(ulps))
+    assert max(worst.values()) <= SPECTRUM_ULPS, worst
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -417,7 +497,7 @@ class TestRecords:
         assert repr(self.WORKED_NF) == (
             "NormalFormCM(a=5.0, b=2.0, c=2.449489742783178, cp=-2.449489742783178)")
         assert repr(validate_bona_fide(self.WORKED_NF.rows())) == (
-            "BonaFideDiagnosis(bona_fide=True, nu_min=1.0000000000000004, reason=None,"
+            "BonaFideDiagnosis(bona_fide=True, nu_min=1.0, reason=None,"
             " nu_plus=4.0, reduction=Reduction(nf=NormalFormCM(a=5.0, b=2.0,"
             " c=2.449489742783178, cp=-2.449489742783178), tb_inv=(1.0, 0.0, 0.0, 1.0)))")
         assert repr(validate_bona_fide([[1.0]])) == (
