@@ -366,7 +366,7 @@ def _boundary_squeezed_thermal_forms(rng, n):
 # input fixes ab - c^2 only to eps b^2, so no formula can do better than that
 # noise floor (ROADMAP item 2)
 SPECTRUM_CLASSES = {
-    "generic": lambda rng, n: random_normal_forms(rng, n),
+    "generic": random_normal_forms,
     "local-frame": _local_frame_forms,
     "thermal-product-to-1e8": lambda rng, n: [
         NormalFormCM(*(10.0 ** rng.uniform(0.0, 8.0, 2)), 0.0, 0.0) for _ in range(n)],
