@@ -148,12 +148,20 @@ def classify_cmd(tau, eta):
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @main.command()
 @click.option("--a", "a", type=float, required=True)
 @click.option("--b", "b", type=float, required=True)
 @click.option("--n", "n", type=int, required=True, help="number of points")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="sampler threads (>= 1), at most one per usable CPU")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True, allow_dash=True),
               default="-", show_default=True, help="CSV destination ('-' = stdout)")
 @click.option("--grid-out", type=click.Path(dir_okay=False, writable=True),
@@ -163,11 +171,14 @@ def classify_cmd(tau, eta):
 def sample(a, b, n, seed, threads, out, grid_out, bins):
     """Sample family states at fixed (a, b): CSV cloud plus occupancy grid."""
     from .family import occupancy_grid, sample_family
+    from .samplecsv import sample_csv_blocks
 
-    batch = sample_family(a, b, n, seed, threads=threads)
+    # threads beyond the CPUs the process may use cannot overlap: they only
+    # cost a pool and the concurrent.futures import
+    batch = sample_family(a, b, n, seed, threads=min(threads, _usable_cpus()))
     try:
         with click.open_file(out, "wb") as fh:
-            for block in serialize.sample_csv_blocks(batch):
+            for block in sample_csv_blocks(batch):
                 fh.write(block)
             fh.flush()
     except BrokenPipeError:

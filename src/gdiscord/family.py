@@ -251,10 +251,13 @@ def sample_family(
     Per point: r uniform on [1/b, b], tau uniform on [tau_min, tau_max] at
     that r, noise from :func:`eta_from_a`, and a fair EPR-sign coin, all from
     a counter-based stream keyed on (seed, chunk).  Output is reproducible
-    for a fixed seed, independent of ``threads``.
+    for a fixed seed, independent of ``threads``.  With ``threads`` > 1 and
+    more than one chunk, the chunks run on a pool of that many threads.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     check_variance(a, "local variance a")
     check_variance(b, "local variance b")
     if b <= 1.0 and a <= 1.0:

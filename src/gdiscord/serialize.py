@@ -6,18 +6,16 @@ locale dependence, so identical requests produce byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from typing import Iterator
 
-from . import _numpy as np
 from .errors import DomainError, ValidationError
 from .symplectic import NormalFormCM, _cm_rows
 
 # The records named in annotations here (DiscordReport, FamilySample, ...) are
 # not imported: annotations stay unevaluated text, and importing their
 # modules would load discord, family and remote_prep into every command.
+# For the same reason the sample CSV writer lives in gdiscord.samplecsv.
 
 
 def fmt(x: float) -> str:
@@ -49,6 +47,8 @@ def _as_float(value, name: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"field '{name}' must be a number, got {value!r}")
+    except OverflowError:  # an int past the float range; its digits would fill the line
+        raise ValidationError(f"field '{name}' is past the float range") from None
 
 
 _CM_AGREEMENT_RTOL = 1e-9
@@ -152,130 +152,6 @@ def conditional_state_to_dict(state: ConditionalState) -> dict:
     }
 
 
-SAMPLE_CSV_HEADER = "a,b,c,cp,r,tau,eta,sign"
-_CSV_BLOCK_ROWS = 8192
-# little-endian uint64 words of one CSV field: an 8-byte prefix (',', the
-# sign, and '0.000' below 1) and a 16-byte body (12 digits and the point);
-# 24 bytes also hold the widest fmt text, ',-1.23456789012e-308'
-_CSV_FIELD = 3
-_U64 = "<u8"
-
-
-def _words(text: bytes, size: int):
-    """``text``, NUL-padded to ``size`` uint64 words."""
-    return np.frombuffer(text.ljust(8 * size, b"\0"), _U64)
-
-
-@functools.cache
-def _csv_tables():
-    """The kernel's lookup tables, as little-endian uint64 words.
-
-    * digits: 20,000 words of one 4-digit group each (in the low four
-      bytes), first as all its digits, then with trailing zeros as NUL;
-    * prefix: 32 words, ``","``, ``",-"``, ``",0.000"``, ... indexed by
-      16 * (value < 0) + e + 4 for the decimal exponent e in [-4, 11];
-    * by e + 4, the 128-bit masks (low word, high word) of the body: the
-      integer part's bytes as ASCII '0', the bytes before the point (all 16
-      for e < 0), and the point itself;
-    * the exact powers 10^0 .. 10^15 as floats.
-    """
-    group = np.arange(10_000, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32)
-    group = (group % 10).astype(np.uint8)
-    trail = np.logical_or.accumulate(group[:, ::-1] != 0, axis=1)[:, ::-1]
-    ascii_ = group + np.uint8(ord("0"))
-    digits = np.concatenate([ascii_, ascii_ * trail]).view("<u4").ravel().astype(_U64)
-    prefix = b"".join((sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")).ljust(8, b"\0")
-                      for sign in (b",", b",-") for e in range(-4, 12))
-    body = []
-    for e in range(-4, 12):
-        int_bytes = max(e + 1, 0)
-        zeros = int.from_bytes(b"0" * int_bytes, "little")
-        keep = (1 << 8 * int_bytes) - 1 if e >= 0 else (1 << 128) - 1
-        point = ord(".") << 8 * int_bytes if e >= 0 else 0
-        body.append([m >> shift & (2**64 - 1) for m in (zeros, keep, point) for shift in (0, 64)])
-    return (digits, np.frombuffer(prefix, _U64), *np.array(body, np.uint64).T.astype(_U64),
-            np.array([10.0**k for k in range(16)]))
-
-
-def _csv_fields(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"," + fmt(v)`` for each value of ``x`` to ``out``, as NUL-padded uint64.
-
-    ``out`` has the shape of ``x`` plus a last axis of ``_CSV_FIELD`` words.
-
-    For a value with decimal exponent e in [-4, 11] (fixed notation), one
-    multiply by the exact 10^(11 - e) puts its 12 significant digits before
-    the point; the product is within half an ulp (<= 2^-14 below 1e12) of
-    the exact one, so ``rint`` gives the correctly rounded digits N wherever
-    the fraction lies more than 2^-12 from 1/2.  The prefix word holds ','
-    and the sign, and for e < 0 the '0.' and zeros before the digits.  The
-    body holds N as three 4-digit words, NUL after its last nonzero digit
-    but, for e >= 0, '0' through the integer part's e + 1 digits; when a
-    fraction digit is left, the bytes from e + 1 on move up one byte and the
-    point goes in between.  Ties, decade edges (the product within 1 of
-    1e11 or 1e12), exponent notation, zero and non-finite values take
-    :func:`fmt` itself.
-    """
-    digits, prefix, zeros_lo, zeros_hi, keep_lo, keep_hi, point_lo, point_hi, pow10 = _csv_tables()
-    ax = np.abs(x)
-    ok = np.isfinite(ax) & (ax > 0.0)
-    ax = np.where(ok, ax, 1.0)
-    e = np.floor(np.log10(ax)).astype(np.intp)
-    ok &= (e >= -4) & (e <= 11)
-    e = np.clip(e, -4, 11) + 4
-    p = ax * pow10.take(15 - e)
-    ok &= (p >= 1e11 + 1.0) & (p <= 1e12 - 1.0) & (np.abs(p - np.floor(p) - 0.5) > 2.0**-12)
-    n = np.where(ok, np.rint(p), 1e11).astype(np.int64)
-    d0, n = np.divmod(n, 10**8)
-    d1, d2 = np.divmod(n, 10**4)
-    out[..., 0] = prefix.take(np.where(x < 0.0, 16, 0) + e)
-    hi = digits.take(10_000 + d2) | zeros_hi.take(e)
-    lo = (digits.take(np.where(d2 == 0, 10_000, 0) + d1) << np.uint64(32)
-          | digits.take(np.where((d1 | d2) == 0, 10_000, 0) + d0) | zeros_lo.take(e))
-    up_lo, up_hi = lo & ~keep_lo.take(e), hi & ~keep_hi.take(e)
-    frac = (up_lo | up_hi) != 0
-    # the bytes after the integer part (up) move up one byte; the point goes in the gap
-    out[..., 1] = lo ^ up_lo | up_lo << np.uint64(8) | np.where(frac, point_lo.take(e), 0)
-    out[..., 2] = (hi ^ up_hi | up_hi << np.uint64(8) | up_lo >> np.uint64(56)
-                   | np.where(frac, point_hi.take(e), 0))
-    for i in zip(*np.nonzero(~ok)):
-        out[i] = _words(f",{fmt(float(x[i]))}".encode(), _CSV_FIELD)
-
-
-def sample_csv_blocks(sample: FamilySample) -> Iterator[bytes]:
-    """The sample CSV as ASCII bytes: the header line, then blocks of ``_CSV_BLOCK_ROWS`` rows.
-
-    Fixed column order, every number as :func:`fmt` writes it.  Each row is
-    built in fixed slots of uint64 words padded with NUL bytes, which
-    ``translate`` drops.  ``sign`` is +-1.
-    """
-    yield f"{SAMPLE_CSV_HEADER}\n".encode()
-    text = f"{fmt(sample.a)},{fmt(sample.b)}".encode()
-    head = _words(text, -(-len(text) // 8))
-    ends = _words(b",-1\n", 1)[0], _words(b",1\n", 1)[0]
-    cols = (sample.c, sample.cp, sample.r, sample.tau, sample.eta)
-    for lo in range(0, sample.n, _CSV_BLOCK_ROWS):
-        part = slice(lo, lo + _CSV_BLOCK_ROWS)
-        sign = sample.sign[part]
-        rows = np.empty((len(sign), len(head) + 5 * _CSV_FIELD + 1), _U64)
-        rows[:, :len(head)] = head
-        # a view of each row's field words, as 5 fields of _CSV_FIELD words
-        _csv_fields(np.stack([col[part] for col in cols], axis=1),
-                    rows[:, len(head):-1].reshape(len(sign), 5, _CSV_FIELD))
-        rows[:, -1] = np.where(sign < 0.0, *ends)
-        yield rows.tobytes().translate(None, b"\0")
-
-
-def sample_csv_lines(sample: FamilySample) -> Iterator[str]:
-    """CSV lines (no newline) of :func:`sample_csv_blocks`, header first."""
-    for block in sample_csv_blocks(sample):
-        yield from block.decode("ascii").split("\n")[:-1]
-
-
-def sample_to_csv(sample: FamilySample) -> str:
-    """The whole CSV text of :func:`sample_csv_blocks`."""
-    return b"".join(sample_csv_blocks(sample)).decode("ascii")
-
-
 def occupancy_to_json(info: dict) -> str:
     """:func:`dumps` text of an :func:`occupancy_grid` record.
 
@@ -290,3 +166,18 @@ def occupancy_to_json(info: dict) -> str:
     rows = ",\n    ".join("[\n      " + ",\n      ".join(map(str, row)) + "\n    ]"
                           for row in info["grid"].tolist())
     return dumps(out).replace('"grid": null', f'"grid": [\n    {rows}\n  ]', 1)
+
+
+_SAMPLE_CSV_NAMES = ("SAMPLE_CSV_HEADER", "sample_csv_blocks", "sample_csv_lines", "sample_to_csv")
+
+
+def __getattr__(name: str):
+    """The sample CSV writer's public names, read from :mod:`gdiscord.samplecsv` on first use.
+
+    ``perfbench/ops.py`` imports them from this module.
+    """
+    if name not in _SAMPLE_CSV_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import samplecsv
+
+    return getattr(samplecsv, name)

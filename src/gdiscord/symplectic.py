@@ -111,6 +111,8 @@ def _cm_rows(V) -> list[list[float]]:
             rows = None
         except ValueError:
             raise DomainError("matrix contains non-numeric entries") from None
+        except OverflowError:  # an int past the float range
+            raise DomainError("matrix contains non-finite entries") from None
         if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
             raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
     entries = rows[0] + rows[1] + rows[2] + rows[3]

@@ -46,7 +46,7 @@ from .remote_prep import (
     conditional_mean_map,
     epr_squeezing_range,
 )
-from .serialize import sample_to_csv
+from .samplecsv import sample_to_csv
 from .symplectic import (
     NormalFormCM,
     bona_fide_normal_form_mask,

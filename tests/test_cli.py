@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
-from gdiscord import symplectic
+from gdiscord import cli, symplectic
 from gdiscord.cli import main
 from gdiscord.serialize import round12
 
@@ -330,6 +330,32 @@ class TestSampleCommand:
         assert res.output.startswith("a,b,c,cp,r,tau,eta,sign\n")
         assert len(res.output.strip().split("\n")) == 4
 
+    def test_threads_are_capped_at_the_usable_cpus(self, runner, monkeypatch):
+        # n = 10 is one sampler chunk, so no thread starts whatever the count
+        import gdiscord.family
+
+        asked = []
+        real = gdiscord.family.sample_family
+        monkeypatch.setattr(gdiscord.family, "sample_family",
+                            lambda *args, threads: asked.append(threads) or real(*args, threads=threads))
+        for threads in ("1", "1000000"):
+            res = invoke(runner, ["sample", "--a", "2", "--b", "2", "--n", "10", "--threads", threads])
+            assert res.exit_code == 0
+        assert asked == [1, cli._usable_cpus()]
+        assert cli._usable_cpus() >= 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+    def test_threads_on_one_usable_cpu_start_no_pool(self, tmp_path):
+        # 70,000 points span two sampler chunks: a pool would have work to split
+        src = str(Path(gdiscord.__file__).resolve().parents[1])
+        args = ["sample", "--a", "2", "--b", "3", "--n", "70000", "--seed", "8"]
+        res = subprocess.run([sys.executable, "-c", PINNED_CLI, src, *args, "--threads", "2"],
+                             cwd=tmp_path, capture_output=True, timeout=30)
+        assert res.returncode == 0, res.stderr
+        assert "concurrent.futures" not in res.stderr.decode().split()
+        ref = run_module_cli(args + ["--threads", "1"], tmp_path)
+        assert ref.returncode == 0 and res.stdout == ref.stdout
+
     def test_reader_closing_the_pipe_is_a_success(self, tmp_path):
         # `sample ... | head -1`: 16 MB of rows cannot fit the pipe, so the
         # reader closes it while sample is still writing
@@ -418,12 +444,21 @@ HOSTILE_INPUTS = [
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--outcome", "nan,0"], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--mean", "0,0,inf,0"], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1, "phi": "inf"}'], 2),
+    (["sample", "--a", "2", "--b", "2", "--n", "3", "--threads", "0"], 2),
+    (["sample", "--a", "2", "--b", "2", "--n", "3", "--threads", "-3"], 2),
+    # JSON integers past the float range, which float() refuses with OverflowError
+    (["discord", "--state", '{"cm": [[1%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
+      % ("0" * 400)], 2),
+    (["discord", "--state", '{"normal_form": {"a": 1%s, "b": 2, "c": 0, "cp": 0}}' % ("0" * 400)], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1%s}' % ("0" * 400)], 2),
 ]
 
 
 @pytest.mark.parametrize("args, code", HOSTILE_INPUTS, ids=[
     "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
-    "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi"])
+    "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi",
+    "sample-threads-0", "sample-threads-negative", "discord-huge-int-cm", "discord-huge-int-normal-form",
+    "condition-huge-int-u"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -549,19 +584,26 @@ print(*sorted(sys.modules), sep="\\n", file=sys.stderr)
 """
 
 
+# the same, in a process that may run on one CPU only
+PINNED_CLI = """\
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + LOADED_MODULES_CLI
+
+
 @pytest.mark.parametrize("args, loaded, absent", [
     (["sample", "--a", "2", "--b", "2", "--n", "10", "--seed", "0", "--threads", "1"],
-     {"gdiscord.family", "gdiscord.serialize", "numpy"},
+     {"gdiscord.family", "gdiscord.serialize", "gdiscord.samplecsv", "numpy"},
      {"gdiscord.discord", "gdiscord.remote_prep", "gdiscord.verification", "concurrent.futures"}),
     (["classify", "--tau", "0.5", "--eta", "0.6"],
      {"gdiscord.channels", "gdiscord.serialize"},
-     {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "numpy"}),
+     {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "gdiscord.samplecsv", "numpy"}),
     (["discord", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.discord", "gdiscord.family", "gdiscord.serialize"},
-     {"gdiscord.verification", "numpy"}),
+     {"gdiscord.verification", "gdiscord.samplecsv", "numpy"}),
     (["decompose", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.family", "gdiscord.serialize"},
-     {"gdiscord.discord", "gdiscord.verification", "numpy"}),
+     {"gdiscord.discord", "gdiscord.verification", "gdiscord.samplecsv", "numpy"}),
 ], ids=["sample", "classify", "discord-state", "decompose-state"])
 def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])

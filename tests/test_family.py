@@ -23,7 +23,7 @@ from gdiscord import (
     tau_bounds,
 )
 from gdiscord.family import _correlation_arrays, _eta_arrays, _tau_bounds_arrays
-from gdiscord.serialize import sample_to_csv
+from gdiscord.samplecsv import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
 from gdiscord.verification import random_family_params, random_squeezed_thermal
 
@@ -348,6 +348,27 @@ class TestSampler:
         s4 = sample_family(2.0, 3.0, 150_000, 5, threads=4)
         for col in ("c", "cp", "r", "tau", "eta", "sign"):
             assert np.array_equal(getattr(s1, col), getattr(s4, col))
+
+    def test_threads_run_on_a_pool(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        one = sample_to_csv(sample_family(2.0, 3.0, 150_000, 5, threads=1))
+        assert pools == []
+        assert sample_to_csv(sample_family(2.0, 3.0, 150_000, 5, threads=2)) == one
+        assert pools == [2]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            sample_family(2.0, 2.0, 10, 0, threads=threads)
 
     def test_all_points_bona_fide(self):
         s = sample_family(2.0, 4.0, 50_000, 3)

@@ -14,19 +14,23 @@ from gdiscord import (
     sample_family,
 )
 from gdiscord.family import FamilySample
-from gdiscord.serialize import (
+from gdiscord.samplecsv import (
+    _CSV_BLOCK_ROWS,
     _CSV_FIELD,
     SAMPLE_CSV_HEADER,
     _csv_fields,
+    _csv_workspace,
+    sample_csv_blocks,
+    sample_csv_lines,
+    sample_to_csv,
+)
+from gdiscord.serialize import (
     discord_report_to_dict,
     family_params_to_dict,
     fmt,
     parse_cm_payload,
     parse_measurement_payload,
     round12,
-    sample_csv_blocks,
-    sample_csv_lines,
-    sample_to_csv,
 )
 
 
@@ -106,6 +110,9 @@ class TestParseOthers:
     def test_measurement_malformed(self):
         for payload in ({"phi": 0.2}, {"u": "abc"}, {"u": None}):
             with pytest.raises(ValidationError):
+                parse_measurement_payload(payload)
+        for payload in ({"u": 10**400}, {"u": 1, "phi": -10**400}):
+            with pytest.raises(ValidationError, match="past the float range"):
                 parse_measurement_payload(payload)
         for text in ("-inf", "nan"):
             with pytest.raises(DomainError, match="u must be >= 0"):
@@ -192,7 +199,7 @@ def _kernel_fields(values):
     """The kernel's text of each value, one CSV field each."""
     x = np.array(values, float)
     out = np.empty((len(x), _CSV_FIELD), "<u8")
-    _csv_fields(x, out)
+    _csv_fields(x, out, _csv_workspace(x.shape))
     return [row.tobytes().translate(None, b"\0").decode() for row in out]
 
 
@@ -247,3 +254,14 @@ class TestCsvKernel:
         assert list(sample_csv_lines(sample)) == ref
         assert sample_to_csv(sample) == "\n".join(ref) + "\n"
         assert b"".join(sample_csv_blocks(sample)) == ("\n".join(ref) + "\n").encode()
+
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    def test_blocks_reuse_one_workspace(self, n):
+        # one workspace serves every block; the last block, partial but for
+        # n = block, holds zeros and ties, which the fmt fallback writes
+        values = _kernel_values()[:5 * n].reshape(n, 5).copy()
+        values[-1] = [0.0, -0.0, 1.000000000005, -2.5000000000005, 0.0]
+        sign = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        sample = FamilySample(3.0, 1.25, n, 0, *values.T.copy(), sign)
+        ref = "".join(f"3,1.25,{','.join(map(fmt, row))},{int(sg)}\n" for row, sg in zip(values, sign))
+        assert b"".join(sample_csv_blocks(sample)) == f"{SAMPLE_CSV_HEADER}\n{ref}".encode()

@@ -451,12 +451,15 @@ def _spoiled_epr(kind):
         V[0, 0] = math.inf
     elif kind == "nan-pair":
         V[0, 1] = V[1, 0] = math.nan
+    elif kind == "int-past-float-range":
+        V = V.tolist()
+        V[0][0] = 10**400
     else:
         V[0, 2] += 0.5
     return V
 
 
-@pytest.mark.parametrize("kind", ["inf-entry", "nan-pair", "asymmetric"])
+@pytest.mark.parametrize("kind", ["inf-entry", "nan-pair", "int-past-float-range", "asymmetric"])
 @pytest.mark.parametrize("name", list(CM_READERS))
 def test_every_cm_reader_rejects_what_validation_rejects(name, kind):
     V = _spoiled_epr(kind)
