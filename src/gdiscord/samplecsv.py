@@ -158,7 +158,7 @@ def sample_csv_blocks(sample: FamilySample) -> Iterator[bytes]:
     rows[:, :len(head)] = head
     values = np.empty((block, 5))
     work = _csv_workspace(values.shape)
-    for lo in range(0, sample.n, block):
+    for lo in range(0, sample.n, _CSV_BLOCK_ROWS):
         size = min(block, sample.n - lo)
         part = slice(lo, lo + size)
         for j, col in enumerate(cols):

@@ -342,7 +342,6 @@ class TestSampleCommand:
             res = invoke(runner, ["sample", "--a", "2", "--b", "2", "--n", "10", "--threads", threads])
             assert res.exit_code == 0
         assert asked == [1, cli._usable_cpus()]
-        assert cli._usable_cpus() >= 1
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
     def test_threads_on_one_usable_cpu_start_no_pool(self, tmp_path):

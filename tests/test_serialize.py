@@ -255,6 +255,10 @@ class TestCsvKernel:
         assert sample_to_csv(sample) == "\n".join(ref) + "\n"
         assert b"".join(sample_csv_blocks(sample)) == ("\n".join(ref) + "\n").encode()
 
+    def test_empty_sample_is_the_header(self):
+        sample = FamilySample(2.0, 2.0, 0, 0, *(np.empty(0) for _ in range(6)))
+        assert sample_to_csv(sample) == f"{SAMPLE_CSV_HEADER}\n"
+
     @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
     def test_blocks_reuse_one_workspace(self, n):
         # one workspace serves every block; the last block, partial but for
