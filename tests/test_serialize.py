@@ -264,7 +264,7 @@ class TestCsvKernel:
         # one workspace serves every block; the last block, partial but for
         # n = block, holds zeros and ties, which the fmt fallback writes
         values = _kernel_values()[:5 * n].reshape(n, 5).copy()
-        values[-1] = [0.0, -0.0, 1.000000000005, -2.5000000000005, 0.0]
+        values[-1] = [0.0, -0.0, 1.000000000005, -2.500000000005, 0.0]
         sign = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
         sample = FamilySample(3.0, 1.25, n, 0, *values.T.copy(), sign)
         ref = "".join(f"3,1.25,{','.join(map(fmt, row))},{int(sg)}\n" for row, sg in zip(values, sign))
