@@ -1,21 +1,20 @@
 """Command-line front end.
 
 Thin wrappers only: every numerical result comes from the library modules.
-Exit codes: 0 success, 2 validation error (malformed input, not bona fide),
-3 state outside the decomposition family, 4 numerical failure.  Errors print
-one machine-parseable line on stderr: ``error: <kind>: <detail>``.
+Exit codes: 0 success, 2 usage or validation error (malformed input, not
+bona fide), 3 state outside the decomposition family, 4 numerical failure.
+Errors print one machine-parseable line on stderr: ``error: <kind>: <detail>``.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import serialize
 from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
@@ -25,38 +24,22 @@ from .symplectic import NormalFormCM, validate_bona_fide
 # loads only those: classify never loads family or numpy, and sample never
 # loads discord or remote_prep.
 
-_EXIT_CODES = [
-    (OutOfFamily, 3, "out-of-family"),
-    (NumericalFailure, 4, "numerical"),
-    (GDiscordError, 2, "validation"),
-]
-
-
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except GDiscordError as exc:
-            for cls, code, kind in _EXIT_CODES:
-                if isinstance(exc, cls):
-                    click.echo(f"error: {kind}: {exc}", err=True)
-                    sys.exit(code)
-
-    return wrapper
+def _finite_number(literal: str) -> float:
+    """JSON float hook: the homodyne limit is spelled "inf", never as a number."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValidationError(f"JSON number {literal} is NaN, infinite or past the float range")
+    return value
 
 
 def _load_json(text_or_path: str):
     """Accept inline JSON or a path to a JSON file."""
     text = text_or_path
-    candidate = Path(text_or_path)
+    with contextlib.suppress(OSError):
+        if Path(text).is_file():
+            text = Path(text).read_text()
     try:
-        if candidate.is_file():
-            text = candidate.read_text()
-    except OSError:
-        pass
-    try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON ({exc}); not a readable file either")
 
@@ -88,148 +71,165 @@ def _state_from_options(normal_form: str | None, state: str | None):
     return V, diag
 
 
-@click.group()
-def main():
-    """Gaussian discord toolkit for two-mode Gaussian states."""
-
-
-@main.command()
-@click.option("--normal-form", help="a,b,c,cp of a normal-form state")
-@click.option("--state", help="inline JSON or path: {'normal_form': ...} / {'cm': ...}")
-@handles_errors
-def discord(normal_form, state):
+def discord(args):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
     from .discord import gaussian_discord_closed_form, gaussian_discord_numeric
     from .family import membership
 
-    V, diag = _state_from_options(normal_form, state)
+    V, diag = _state_from_options(args.normal_form, args.state)
     numeric = gaussian_discord_numeric(V, diag)
-    out = {"numeric": serialize.discord_report_to_dict(numeric)}
     try:
         closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
     except OutOfFamily:
         closed = None
-    if closed is not None:
-        out["closed_form"] = serialize.discord_report_to_dict(closed)
-        out["agreement_delta"] = serialize.round12(abs(closed.discord - numeric.discord))
-        out["in_family"] = True
-    else:
-        out["closed_form"] = None
-        out["agreement_delta"] = None
-        out["in_family"] = False
-    click.echo(serialize.dumps(out), nl=False)
+    sys.stdout.write(serialize.dumps({
+        "numeric": serialize.discord_report_to_dict(numeric),
+        "closed_form": closed and serialize.discord_report_to_dict(closed),
+        "agreement_delta": closed and serialize.round12(abs(closed.discord - numeric.discord)),
+        "in_family": closed is not None,
+    }))
 
 
-@main.command()
-@click.option("--normal-form", help="a,b,c,cp of a normal-form state")
-@click.option("--state", help="inline JSON or path with the CM")
-@handles_errors
-def decompose(normal_form, state):
+def decompose(args):
     """EPR-plus-channel decomposition witness (b, r, tau, eta, sign, xi)."""
     from .family import membership
 
-    _, diag = _state_from_options(normal_form, state)
+    _, diag = _state_from_options(args.normal_form, args.state)
     fp = membership(diag.reduction.nf)
-    click.echo(serialize.dumps(serialize.family_params_to_dict(fp)), nl=False)
+    sys.stdout.write(serialize.dumps(serialize.family_params_to_dict(fp)))
 
 
-@main.command("classify")
-@click.option("--tau", type=float, required=True, help="transmissivity (any sign)")
-@click.option("--eta", type=float, required=True, help="added noise, >= |1 - tau|")
-@handles_errors
-def classify_cmd(tau, eta):
+def classify_cmd(args):
     """Canonical-form label of an extended channel (tau, eta)."""
     from .channels import GaussianChannelParams, classify
 
-    params = GaussianChannelParams(tau, eta)
-    click.echo(
-        serialize.dumps(serialize.channel_class_to_dict(classify(params), params)),
-        nl=False,
-    )
+    params = GaussianChannelParams(args.tau, args.eta)
+    sys.stdout.write(serialize.dumps(serialize.channel_class_to_dict(classify(params), params)))
 
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@main.command()
-@click.option("--a", "a", type=float, required=True)
-@click.option("--b", "b", type=float, required=True)
-@click.option("--n", "n", type=int, required=True, help="number of points")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="sampler threads (>= 1), at most one per usable CPU")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True, allow_dash=True),
-              default="-", show_default=True, help="CSV destination ('-' = stdout)")
-@click.option("--grid-out", type=click.Path(dir_okay=False, writable=True),
-              default=None, help="also write the occupancy grid JSON here")
-@click.option("--bins", type=int, default=200, show_default=True)
-@handles_errors
-def sample(a, b, n, seed, threads, out, grid_out, bins):
+def sample(args):
     """Sample family states at fixed (a, b): CSV cloud plus occupancy grid."""
     from .family import occupancy_grid, sample_family
     from .samplecsv import sample_csv_blocks
 
-    # threads beyond the CPUs the process may use cannot overlap: they only
-    # cost a pool and the concurrent.futures import
-    batch = sample_family(a, b, n, seed, threads=min(threads, _usable_cpus()))
-    try:
-        with click.open_file(out, "wb") as fh:
-            for block in sample_csv_blocks(batch):
-                fh.write(block)
-            fh.flush()
-    except BrokenPipeError:
-        # the reader took what it wanted (`| head`): a success; stdout goes
-        # to devnull, so the interpreter's final flush finds no pipe either
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    if grid_out is not None:
-        info = occupancy_grid(batch, bins=bins)
-        Path(grid_out).write_text(serialize.occupancy_to_json(info))
+    # a bad destination or bin count fails before the first byte goes out
+    with contextlib.ExitStack() as stack:
+        try:
+            csv = sys.stdout.buffer if args.out == "-" else stack.enter_context(open(args.out, "wb"))
+            grid = None if args.grid_out is None else stack.enter_context(open(args.grid_out, "w"))
+        except OSError as exc:
+            raise ValidationError(f"cannot write {exc.filename}: {exc.strerror}")
+        # threads beyond the CPUs the process may use cannot overlap: they only
+        # cost a pool and the concurrent.futures import
+        batch = sample_family(args.a, args.b, args.n, args.seed,
+                              threads=min(args.threads, _usable_cpus()))
+        if grid is not None:
+            grid.write(serialize.occupancy_to_json(occupancy_grid(batch, bins=args.bins)))
+        for block in sample_csv_blocks(batch):
+            csv.write(block)
+        csv.flush()
 
 
-@main.command()
-@click.option("--state", required=True, help="inline JSON or path with the CM")
-@click.option("--measurement", required=True,
-              help="inline JSON or path: {'u': number|'inf', 'phi': number}")
-@click.option("--outcome", default="0,0", show_default=True, help="outcome q,p")
-@click.option("--mean", default=None, help="state mean as 4 numbers (default zero)")
-@click.option("--mode", type=click.Choice(["A", "B"]), default="B", show_default=True,
-              help="which mode is measured")
-@handles_errors
-def condition(state, measurement, outcome, mean, mode):
+def condition(args):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
     from .remote_prep import condition_on_outcome, conditioning_on_mode_A
 
-    V, _ = _state_from_options(None, state)
-    m = serialize.parse_measurement_payload(_load_json(measurement))
-    k = _parse_floats(outcome, 2, "--outcome")
-    mean_ab = None if mean is None else _parse_floats(mean, 4, "--mean")
-    if mode == "B":
-        result = condition_on_outcome(V, mean_ab, m, k)
-    else:
-        result = conditioning_on_mode_A(V, mean_ab, m, k)
-    click.echo(serialize.dumps(serialize.conditional_state_to_dict(result)), nl=False)
+    V, _ = _state_from_options(None, args.state)
+    m = serialize.parse_measurement_payload(_load_json(args.measurement))
+    k = _parse_floats(args.outcome, 2, "--outcome")
+    mean_ab = None if args.mean is None else _parse_floats(args.mean, 4, "--mean")
+    result = (condition_on_outcome if args.mode == "B" else conditioning_on_mode_A)(V, mean_ab, m, k)
+    sys.stdout.write(serialize.dumps(serialize.conditional_state_to_dict(result)))
 
 
-@main.command()
-@click.option("--quick", is_flag=True, help="~10x smaller sample counts")
-@handles_errors
-def verify(quick):
+def verify(args):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from .verification import run_all
 
-    results = run_all(quick=quick)
-    for res in results:
-        click.echo(res.line())
-    failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if failed:
+    results = run_all(quick=args.quick)
+    passed = sum(res.passed for res in results)
+    print(*(res.line() for res in results), f"{passed}/{len(results)} checks passed", sep="\n")
+    if passed < len(results):
         sys.exit(1)
+
+
+_NORMAL_FORM = ("--normal-form", dict(help="a,b,c,cp of a normal-form state"))
+_DEFAULT = "(default: %(default)s)"
+
+# command name -> (function of the parsed namespace, its options as argparse keywords)
+COMMANDS = {
+    "discord": (discord, [_NORMAL_FORM, (
+        "--state", dict(help="inline JSON or path: {'normal_form': ...} / {'cm': ...}"))]),
+    "decompose": (decompose, [_NORMAL_FORM, ("--state", dict(help="inline JSON or path with the CM"))]),
+    "classify": (classify_cmd, [
+        ("--tau", dict(type=float, required=True, help="transmissivity (any sign)")),
+        ("--eta", dict(type=float, required=True, help="added noise, >= |1 - tau|"))]),
+    "sample": (sample, [
+        ("--a", dict(type=float, required=True)), ("--b", dict(type=float, required=True)),
+        ("--n", dict(type=int, required=True, help="number of points")),
+        ("--seed", dict(type=int, default=0, help=_DEFAULT)),
+        ("--threads", dict(type=int, default=1,
+                           help="sampler threads (>= 1), at most one per usable CPU " + _DEFAULT)),
+        ("--out", dict(default="-", help="CSV destination ('-' = stdout) " + _DEFAULT)),
+        ("--grid-out", dict(help="also write the occupancy grid JSON here")),
+        ("--bins", dict(type=int, default=200, help=_DEFAULT))]),
+    "condition": (condition, [
+        ("--state", dict(required=True, help="inline JSON or path with the CM")),
+        ("--measurement", dict(required=True,
+                               help="inline JSON or path: {'u': number|'inf', 'phi': number}")),
+        ("--outcome", dict(default="0,0", help="outcome q,p " + _DEFAULT)),
+        ("--mean", dict(help="state mean as 4 numbers (default zero)")),
+        ("--mode", dict(choices=["A", "B"], default="B", help="which mode is measured " + _DEFAULT))]),
+    "verify": (verify, [("--quick", dict(action="store_true", help="~10x smaller sample counts"))]),
+}
+
+
+def main(argv: list[str] | None = None, prog_name: str | None = None, standalone_mode: bool = True):
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); ``prog_name`` names it in usage text.
+
+    A success returns None; a failure raises ``SystemExit`` with its exit code.
+    ``standalone_mode`` is ignored: it is kept only because the benchmark passes it.
+    """
+    plain = dict(add_help=False, allow_abbrev=False)  # --help alone, and no abbreviated options
+    parser = argparse.ArgumentParser(
+        prog_name, description="Gaussian discord toolkit for two-mode Gaussian states.", **plain)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (run, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=(run.__doc__ or "").split("\n")[0],
+                                  description=run.__doc__, **plain)
+        sub.set_defaults(run=run)
+        for flag, kw in options:
+            sub.add_argument(flag, **kw)
+    for each in [parser, *commands.choices.values()]:
+        each.add_argument("--help", action="help", help="show this message and exit")
+    # every option but a flag binds the next token: argparse would read -1e-3 as an option
+    takes_value = {flag for _, opts in COMMANDS.values() for flag, kw in opts if "action" not in kw}
+    bound, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        bound.append(token if value is None else f"{token}={value}")
+    args = parser.parse_args(bound)
+    try:
+        args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout goes to devnull, so the final flush finds none either.
+        # A reader may take what it wants of the sample CSV (`| head`); other output is one result
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if args.run is not sample:
+            sys.exit(1)
+    except GDiscordError as exc:
+        code, kind = ((3, "out-of-family") if isinstance(exc, OutOfFamily) else
+                      (4, "numerical") if isinstance(exc, NumericalFailure) else (2, "validation"))
+        sys.stderr.write(f"error: {kind}: {exc}\n")
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
 from gdiscord import cli, symplectic
-from gdiscord.cli import main
 from gdiscord.serialize import round12
 
 WORKED_DISCORD_OUTPUT = """\
@@ -72,18 +70,9 @@ def squeezed_epr_state(b, frame):
 EPR_FRAMES = [(0.3, 2.0, 1.1, 0.5), (0.7, 3.0, 2.0, 1.5), (1.3, 0.25, 0.4, 4.0)]
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, args, **kw):
-    return runner.invoke(main, args, catch_exceptions=False, **kw)
-
-
 class TestDiscordCommand:
-    def test_worked_state(self, runner):
-        res = invoke(runner, [
+    def test_worked_state(self, run_cli):
+        res = run_cli([
             "discord", "--normal-form", "5,2,2.449489743,-2.449489743",
         ])
         assert res.exit_code == 0
@@ -93,8 +82,8 @@ class TestDiscordCommand:
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
         assert out["agreement_delta"] < 1e-6
 
-    def test_rotated_state_reaches_closed_form(self, runner):
-        res = invoke(runner, ["discord", "--state", rotated_worked_state()])
+    def test_rotated_state_reaches_closed_form(self, run_cli):
+        res = run_cli(["discord", "--state", rotated_worked_state()])
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert out["in_family"] is True
@@ -102,64 +91,64 @@ class TestDiscordCommand:
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 10.0])
-    def test_squeezed_epr_state_reaches_closed_form(self, runner, b):
+    def test_squeezed_epr_state_reaches_closed_form(self, run_cli, b):
         for frame in EPR_FRAMES:
-            res = invoke(runner, ["discord", "--state", squeezed_epr_state(b, frame)])
+            res = run_cli(["discord", "--state", squeezed_epr_state(b, frame)])
             assert res.exit_code == 0, (frame, res.stderr)
             out = json.loads(res.output)
             assert out["in_family"] is True
             assert abs(out["numeric"]["discord"] - h(b)) < 1e-10  # a pure state: D = S(A)
             assert out["agreement_delta"] <= 1e-10
 
-    def test_state_is_reduced_once(self, runner, monkeypatch):
+    def test_state_is_reduced_once(self, run_cli, monkeypatch):
         # validation, the numeric route and the closed form share one reduction
         calls = []
         reduce_cm = symplectic.reduce_cm
         monkeypatch.setattr(symplectic, "reduce_cm", lambda V: calls.append(V) or reduce_cm(V))
-        res = invoke(runner, ["discord", "--state", rotated_worked_state()])
+        res = run_cli(["discord", "--state", rotated_worked_state()])
         assert res.exit_code == 0
         assert json.loads(res.output)["in_family"] is True
         assert len(calls) == 1
 
-    def test_out_of_family_still_reports_numeric(self, runner):
-        res = invoke(runner, ["discord", "--normal-form", "2,2,1,-0.5"])
+    def test_out_of_family_still_reports_numeric(self, run_cli):
+        res = run_cli(["discord", "--normal-form", "2,2,1,-0.5"])
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert out["in_family"] is False
         assert out["closed_form"] is None
         assert out["numeric"]["discord"] > 0
 
-    def test_state_json_input(self, runner, tmp_path):
+    def test_state_json_input(self, run_cli, tmp_path):
         payload = {"normal_form": {"a": 2, "b": 2, "c": 1, "cp": 1}}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(payload))
-        res = invoke(runner, ["discord", "--state", str(path)])
+        res = run_cli(["discord", "--state", str(path)])
         assert res.exit_code == 0
         assert abs(json.loads(res.output)["numeric"]["discord"] - 0.459148) < 1e-5
 
-    def test_not_bona_fide_exits_2(self, runner):
-        res = invoke(runner, ["discord", "--normal-form", "2,2,2,-2"])
+    def test_not_bona_fide_exits_2(self, run_cli):
+        res = run_cli(["discord", "--normal-form", "2,2,2,-2"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: validation:")
 
-    def test_requires_exactly_one_input(self, runner):
-        res = invoke(runner, ["discord"])
+    def test_requires_exactly_one_input(self, run_cli):
+        res = run_cli(["discord"])
         assert res.exit_code == 2
 
-    def test_unknown_flag_is_error(self, runner):
-        res = runner.invoke(main, ["discord", "--bogus", "1"])
+    def test_unknown_flag_is_error(self, run_cli):
+        res = run_cli(["discord", "--bogus", "1"])
         assert res.exit_code == 2
 
-    def test_below_tolerance_rejected_by_every_command(self, runner):
+    def test_below_tolerance_rejected_by_every_command(self, run_cli):
         # nu_min = 1 - 1e-8 is below the fixed 1e-9 validation tolerance
         state = json.dumps({"normal_form": {"a": 1.0 - 1e-8, "b": 1, "c": 0, "cp": 0}})
         for args in (["discord", "--state", state], ["decompose", "--state", state],
                      ["condition", "--state", state, "--measurement", '{"u": 1}']):
-            res = invoke(runner, args)
+            res = run_cli(args)
             assert res.exit_code == 2, args
             assert res.stderr.startswith("error: validation:")
 
-    def test_negative_definite_state_exits_2(self, runner):
+    def test_negative_definite_state_exits_2(self, run_cli):
         # -V has the symplectic spectrum of V; only positive definiteness tells them apart.
         # 1,1,1000,1.0001 has ab < c^2 and ab < cp^2 but det V > 0; the spectrum
         # formula reads nu_min = 0 there, which is no spectrum of it
@@ -170,24 +159,24 @@ class TestDiscordCommand:
                       "--measurement", '{"u": 1}'],
                      ["discord", "--normal-form", "1,1,1000,1.0001"],
                      ["decompose", "--normal-form", "1,1,1000,1.0001"]):
-            res = invoke(runner, args)
+            res = run_cli(args)
             assert res.exit_code == 2, args
             assert "not positive definite" in res.stderr
 
-    def test_worked_state_output(self, runner):
-        res = invoke(runner, ["discord", "--normal-form", "5,2,2.449489743,-2.449489743"])
+    def test_worked_state_output(self, run_cli):
+        res = run_cli(["discord", "--normal-form", "5,2,2.449489743,-2.449489743"])
         assert res.output == WORKED_DISCORD_OUTPUT
 
     @pytest.mark.parametrize("state, s_a", [("1e16,1e16,0,0", 53.5935445591), ("1e8,3,0,0", 27.0181198)])
-    def test_large_variance_entropy(self, runner, state, s_a):
-        res = invoke(runner, ["discord", "--normal-form", state])
+    def test_large_variance_entropy(self, run_cli, state, s_a):
+        res = run_cli(["discord", "--normal-form", state])
         assert res.exit_code == 0
         assert json.loads(res.output)["numeric"]["s_a"] == s_a
 
 
     @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])
-    def test_vacuum_b_with_correlations_reports_numeric_only(self, runner, state):
-        res = invoke(runner, ["discord", "--normal-form", state])
+    def test_vacuum_b_with_correlations_reports_numeric_only(self, run_cli, state):
+        res = run_cli(["discord", "--normal-form", state])
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert payload["in_family"] is False
@@ -195,32 +184,32 @@ class TestDiscordCommand:
 
 
 class TestDecomposeCommand:
-    def test_family_member(self, runner):
-        res = invoke(runner, ["decompose", "--normal-form", "5,2,2.449489742783178,-2.449489742783178"])
+    def test_family_member(self, run_cli):
+        res = run_cli(["decompose", "--normal-form", "5,2,2.449489742783178,-2.449489742783178"])
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert abs(out["tau"] - 2.0) < 1e-9
         assert abs(out["eta"] - 1.0) < 1e-9
         assert out["sign"] == 1
 
-    def test_output(self, runner):
-        res = invoke(runner, ["decompose", "--normal-form", "2,2,1,1"])
+    def test_output(self, run_cli):
+        res = run_cli(["decompose", "--normal-form", "2,2,1,1"])
         assert res.output == (
             '{\n  "b": 2.0,\n  "r": 1.0,\n  "tau": -0.333333333333,\n  "eta": 1.33333333333,\n'
             '  "sign": 1,\n  "xi": 1.0\n}\n'
         )
 
-    def test_rotated_state(self, runner):
-        res = invoke(runner, ["decompose", "--state", rotated_worked_state()])
+    def test_rotated_state(self, run_cli):
+        res = run_cli(["decompose", "--state", rotated_worked_state()])
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert (out["b"], out["r"], out["tau"], out["eta"], out["sign"]) == (2.0, 1.0, 2.0, 1.0, 1)
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 10.0])
-    def test_squeezed_epr_state(self, runner, b):
+    def test_squeezed_epr_state(self, run_cli, b):
         # an EPR state is the identity channel on the EPR mode: tau = 1, eta = 0
         for frame in EPR_FRAMES:
-            res = invoke(runner, ["decompose", "--state", squeezed_epr_state(b, frame)])
+            res = run_cli(["decompose", "--state", squeezed_epr_state(b, frame)])
             assert res.exit_code == 0, (frame, res.stderr)
             out = json.loads(res.output)
             assert out["b"] == pytest.approx(b, abs=1e-12)
@@ -229,50 +218,50 @@ class TestDecomposeCommand:
             # with eta = 0 the state fixes no r; every frame reports r = xi = 1
             assert out["r"] == out["xi"] == 1.0, frame
 
-    def test_out_of_family_exits_3(self, runner):
-        res = invoke(runner, ["decompose", "--normal-form", "2,2,1,-0.5"])
+    def test_out_of_family_exits_3(self, run_cli):
+        res = run_cli(["decompose", "--normal-form", "2,2,1,-0.5"])
         assert res.exit_code == 3
         assert res.stderr.startswith("error: out-of-family:")
 
     @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])
-    def test_vacuum_b_with_correlations_exits_3(self, runner, state):
-        res = invoke(runner, ["decompose", "--normal-form", state])
+    def test_vacuum_b_with_correlations_exits_3(self, run_cli, state):
+        res = run_cli(["decompose", "--normal-form", state])
         assert res.exit_code == 3
         assert res.stderr.startswith("error: out-of-family:")
 
 
 class TestClassifyCommand:
-    def test_lossy(self, runner):
-        res = invoke(runner, ["classify", "--tau", "0.5", "--eta", "0.6"])
+    def test_lossy(self, run_cli):
+        res = run_cli(["classify", "--tau", "0.5", "--eta", "0.6"])
         assert res.exit_code == 0
         out = json.loads(res.output)
         assert out["label"] == "C_lossy"
         assert abs(out["omega"] - 1.2) < 1e-9
         assert abs(out["n_bar"] - 0.1) < 1e-9
 
-    def test_output(self, runner):
-        res = invoke(runner, ["classify", "--tau", "0.5", "--eta", "0.6"])
+    def test_output(self, run_cli):
+        res = run_cli(["classify", "--tau", "0.5", "--eta", "0.6"])
         assert res.output == (
             '{\n  "label": "C_lossy",\n  "tau": 0.5,\n  "eta": 0.6,\n  "omega": 1.2,\n'
             '  "n_bar": 0.1,\n  "quantum_limited": false\n}\n'
         )
 
-    def test_boundary_quantum_limited(self, runner):
-        res = invoke(runner, ["classify", "--tau", "2", "--eta", "1"])
+    def test_boundary_quantum_limited(self, run_cli):
+        res = run_cli(["classify", "--tau", "2", "--eta", "1"])
         out = json.loads(res.output)
         assert out["label"] == "C_amplifier"
         assert out["quantum_limited"] is True
 
-    def test_invalid_params_exit_2(self, runner):
-        res = invoke(runner, ["classify", "--tau", "0.5", "--eta", "0.1"])
+    def test_invalid_params_exit_2(self, run_cli):
+        res = run_cli(["classify", "--tau", "0.5", "--eta", "0.1"])
         assert res.exit_code == 2
 
 
 class TestSampleCommand:
-    def test_csv_and_grid(self, runner, tmp_path):
+    def test_csv_and_grid(self, run_cli, tmp_path):
         csv_path = tmp_path / "points.csv"
         grid_path = tmp_path / "grid.json"
-        res = invoke(runner, [
+        res = run_cli([
             "sample", "--a", "2", "--b", "2", "--n", "2000", "--seed", "42",
             "--out", str(csv_path), "--grid-out", str(grid_path), "--bins", "50",
         ])
@@ -285,52 +274,52 @@ class TestSampleCommand:
         assert grid["redraws"] == 0
         assert 0 < grid["coverage_fraction"] < 1
 
-    def test_byte_identical_runs(self, runner, tmp_path):
+    def test_byte_identical_runs(self, run_cli, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path, threads in zip(paths, ("1", "3")):
-            res = invoke(runner, [
+            res = run_cli([
                 "sample", "--a", "2", "--b", "4", "--n", "5000", "--seed", "7",
                 "--threads", threads, "--out", str(path),
             ])
             assert res.exit_code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_stdout_bytes_equal_file_bytes(self, runner, tmp_path):
+    def test_stdout_bytes_equal_file_bytes(self, run_cli, tmp_path):
         # 70,000 points span two sampler chunks
         path = tmp_path / "points.csv"
         args = ["sample", "--a", "2", "--b", "3", "--n", "70000", "--seed", "8"]
-        to_file = invoke(runner, args + ["--threads", "1", "--out", str(path)])
-        to_stdout = invoke(runner, args + ["--threads", "2"])
+        to_file = run_cli(args + ["--threads", "1", "--out", str(path)])
+        to_stdout = run_cli(args + ["--threads", "2"])
         assert to_file.exit_code == 0 and to_stdout.exit_code == 0
         assert to_stdout.stdout_bytes == path.read_bytes()
 
-    def test_grid_and_csv_digest_pins(self, runner, tmp_path):
+    def test_grid_and_csv_digest_pins(self, run_cli, tmp_path):
         csv_path, grid_path = tmp_path / "points.csv", tmp_path / "grid.json"
         args = ["sample", "--a", "2.5", "--b", "1.5", "--n", "20000", "--seed", "3"]
-        to_file = invoke(runner, args + ["--out", str(csv_path), "--grid-out", str(grid_path),
+        to_file = run_cli(args + ["--out", str(csv_path), "--grid-out", str(grid_path),
                                          "--bins", "60"])
-        to_stdout = invoke(runner, args)
+        to_stdout = run_cli(args)
         assert to_file.exit_code == 0 and to_stdout.exit_code == 0
         assert to_stdout.stdout_bytes == csv_path.read_bytes()
         digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (csv_path, grid_path)}
         assert digest == {"points.csv": "da83ed773fad5fb2", "grid.json": "239b01410f5636bb"}
 
-    def test_degenerate_grid_digest_pin(self, runner, tmp_path):
+    def test_degenerate_grid_digest_pin(self, run_cli, tmp_path):
         # a = 1 leaves no correlations: the grid spans one point and holds no physical cell
         grid_path = tmp_path / "grid.json"
-        res = invoke(runner, ["sample", "--a", "1", "--b", "3", "--n", "5", "--seed", "0",
+        res = run_cli(["sample", "--a", "1", "--b", "3", "--n", "5", "--seed", "0",
                               "--bins", "3", "--grid-out", str(grid_path)])
         assert res.exit_code == 0
         assert json.loads(grid_path.read_text())["extent"] == [0.0, 0.0]
         assert hashlib.sha256(grid_path.read_bytes()).hexdigest()[:16] == "f1ea73870dce0548"
 
-    def test_stdout_output(self, runner):
-        res = invoke(runner, ["sample", "--a", "1.5", "--b", "1.5", "--n", "3", "--seed", "0"])
+    def test_stdout_output(self, run_cli):
+        res = run_cli(["sample", "--a", "1.5", "--b", "1.5", "--n", "3", "--seed", "0"])
         assert res.exit_code == 0
         assert res.output.startswith("a,b,c,cp,r,tau,eta,sign\n")
         assert len(res.output.strip().split("\n")) == 4
 
-    def test_threads_are_capped_at_the_usable_cpus(self, runner, monkeypatch):
+    def test_threads_are_capped_at_the_usable_cpus(self, run_cli, monkeypatch):
         # n = 10 is one sampler chunk, so no thread starts whatever the count
         import gdiscord.family
 
@@ -339,7 +328,7 @@ class TestSampleCommand:
         monkeypatch.setattr(gdiscord.family, "sample_family",
                             lambda *args, threads: asked.append(threads) or real(*args, threads=threads))
         for threads in ("1", "1000000"):
-            res = invoke(runner, ["sample", "--a", "2", "--b", "2", "--n", "10", "--threads", threads])
+            res = run_cli(["sample", "--a", "2", "--b", "2", "--n", "10", "--threads", threads])
             assert res.exit_code == 0
         assert asked == [1, cli._usable_cpus()]
 
@@ -369,11 +358,28 @@ class TestSampleCommand:
             code = proc.wait(timeout=30)
         assert (code, stderr) == (0, b"")
 
+    @pytest.mark.parametrize("args, code", [
+        (["sample", "--a", "2", "--b", "2", "--n", "10"], 0),
+        (["classify", "--tau", "0.5", "--eta", "0.6"], 1),
+    ], ids=["sample", "classify"])
+    def test_closed_stdout_ends_without_a_traceback(self, args, code, tmp_path):
+        # a reader may take part of the sample CSV; a JSON result it never reads is lost
+        src = str(Path(gdiscord.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
+                                 stdout=write_end, stderr=subprocess.PIPE, timeout=30)
+        finally:
+            os.close(write_end)
+        assert (res.returncode, res.stderr) == (code, b"")
+
 
 class TestConditionCommand:
-    def test_epr_heterodyne(self, runner):
+    def test_epr_heterodyne(self, run_cli):
         V = embed_normal_form(NormalFormCM(2, 2, math.sqrt(3), -math.sqrt(3)))
-        res = invoke(runner, [
+        res = run_cli([
             "condition",
             "--state", json.dumps({"cm": V.tolist()}),
             "--measurement", json.dumps({"u": 1.0, "phi": 0.0}),
@@ -385,9 +391,9 @@ class TestConditionCommand:
         expect = (math.sqrt(3) / 3) * np.array([1.0, -0.5])
         assert np.allclose(out["mean"], expect, atol=1e-9)
 
-    def test_homodyne_tag(self, runner):
+    def test_homodyne_tag(self, run_cli):
         V = embed_normal_form(NormalFormCM(3, 3, math.sqrt(8), -math.sqrt(8)))
-        res = invoke(runner, [
+        res = run_cli([
             "condition",
             "--state", json.dumps({"normal_form": {"a": 3, "b": 3, "c": math.sqrt(8), "cp": -math.sqrt(8)}}),
             "--measurement", json.dumps({"u": "inf"}),
@@ -396,8 +402,8 @@ class TestConditionCommand:
         out = json.loads(res.output)
         assert np.allclose(out["cm"], np.diag([3.0, 1 / 3.0]), atol=1e-9)
 
-    def test_mode_a(self, runner):
-        res = invoke(runner, [
+    def test_mode_a(self, run_cli):
+        res = run_cli([
             "condition",
             "--state", json.dumps({"normal_form": {"a": 5, "b": 2, "c": 2.449489742783178, "cp": -2.449489742783178}}),
             "--measurement", json.dumps({"u": 1.0}),
@@ -412,8 +418,8 @@ class TestConditionCommand:
         ('{"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}}', 0.0),
         ('{"normal_form": {"a": 3, "b": 2, "c": 1.5, "cp": -0.7}}', 0.3),
     ], ids=["condition-state", "correlated-phi"])
-    def test_huge_u_is_the_homodyne_limit(self, runner, state, phi):
-        outs = [invoke(runner, ["condition", "--state", state, "--outcome", "0.4,-0.2",
+    def test_huge_u_is_the_homodyne_limit(self, run_cli, state, phi):
+        outs = [run_cli(["condition", "--state", state, "--outcome", "0.4,-0.2",
                                 "--measurement", json.dumps({"u": u, "phi": phi})])
                 for u in (1e308, "inf")]
         assert [r.exit_code for r in outs] == [0, 0]
@@ -421,8 +427,8 @@ class TestConditionCommand:
         for key in ("mean", "cm"):  # u = 1e308 shifts the mean by O(1/u), a subnormal
             np.testing.assert_allclose(huge[key], limit[key], rtol=1e-15, atol=1e-300)
 
-    def test_malformed_json_exit_2(self, runner):
-        res = invoke(runner, [
+    def test_malformed_json_exit_2(self, run_cli):
+        res = run_cli([
             "condition", "--state", "{not json", "--measurement", '{"u": 1}',
         ])
         assert res.exit_code == 2
@@ -450,6 +456,14 @@ HOSTILE_INPUTS = [
       % ("0" * 400)], 2),
     (["discord", "--state", '{"normal_form": {"a": 1%s, "b": 2, "c": 0, "cp": 0}}' % ("0" * 400)], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1%s}' % ("0" * 400)], 2),
+    # the homodyne limit is spelled "inf"; a float literal past the range and the
+    # JSON constants are refused like the integer spelling above
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1e400}'], 2),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": Infinity}'], 2),
+    (["discord", "--state", '{"normal_form": {"a": NaN, "b": 2, "c": 0, "cp": 0}}'], 2),
+    # destinations are opened before anything is sampled or written
+    (["sample", "--a", "2", "--b", "2", "--n", "3", "--out", "no-such-dir/x.csv"], 2),
+    (["sample", "--a", "2", "--b", "2", "--n", "3", "--grid-out", "no-such-dir/g.json"], 2),
 ]
 
 
@@ -457,7 +471,8 @@ HOSTILE_INPUTS = [
     "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
     "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi",
     "sample-threads-0", "sample-threads-negative", "discord-huge-int-cm", "discord-huge-int-normal-form",
-    "condition-huge-int-u"])
+    "condition-huge-int-u", "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
+    "sample-unwritable-out", "sample-unwritable-grid-out"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -466,7 +481,29 @@ def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     assert res.returncode == code, res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
-    assert not re.search(r"nan|inf", res.stdout, re.IGNORECASE), res.stdout
+    assert res.stdout == ""
+
+
+# a value that starts with "-" binds to its option, as does the --opt=value spelling;
+# the digests pin the output bytes
+NEGATIVE_VALUES = [
+    (["classify", "--tau", "-1e-3", "--eta", "2"], "930aba78f38a6520"),
+    (["classify", "--tau=-1e-3", "--eta=2"], "930aba78f38a6520"),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--outcome", "-0.4,0.2"],
+     "f58c613bddc1e0f3"),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--mean", "-1,0,0,0"],
+     "5a9221563c53fa60"),
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1}', "--outcome=-0.4,0.2",
+      "--mean=-1,0,0,0", "--mode=A"], "535c9b12058e32df"),
+]
+
+
+@pytest.mark.parametrize("args, digest", NEGATIVE_VALUES, ids=[
+    "classify-tau", "classify-equals", "condition-outcome", "condition-mean", "condition-equals"])
+def test_negative_values_bind_to_their_option(run_cli, args, digest):
+    res = run_cli(args)
+    assert res.exit_code == 0, res.stderr
+    assert hashlib.sha256(res.stdout_bytes).hexdigest()[:16] == digest
 
 
 def run_module_cli(args, cwd):
@@ -478,9 +515,9 @@ def run_module_cli(args, cwd):
 
 
 @pytest.mark.parametrize("cmd", ["discord", "decompose"])
-def test_spectrum_that_overflows_is_read_rescaled(runner, cmd):
+def test_spectrum_that_overflows_is_read_rescaled(run_cli, cmd):
     # delta^2 overflows from about 1e77 on; the state is a product of thermal states
-    res = invoke(runner, [cmd, "--normal-form", "1e78,3,0,0"])
+    res = run_cli([cmd, "--normal-form", "1e78,3,0,0"])
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
     if cmd == "discord":
@@ -489,9 +526,9 @@ def test_spectrum_that_overflows_is_read_rescaled(runner, cmd):
         assert (out["b"], out["eta"]) == (3.0, 1e78)
 
 
-def test_thermal_product_of_unequal_variances_is_bona_fide(runner):
+def test_thermal_product_of_unequal_variances_is_bona_fide(run_cli):
     # nu_minus = 3 << nu_plus = 1e16, where Delta - sqrt(disc) cancels to 0
-    res = invoke(runner, ["discord", "--normal-form", "1e16,3,0,0"])
+    res = run_cli(["discord", "--normal-form", "1e16,3,0,0"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["numeric"]["s_a"] == round12(h(1e16))
 
@@ -546,6 +583,7 @@ IN_PROCESS_CLI = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 import gdiscord.cli
+code = 0
 try:
     gdiscord.cli.main(sys.argv[2:], prog_name="gdiscord")
 except SystemExit as exc:
@@ -661,8 +699,8 @@ def test_numpy_is_reached_through_one_boundary():
 
 
 class TestVerifyCommand:
-    def test_quick_suite_passes(self, runner):
-        res = invoke(runner, ["verify", "--quick"])
+    def test_quick_suite_passes(self, run_cli):
+        res = run_cli(["verify", "--quick"])
         assert res.exit_code == 0
         assert res.output.count("PASS") == 9
         assert "9/9 checks passed" in res.output

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from gdiscord import (
     DomainError,
@@ -27,7 +26,6 @@ from gdiscord import (
     validate_bona_fide,
 )
 from gdiscord import discord, symplectic
-from gdiscord.cli import main
 from gdiscord.discord import _best_seed, _form, _scan_forms
 from gdiscord.family import eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
@@ -306,10 +304,8 @@ class TestMinimizer:
 
 
 class TestTermination:
-    def test_edge_state_through_cli(self):
-        res = CliRunner().invoke(
-            main, ["discord", "--state", json.dumps({"cm": EDGE_CM})], catch_exceptions=False,
-        )
+    def test_edge_state_through_cli(self, run_cli):
+        res = run_cli(["discord", "--state", json.dumps({"cm": EDGE_CM})])
         assert res.exit_code == 0
         assert math.isfinite(json.loads(res.output)["numeric"]["discord"])
 
