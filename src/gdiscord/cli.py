@@ -40,7 +40,7 @@ def _load_json(text_or_path: str):
             text = Path(text).read_text()
     try:
         return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ValidationError(f"invalid JSON ({exc}); not a readable file either")
 
 

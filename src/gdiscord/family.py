@@ -282,7 +282,9 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
 
     The grid spans the square bounding box of the physical region.  The
     coverage fraction is (cells holding at least one sample) / (cells whose
-    center is a bona fide state).  Raises DomainError when ``bins < 1``.
+    center is a bona fide state), judged by :func:`bona_fide_normal_form_mask`,
+    the rule of :func:`validate_bona_fide` at every finite scale.  Raises
+    DomainError when ``bins < 1``.
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")

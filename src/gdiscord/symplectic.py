@@ -272,7 +272,7 @@ def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     Raises NumericalFailure when the discriminant is negative beyond
     tolerance, which indicates a corrupted input.
     """
-    _, disc, nu_minus, nu_plus = _verdict(nf.a, nf.b, nf.c, nf.cp)
+    _, disc, nu_minus, nu_plus, _ = _verdict(nf.a, nf.b, nf.c, nf.cp)
     if disc < -_DISC_TOL:
         raise NumericalFailure(_NEGATIVE_DISC.format(disc))
     return SymplecticSpectrum(nu_minus, nu_plus)
@@ -301,73 +301,50 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
     return SymplecticSpectrum(float(mods[0]), float(mods[2]))
 
 
-def _admits(a, b, c, cp, disc, nu_minus):
-    """The one bona fide rule on V(a, b, c, cp) and its spectrum; floats or arrays.
+def _verdict(a, b, c, cp, xp=math, largest=max):
+    """(ok, disc, nu_minus, nu_plus, indefinite) of V(a, b, c, cp): the one bona fide rule.
 
-    True iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``) and its
-    spectrum is real with ``nu_minus >= 1 - BONA_FIDE_TOL``.  NaN fails every
-    comparison, so a non-finite input is never admitted.  No ``a, b >= 1``
-    term is needed: a positive definite V has ``a, b >= nu_minus``.
+    Floats, or arrays with ``xp=np, largest=_array_max``.  The spectrum of
+    :func:`_spectrum_arrays` is read on the copy ``(a, b, c, cp) 2^-k``, k
+    the binary exponent of the largest |parameter| less one, so the copy
+    lies below 2 and no product overflows.  The scaling is exact: nu scales
+    back by ``2^k`` and disc by ``2^4k``, to the bits of an unscaled reading
+    wherever that neither overflows nor underflows, and to +-inf past the
+    float range (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).
+    ok iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``) and its
+    spectrum is real, ``disc >= -_DISC_TOL`` in the input's units, with
+    ``nu_minus >= 1 - BONA_FIDE_TOL``.  No ``a, b >= 1`` term is needed: a
+    positive definite V has ``a, b >= nu_minus``.  NaN fails every
+    comparison, so a non-finite input is never admitted.  ``indefinite``
+    (``ab < c^2`` or ``ab < cp^2``) names a rejection's reason.
     """
-    ab = a * b
-    return (a > 0.0) & (ab > c * c) & (ab > cp * cp) & (disc >= -_DISC_TOL) \
+    k = xp.frexp(largest(abs(a), abs(b), abs(c), abs(cp)))[1] - 1
+    ldexp = xp.ldexp
+    a, b, c, cp = ldexp(a, -k), ldexp(b, -k), ldexp(c, -k), ldexp(cp, -k)
+    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, xp.sqrt)
+    s = 2.0**k  # finite, as -1074 <= k <= 1023; a product past the range is inf, not an error
+    disc, nu_minus, nu_plus = disc * s * s * s * s, nu_minus * s, nu_plus * s
+    ab, cc, pp = a * b, c * c, cp * cp
+    ok = (a > 0.0) & (ab > cc) & (ab > pp) & (disc >= -_DISC_TOL) \
         & (nu_minus >= 1.0 - BONA_FIDE_TOL)
-
-
-def _bona_fide_verdict(a, b, c, cp, sqrt=math.sqrt):
-    """(ok, disc, nu_minus, nu_plus) of V(a, b, c, cp) by :func:`_admits`.
-
-    Floats, or arrays with ``sqrt=np.sqrt``, as for :func:`_spectrum_arrays`.
-    """
-    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, sqrt)
-    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
-
-
-def _unit_scaled(a: float, b: float, c: float, cp: float):
-    """``(k, a, b, c, cp)`` with the parameters scaled by ``2^-k`` to below 2 in magnitude.
-
-    k is the binary exponent of the largest |parameter| less one, so the
-    scaling is exact for finite parameters.
-    """
-    k = math.frexp(max(abs(a), abs(b), abs(c), abs(cp)))[1] - 1
-    return (k, *(math.ldexp(x, -k) for x in (a, b, c, cp)))
-
-
-def _verdict(a: float, b: float, c: float, cp: float):
-    """:func:`_bona_fide_verdict` of floats, read on a rescaled copy where it overflows.
-
-    When finite parameters overflow an intermediate (``delta^2`` does from
-    about 1e77 on), the verdict is read on ``(a, b, c, cp) 2^-k``, with k
-    the binary exponent of the largest |parameter| less one, so they lie
-    below 2 and the scaling is exact.  Positivity and the discriminant are
-    judged on them (the discriminant in units of ``2^4k``), and nu scales
-    back by ``2^k``, exactly, or to inf where it lies past the float range
-    (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).  Every other
-    input keeps the verdict of :func:`_bona_fide_verdict`, bit for bit.
-    """
-    verdict = _bona_fide_verdict(a, b, c, cp)
-    if math.isfinite(verdict[1]) and math.isfinite(verdict[3]):
-        return verdict
-    if not max(abs(a), abs(b), abs(c), abs(cp)) < math.inf:
-        return verdict
-    k, a, b, c, cp = _unit_scaled(a, b, c, cp)
-    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp)
-    scale = 2.0**k  # k <= 1023, so finite; a product past the range is inf, not an error
-    nu_minus, nu_plus = nu_minus * scale, nu_plus * scale
-    return _admits(a, b, c, cp, disc, nu_minus), disc, nu_minus, nu_plus
+    return ok, disc, nu_minus, nu_plus, (ab < cc) | (ab < pp)
 
 
 def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
     """Vectorized uncertainty-principle test for normal-form parameters.
 
-    The rule :func:`validate_bona_fide` reads, through the same formulae
-    with ``np.sqrt``; inf entries give False, without a floating-point
-    warning.  Where an intermediate overflows (parameters from about 1e77)
-    an entry gives False; the float call reads a rescaled copy instead.
+    :func:`_verdict` on arrays: the rule :func:`validate_bona_fide` reads,
+    entry by entry and bit for bit, at every finite scale; inf and NaN
+    entries give False, without a floating-point warning.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         arrays = (np.asarray(x, float) for x in (a, b, c, cp))
-        return _bona_fide_verdict(*arrays, np.sqrt)[0]
+        return _verdict(*arrays, np, _array_max)[0]
+
+
+def _array_max(w, x, y, z):
+    """Elementwise max of four arrays, the ``largest`` of :func:`_verdict` on arrays."""
+    return np.maximum(np.maximum(w, x), np.maximum(y, z))
 
 
 class BonaFideDiagnosis(NamedTuple):
@@ -416,17 +393,15 @@ def _diagnose(V, reduce) -> BonaFideDiagnosis:
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     a, b, c, cp = red.nf
-    ok, disc, nu_minus, nu_plus = _verdict(a, b, c, cp)
+    ok, disc, nu_minus, nu_plus, indefinite = _verdict(a, b, c, cp)
     if ok:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
     if disc < -_DISC_TOL:
         return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
-    # an indefinite V (reduce_cm has checked a, b > 0; a block determinant
-    # is negative) is named before nu_minus, which is no spectrum of it; a
-    # semidefinite V keeps its real spectrum (nu_min = 0) as the reason.
-    # Read on the scaled copy, so no product overflows; NaN reads as nu_min < 1
-    _, sa, sb, sc, scp = _unit_scaled(a, b, c, cp)
-    if nu_minus >= 1.0 - BONA_FIDE_TOL or sa * sb < sc * sc or sa * sb < scp * scp:
+    # an indefinite V (a block determinant is negative) is named before
+    # nu_minus, which is no spectrum of it; a semidefinite V keeps its real
+    # spectrum (nu_min = 0) as the reason.  NaN reads as nu_min < 1
+    if nu_minus >= 1.0 - BONA_FIDE_TOL or indefinite:
         return BonaFideDiagnosis(False, None, "not positive definite")
     reason = f"nu_min = {nu_minus:.12g} < 1"
     if abs(cp + c) <= 1e-9 * max(1.0, abs(c)):

@@ -456,6 +456,9 @@ HOSTILE_INPUTS = [
       % ("0" * 400)], 2),
     (["discord", "--state", '{"normal_form": {"a": 1%s, "b": 2, "c": 0, "cp": 0}}' % ("0" * 400)], 2),
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1%s}' % ("0" * 400)], 2),
+    # past the 4,300-digit limit of int(), which json.loads then raises as a ValueError
+    (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1%s}' % ("0" * 5000)], 2),
+    (["discord", "--state", '{"normal_form": {"a": 1%s, "b": 2, "c": 0, "cp": 0}}' % ("0" * 5000)], 2),
     # the homodyne limit is spelled "inf"; a float literal past the range and the
     # JSON constants are refused like the integer spelling above
     (["condition", "--state", CONDITION_STATE, "--measurement", '{"u": 1e400}'], 2),
@@ -471,7 +474,7 @@ HOSTILE_INPUTS = [
     "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
     "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi",
     "sample-threads-0", "sample-threads-negative", "discord-huge-int-cm", "discord-huge-int-normal-form",
-    "condition-huge-int-u", "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
+    "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form", "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
@@ -524,6 +527,52 @@ def test_spectrum_that_overflows_is_read_rescaled(run_cli, cmd):
         assert out["numeric"]["s_a"] == out["closed_form"]["s_a"] == round12(h(1e78))
     else:
         assert (out["b"], out["eta"]) == (3.0, 1e78)
+
+
+def test_grid_of_a_huge_variance_counts_its_physical_cells(run_cli, tmp_path):
+    # the cell centres of a = 1e78 overflow an unscaled spectrum; the mask reads them
+    # rescaled, as validate_bona_fide does, so every cell of the box is physical
+    grid_path = tmp_path / "g.json"
+    res = run_cli(["sample", "--a", "1e78", "--b", "3", "--n", "1000", "--bins", "20",
+                   "--grid-out", str(grid_path)])
+    assert res.exit_code == 0, res.stderr
+    grid = json.loads(grid_path.read_text())
+    assert grid["physical_cells"] == 400
+    assert 0.0 < grid["coverage_fraction"] <= 1.0
+
+
+def test_subnormal_state_quotes_its_own_nu_min(run_cli):
+    # nu_min = a = 1e-320, which an unscaled a*b underflows to 0
+    res = run_cli(["discord", "--normal-form", "1e-320,1e-320,0,0"])
+    assert res.exit_code == 2 and res.stdout == ""
+    nu_min = float(re.search(r"nu_min = (\S+) < 1", res.stderr).group(1))
+    assert nu_min == pytest.approx(1e-320, rel=1e-12, abs=0.0)
+
+
+# parameters of the extreme-scale sweep: each of a, b, c, cp is drawn from these,
+# with either sign on c and cp
+EXTREME_VALUES = [1e-320, 1e-300, 1e-160, 1e-16, 0.0, 0.5, 1.0, 1.0 + 1e-16, 1.0 - 1e-16,
+                  1.0 + 1e-10, 2.0, 3.0, 1e8, 1e77, 1e78, 1e154, 1e160, 1e300, 1e308]
+
+
+def test_extreme_scales_end_in_a_result_or_one_typed_error(run_cli):
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        a, b, c, cp = rng.choice(EXTREME_VALUES, 4).tolist()
+        sc, sp = rng.choice([-1.0, 1.0], 2).tolist()
+        c, cp = sc * c, sp * cp
+        bona_fide = symplectic.validate_bona_fide(NormalFormCM(a, b, c, cp).rows()).bona_fide
+        for cmd in ("discord", "decompose"):
+            args = [cmd, "--normal-form", ",".join(map(repr, (a, b, c, cp)))]
+            res = run_cli(args)
+            assert res.exit_code in (0, 2, 3, 4), (args, res.output)
+            assert (res.exit_code == 2) == (not bona_fide), (args, res.output)
+            if res.exit_code:
+                lines = res.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (args, res.stderr)
+                assert res.stdout == "", args
+            else:
+                json.loads(res.stdout)
 
 
 def test_thermal_product_of_unequal_variances_is_bona_fide(run_cli):

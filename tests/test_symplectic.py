@@ -30,7 +30,9 @@ from gdiscord import (
 )
 from gdiscord.symplectic import (
     _PATTERN_RTOL,
+    _array_max,
     _spectrum_arrays,
+    _verdict,
     bona_fide_normal_form_mask,
     normal_form_spectrum,
 )
@@ -293,9 +295,9 @@ def test_nu_min_vectorized_matches_scalar():
     b = np.array([nf.b for nf in nfs])
     c = np.array([nf.c for nf in nfs])
     cp = np.array([nf.cp for nf in nfs])
-    nu_vec = _spectrum_arrays(a, b, c, cp, np.sqrt)[1]
+    _, _, nu_vec, nu_plus_vec, _ = _verdict(a, b, c, cp, np, _array_max)
     for i, nf in enumerate(nfs):
-        assert nu_vec[i] == pytest.approx(normal_form_spectrum(nf).nu_minus, abs=1e-12)
+        assert (nu_vec[i], nu_plus_vec[i]) == normal_form_spectrum(nf)
 
 
 def test_mask_keeps_the_symmetric_anti_diagonal():
@@ -308,8 +310,30 @@ def test_mask_keeps_the_symmetric_anti_diagonal():
     centers = -half + width * (np.arange(200) + 0.5)
     c, cp = centers, centers[::-1]
     assert bool(np.all(bona_fide_normal_form_mask(2.0, 2.0, c, cp)))
-    scalar = [normal_form_spectrum(NormalFormCM(2.0, 2.0, x, y)).nu_minus for x, y in zip(c, cp)]
-    assert np.allclose(_spectrum_arrays(2.0, 2.0, c, cp, np.sqrt)[1], scalar, atol=1e-9)
+    scalar = [normal_form_spectrum(NormalFormCM(2.0, 2.0, x, y)) for x, y in zip(c, cp)]
+    _, _, nu_minus, nu_plus, _ = _verdict(2.0, 2.0, c, cp, np, _array_max)
+    assert list(zip(nu_minus.tolist(), nu_plus.tolist())) == scalar
+
+
+def test_mask_is_the_verdict_of_validate_bona_fide():
+    # one rule at every scale: in-range states scaled by 1e-320 ... 1e308, free
+    # draws of every magnitude and sign, and inf and NaN entries
+    rng = np.random.default_rng(2028)
+    scales = 10.0 ** np.arange(-320, 309, 4)
+    nfs = [NormalFormCM(*(x * float(s) for x in nf))
+           for nf, s in zip(random_normal_forms(rng, 1000), rng.choice(scales, 1000))]
+    for _ in range(1000):
+        mags = 10.0 ** rng.uniform(-320.0, 308.25, 4) * rng.choice([-1.0, 1.0], 4)
+        mags[:2] = abs(mags[:2])
+        nfs.append(NormalFormCM(*mags.tolist()))
+    for special in (math.inf, -math.inf, math.nan):
+        nfs += [NormalFormCM(*(special if i == slot else x for i, x in enumerate(nf)))
+                for slot, nf in enumerate(nfs[:4])]
+    nfs.append(NormalFormCM(1e78, 3.0, 0.0, 0.0))
+    mask = bona_fide_normal_form_mask(*map(np.array, zip(*nfs)))
+    verdicts = [validate_bona_fide(nf.rows()).bona_fide for nf in nfs]
+    assert mask.tolist() == verdicts
+    assert verdicts[-1] and 300 < sum(verdicts) < len(nfs) - 300
 
 
 def spectrum_reference(a, b, c, cp):
