@@ -474,7 +474,8 @@ HOSTILE_INPUTS = [
     "sample-nan-a", "sample-inf-b", "sample-overflow", "sample-bins-0", "discord-nan", "decompose-nan",
     "decompose-overflow", "condition-nan-outcome", "condition-inf-mean", "condition-inf-phi",
     "sample-threads-0", "sample-threads-negative", "discord-huge-int-cm", "discord-huge-int-normal-form",
-    "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form", "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
+    "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form",
+    "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     src = str(Path(gdiscord.__file__).resolve().parents[1])
