@@ -70,9 +70,7 @@ from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
-from .symplectic import (
-    BonaFideDiagnosis, _cm_rows, _diagnose, _reduce_rows, normal_form_spectrum,
-)
+from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, normal_form_spectrum
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
@@ -254,7 +252,7 @@ def gaussian_discord_numeric(
     """
     rows = _cm_rows(V)
     if diag is None:
-        diag = _diagnose(rows, _reduce_rows)
+        diag = _diagnose(rows)
     u, phi, s_min = _minimize(rows, diag)
     nf = diag.reduction.nf
     return _report(

@@ -107,20 +107,9 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
 
 
 def discord_report_to_dict(report: DiscordReport) -> dict:
-    out = {
-        "s_a": round12(report.s_a),
-        "s_b": round12(report.s_b),
-        "s_ab": round12(report.s_ab),
-        "i_ab": round12(report.i_ab),
-        "s_min_cond": round12(report.s_min_cond),
-        "classical_corr": round12(report.classical_corr),
-        "discord": round12(report.discord),
-        "method": report.method,
-    }
-    if report.u_opt is not None:
-        out["u_opt"] = round12(report.u_opt)
-        out["phi_opt"] = round12(report.phi_opt)
-    return out
+    """The report's fields in order, numbers rounded; a closed-form report has no u_opt, phi_opt."""
+    return {name: value if name == "method" else round12(value)
+            for name, value in zip(report._fields, report) if value is not None}
 
 
 def family_params_to_dict(fp: FamilyParams) -> dict:

@@ -239,33 +239,6 @@ _DISC_TOL = 1e-9
 _NEGATIVE_DISC = "negative symplectic discriminant {}; input is not a valid CM"
 
 
-def _spectrum_arrays(a, b, c, cp, sqrt=math.sqrt):
-    """(disc, nu_minus, nu_plus) of V(a, b, c, cp); floats, or arrays with ``sqrt=np.sqrt``.
-
-    ``nu_pm^2 = (Delta +- sqrt(disc)) / 2`` with ``Delta = a^2 + b^2 + 2 c cp``
-    and ``disc = Delta^2 - 4 det V``, read as the identical
-    ``(a^2 - b^2)^2 + 4 (ac + b cp)(bc + a cp)``: near a degenerate spectrum
-    (pure states have a = b and cp = -c) the difference form is rounding of
-    either sign, which the square root lifts to ~1e-8 in nu_minus.  nu_minus
-    is read from ``nu_minus nu_plus = sqrt(det V)`` as
-    ``sqrt(ab - c^2) sqrt(ab - cp^2) / nu_plus``, which does not cancel where
-    ``Delta - sqrt(disc)`` does, at nu_minus << nu_plus (``1e16, 3, 0, 0``
-    has nu_minus = 3); a zero nu_plus divides by 1 instead.  A negative
-    discriminant, nu^2 or factor of det V reads as zero (``0.5 * (x + abs(x))``
-    is ``max(x, 0)`` exactly, for floats and arrays alike); callers reject a
-    discriminant below ``-_DISC_TOL``.
-    """
-    ab = a * b
-    delta = a * a + b * b + 2.0 * c * cp
-    det_q, det_p = ab - c * c, ab - cp * cp  # of the q and p blocks; det V = det_q det_p
-    diff = a * a - b * b
-    disc = diff * diff + 4.0 * ((a * c + b * cp) * (b * c + a * cp))
-    hi = delta + sqrt(0.5 * (disc + abs(disc)))  # 2 nu_plus^2
-    nu_plus = sqrt(0.25 * (hi + abs(hi)))
-    root_det = sqrt(0.5 * (det_q + abs(det_q))) * sqrt(0.5 * (det_p + abs(det_p)))
-    return disc, root_det / (nu_plus + (nu_plus == 0.0)), nu_plus
-
-
 def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     """Symplectic eigenvalues of ``embed_normal_form(nf)``, in closed form.
 
@@ -304,30 +277,48 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
 def _verdict(a, b, c, cp, xp=math, largest=max):
     """(ok, disc, nu_minus, nu_plus, indefinite) of V(a, b, c, cp): the one bona fide rule.
 
-    Floats, or arrays with ``xp=np, largest=_array_max``.  The spectrum of
-    :func:`_spectrum_arrays` is read on the copy ``(a, b, c, cp) 2^-k``, k
-    the binary exponent of the largest |parameter| less one, so the copy
-    lies below 2 and no product overflows.  The scaling is exact: nu scales
-    back by ``2^k`` and disc by ``2^4k``, to the bits of an unscaled reading
-    wherever that neither overflows nor underflows, and to +-inf past the
-    float range (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).
-    ok iff V is positive definite (``a > 0`` and ``ab > c^2, cp^2``) and its
-    spectrum is real, ``disc >= -_DISC_TOL`` in the input's units, with
-    ``nu_minus >= 1 - BONA_FIDE_TOL``.  No ``a, b >= 1`` term is needed: a
-    positive definite V has ``a, b >= nu_minus``.  NaN fails every
-    comparison, so a non-finite input is never admitted.  ``indefinite``
-    (``ab < c^2`` or ``ab < cp^2``) names a rejection's reason.
+    Floats, or arrays with ``xp=np, largest=_array_max``.  All is read on the
+    copy ``(a, b, c, cp) 2^-k``, k the binary exponent of the largest
+    |parameter| less one, so no product overflows; nu scales back by ``2^k``
+    and disc by ``2^4k``, exactly: to the bits of an unscaled reading wherever
+    that neither overflows nor underflows, and to +-inf past the float range
+    (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).
+
+    ``nu_pm^2 = (Delta +- sqrt(disc)) / 2`` with ``Delta = a^2 + b^2 + 2 c cp``
+    and ``disc = Delta^2 - 4 det V``, read as the identical
+    ``(a^2 - b^2)^2 + 4 (ac + b cp)(bc + a cp)``: near a degenerate spectrum
+    (pure states have a = b and cp = -c) the difference form is rounding of
+    either sign, which the square root lifts to ~1e-8 in nu_minus.  nu_minus
+    is ``sqrt(det_q det_p) / nu_plus``, as ``det V = det_q det_p`` for the
+    block determinants ``ab - c^2`` and ``ab - cp^2``; it does not cancel where
+    ``Delta - sqrt(disc)`` does, at nu_minus << nu_plus (``1e16, 3, 0, 0`` has
+    nu_minus = 3), and a zero nu_plus divides by 1.  A negative disc, nu^2 or
+    determinant reads as zero (``0.5 * (x + abs(x))`` is ``max(x, 0)`` exactly).
+
+    ok iff V is positive definite (``a > 0``, ``det_q, det_p > 0``) with a
+    real spectrum, ``disc >= -_DISC_TOL`` in the input's units, and
+    ``nu_minus >= 1 - BONA_FIDE_TOL``; a positive definite V has ``a, b >=
+    nu_minus``, so no ``a, b >= 1`` term is needed, and NaN fails every
+    comparison.  ``indefinite`` (``a < 0`` or a negative determinant) names a
+    rejection's reason.
     """
     k = xp.frexp(largest(abs(a), abs(b), abs(c), abs(cp)))[1] - 1
-    ldexp = xp.ldexp
+    ldexp, sqrt = xp.ldexp, xp.sqrt
     a, b, c, cp = ldexp(a, -k), ldexp(b, -k), ldexp(c, -k), ldexp(cp, -k)
-    disc, nu_minus, nu_plus = _spectrum_arrays(a, b, c, cp, xp.sqrt)
+    ab = a * b
+    delta = a * a + b * b + 2.0 * c * cp
+    det_q, det_p = ab - c * c, ab - cp * cp
+    diff = a * a - b * b
+    disc = diff * diff + 4.0 * ((a * c + b * cp) * (b * c + a * cp))
+    hi = delta + sqrt(0.5 * (disc + abs(disc)))  # 2 nu_plus^2
+    nu_plus = sqrt(0.25 * (hi + abs(hi)))
+    root_det = sqrt(0.5 * (det_q + abs(det_q))) * sqrt(0.5 * (det_p + abs(det_p)))
+    nu_minus = root_det / (nu_plus + (nu_plus == 0.0))
     s = 2.0**k  # finite, as -1074 <= k <= 1023; a product past the range is inf, not an error
     disc, nu_minus, nu_plus = disc * s * s * s * s, nu_minus * s, nu_plus * s
-    ab, cc, pp = a * b, c * c, cp * cp
-    ok = (a > 0.0) & (ab > cc) & (ab > pp) & (disc >= -_DISC_TOL) \
+    ok = (a > 0.0) & (det_q > 0.0) & (det_p > 0.0) & (disc >= -_DISC_TOL) \
         & (nu_minus >= 1.0 - BONA_FIDE_TOL)
-    return ok, disc, nu_minus, nu_plus, (ab < cc) | (ab < pp)
+    return ok, disc, nu_minus, nu_plus, (a < 0.0) | (det_q < 0.0) | (det_p < 0.0)
 
 
 def bona_fide_normal_form_mask(a, b, c, cp) -> np.ndarray:
@@ -371,25 +362,27 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     is accepted iff its smallest symplectic eigenvalue is >= 1 -
     BONA_FIDE_TOL and it is positive definite, which the spectrum alone
     cannot tell (V and -V have the same one).  Both are read off the normal
-    form of :func:`reduce_cm` by :func:`_verdict`: local
-    symplectics keep the spectrum and, as a congruence, the signs of the
-    eigenvalues.  For the squeezed-thermal subclass (cp = -c) the eigenvalue
-    test is equivalent to the parameter bound c^2 <= a*b - 1 - |a - b|,
-    which is quoted in the diagnosis when it is the constraint that failed.
+    form of :func:`reduce_cm` by :func:`_verdict`: local symplectics keep
+    the spectrum and, as a congruence, the signs of the eigenvalues; a normal
+    form with a negative variance or block determinant is reported as "not
+    positive definite".  For the squeezed-thermal subclass (cp = -c) the
+    eigenvalue test is equivalent to the parameter bound c^2 <= a*b - 1 -
+    |a - b|, which is quoted in the diagnosis when it is the constraint that
+    failed.
     A V that fails the gate of :func:`_cm_rows` is reported with its reason.
     A spectrum past the float range has ``nu_plus = inf``.
     """
-    return _diagnose(V, reduce_cm)
-
-
-def _diagnose(V, reduce) -> BonaFideDiagnosis:
-    """:func:`validate_bona_fide` of V, reduced by ``reduce``.
-
-    ``reduce`` is :func:`reduce_cm` on a CM, or :func:`_reduce_rows` on the
-    rows :func:`_cm_rows` has read, so a caller holding them reads V once.
-    """
     try:
-        red = reduce(V)
+        rows = _cm_rows(V)
+    except DomainError as exc:
+        return BonaFideDiagnosis(False, None, str(exc))
+    return _diagnose(rows)
+
+
+def _diagnose(rows) -> BonaFideDiagnosis:
+    """:func:`validate_bona_fide` of rows read by :func:`_cm_rows`, for a caller that holds them."""
+    try:
+        red = _reduce_rows(rows)
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
     a, b, c, cp = red.nf
@@ -398,7 +391,7 @@ def _diagnose(V, reduce) -> BonaFideDiagnosis:
         return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
     if disc < -_DISC_TOL:
         return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
-    # an indefinite V (a block determinant is negative) is named before
+    # an indefinite V (a negative variance or block determinant) is named before
     # nu_minus, which is no spectrum of it; a semidefinite V keeps its real
     # spectrum (nu_min = 0) as the reason.  NaN reads as nu_min < 1
     if nu_minus >= 1.0 - BONA_FIDE_TOL or indefinite:

@@ -102,26 +102,18 @@ def random_squeezed_thermal(rng: np.random.Generator, n: int):
 
 def random_normal_forms(rng: np.random.Generator, n: int):
     """Arrays (a, b, c, cp) of general bona fide normal forms (rejection)."""
-    out_a = np.empty(n)
-    out_b = np.empty(n)
-    out_c = np.empty(n)
-    out_cp = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 128)
+    draws = np.empty((4, 0))
+    while draws.shape[1] < n:
+        need = n - draws.shape[1]
+        m = max(2 * need, 128)
         a = rng.uniform(1.0, VMAX, m)
         b = rng.uniform(1.0, VMAX, m)
         half = np.sqrt(np.maximum(squeezed_thermal_bound(a, b), 0.0))
         c = rng.uniform(-1.0, 1.0, m) * half
         cp = rng.uniform(-1.0, 1.0, m) * half
-        ok = bona_fide_normal_form_mask(a, b, c, cp)
-        take = min(int(ok.sum()), n - filled)
-        idx = np.nonzero(ok)[0][:take]
-        sl = slice(filled, filled + take)
-        out_a[sl], out_b[sl] = a[idx], b[idx]
-        out_c[sl], out_cp[sl] = c[idx], cp[idx]
-        filled += take
-    return out_a, out_b, out_c, out_cp
+        accepted = np.array([a, b, c, cp])[:, bona_fide_normal_form_mask(a, b, c, cp)]
+        draws = np.concatenate([draws, accepted[:, :need]], axis=1)
+    return tuple(draws)
 
 
 def random_family_params(rng: np.random.Generator, n: int):
@@ -287,17 +279,14 @@ def check_entropy_oracles(n: int = 10_000) -> CheckResult:
     rng = np.random.default_rng(ORACLE_SEED)
     a, b, c, cp = random_normal_forms(rng, n)
     max_nu_err = 0.0
-    mats = np.empty((n, 4, 4))
     for i in range(n):
         V = embed_normal_form(NormalFormCM(a[i], b[i], c[i], cp[i]))
         # random local symplectic: rotations and squeezers on each mode
         s1 = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, math.pi))
         s2 = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, math.pi))
         S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
-        mats[i] = S @ V @ S.T
-    for i in range(n):
-        closed = symplectic_spectrum(mats[i])
-        oracle = symplectic_spectrum_eigen(mats[i])
+        W = S @ V @ S.T
+        closed, oracle = symplectic_spectrum(W), symplectic_spectrum_eigen(W)
         max_nu_err = max(
             max_nu_err,
             abs(closed.nu_minus - oracle.nu_minus),

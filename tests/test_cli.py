@@ -16,6 +16,10 @@ from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix
 from gdiscord import cli, symplectic
 from gdiscord.serialize import round12
 
+# the source tree that the subprocess tests run, and an environment that imports it
+SRC = str(Path(gdiscord.__file__).resolve().parents[1])
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
 WORKED_DISCORD_OUTPUT = """\
 {
   "numeric": {
@@ -103,8 +107,9 @@ class TestDiscordCommand:
     def test_state_is_reduced_once(self, run_cli, monkeypatch):
         # validation, the numeric route and the closed form share one reduction
         calls = []
-        reduce_cm = symplectic.reduce_cm
-        monkeypatch.setattr(symplectic, "reduce_cm", lambda V: calls.append(V) or reduce_cm(V))
+        reduce_rows = symplectic._reduce_rows
+        monkeypatch.setattr(symplectic, "_reduce_rows",
+                            lambda rows: calls.append(rows) or reduce_rows(rows))
         res = run_cli(["discord", "--state", rotated_worked_state()])
         assert res.exit_code == 0
         assert json.loads(res.output)["in_family"] is True
@@ -158,7 +163,9 @@ class TestDiscordCommand:
                      ["condition", "--state", json.dumps({"cm": (-2.0 * np.eye(4)).tolist()}),
                       "--measurement", '{"u": 1}'],
                      ["discord", "--normal-form", "1,1,1000,1.0001"],
-                     ["decompose", "--normal-form", "1,1,1000,1.0001"]):
+                     ["decompose", "--normal-form", "1,1,1000,1.0001"],
+                     ["discord", "--normal-form", "-0.5,-0.5,0,0"],
+                     ["decompose", "--normal-form", "-1e-320,-1e-320,0,0"]):
             res = run_cli(args)
             assert res.exit_code == 2, args
             assert "not positive definite" in res.stderr
@@ -335,9 +342,8 @@ class TestSampleCommand:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
     def test_threads_on_one_usable_cpu_start_no_pool(self, tmp_path):
         # 70,000 points span two sampler chunks: a pool would have work to split
-        src = str(Path(gdiscord.__file__).resolve().parents[1])
         args = ["sample", "--a", "2", "--b", "3", "--n", "70000", "--seed", "8"]
-        res = subprocess.run([sys.executable, "-c", PINNED_CLI, src, *args, "--threads", "2"],
+        res = subprocess.run([sys.executable, "-c", PINNED_CLI, SRC, *args, "--threads", "2"],
                              cwd=tmp_path, capture_output=True, timeout=30)
         assert res.returncode == 0, res.stderr
         assert "concurrent.futures" not in res.stderr.decode().split()
@@ -347,11 +353,9 @@ class TestSampleCommand:
     def test_reader_closing_the_pipe_is_a_success(self, tmp_path):
         # `sample ... | head -1`: 16 MB of rows cannot fit the pipe, so the
         # reader closes it while sample is still writing
-        src = str(Path(gdiscord.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         args = ["sample", "--a", "2", "--b", "2", "--n", "200000", "--seed", "1"]
-        with subprocess.Popen([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path,
+                              env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"a,b,c,cp,r,tau,eta,sign\n"
             proc.stdout.close()
             stderr = proc.stderr.read()
@@ -364,13 +368,11 @@ class TestSampleCommand:
     ], ids=["sample", "classify"])
     def test_closed_stdout_ends_without_a_traceback(self, args, code, tmp_path):
         # a reader may take part of the sample CSV; a JSON result it never reads is lost
-        src = str(Path(gdiscord.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
-                                 stdout=write_end, stderr=subprocess.PIPE, timeout=30)
+            res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path,
+                                 env=SRC_ENV, stdout=write_end, stderr=subprocess.PIPE, timeout=30)
         finally:
             os.close(write_end)
         assert (res.returncode, res.stderr) == (code, b"")
@@ -478,9 +480,7 @@ HOSTILE_INPUTS = [
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
-    src = str(Path(gdiscord.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=env,
+    res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)
     assert res.returncode == code, res.stderr
     lines = res.stderr.splitlines()
@@ -512,9 +512,7 @@ def test_negative_values_bind_to_their_option(run_cli, args, digest):
 
 def run_module_cli(args, cwd):
     """``python -m gdiscord.cli`` of this source tree, in its own interpreter."""
-    src = str(Path(gdiscord.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=cwd, env=SRC_ENV,
                           capture_output=True, timeout=30)
 
 
@@ -645,8 +643,7 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
 
 @pytest.mark.parametrize("args", cli_cold_commands(), ids=lambda args: args[0])
 def test_cold_commands_never_import_numpy(args, tmp_path):
-    src = str(Path(gdiscord.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", IN_PROCESS_CLI, src, *args], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-c", IN_PROCESS_CLI, SRC, *args], cwd=tmp_path,
                          capture_output=True, timeout=30)
     assert res.stderr.decode().split() == ["0", "False"], res.stderr
     ref = run_module_cli(args, tmp_path)
@@ -693,8 +690,7 @@ os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
      {"gdiscord.discord", "gdiscord.verification", "gdiscord.samplecsv", "numpy"}),
 ], ids=["sample", "classify", "discord-state", "decompose-state"])
 def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
-    src = str(Path(gdiscord.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, src, *args], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, SRC, *args], cwd=tmp_path,
                          capture_output=True, timeout=30)
     modules = set(res.stderr.decode().split())
     assert res.returncode == 0 and res.stdout, res.stderr
@@ -718,8 +714,7 @@ print(len(values), all(name in listed for name in values),
 
 
 def test_package_exports_resolve_lazily(tmp_path):
-    src = str(Path(gdiscord.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", PACKAGE_EXPORTS, src], cwd=tmp_path,
+    res = subprocess.run([sys.executable, "-c", PACKAGE_EXPORTS, SRC], cwd=tmp_path,
                          capture_output=True, text=True, timeout=30)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [str(len(gdiscord.__all__)), "True", "True"]

@@ -27,7 +27,7 @@ from gdiscord import (
 )
 from gdiscord import discord, symplectic
 from gdiscord.discord import _best_seed, _form, _scan_forms
-from gdiscord.family import eta_from_a, tau_bounds
+from gdiscord.family import _WITNESS_TOL, eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
 from gdiscord.verification import (
     random_family_params,
@@ -327,6 +327,18 @@ def discord_routes(V):
     return gaussian_discord_numeric(V), closed
 
 
+def local_rotations(phi_a, phi_b):
+    """Rotation by phi_a on mode A and by phi_b on mode B."""
+    zero = np.zeros((2, 2))
+    return np.block([[rotation_matrix(phi_a), zero], [zero, rotation_matrix(phi_b)]])
+
+
+# pi on mode A takes (c, cp) to (-c, -cp), pi/2 on both modes swaps c and cp,
+# and 1e-9 on mode A misses the normal-form pattern match
+FIXED_FRAMES = (local_rotations(math.pi, 0.0), local_rotations(0.5 * math.pi, 0.5 * math.pi),
+                local_rotations(1e-9, 0.0))
+
+
 class TestLocalInvariance:
     @staticmethod
     def _states(rng, n):
@@ -348,19 +360,30 @@ class TestLocalInvariance:
             yield NormalFormCM(b, b, c, -c)
 
     def test_discord_verdict_and_route_survive_local_symplectics(self):
+        # the witness (r, sign, xi) is left out: it still depends on the frame
+        # (ROADMAP item 4); (b, tau, eta) and the discord do not
         rng = np.random.default_rng(45)
         kinds = set()
         for nf in self._states(rng, 60):
             V = embed_normal_form(nf)
-            S = local_symplectic(rng)
+            frames = (local_symplectic(rng), *FIXED_FRAMES)
             numeric, closed = discord_routes(V)
-            numeric_t, closed_t = discord_routes(S @ V @ S.T)
-            assert numeric_t.discord == pytest.approx(numeric.discord, abs=1e-12)
-            assert numeric_t.method == numeric.method
-            assert (closed is None) == (closed_t is None)
-            if closed is not None:
-                assert closed_t.discord == pytest.approx(closed.discord, abs=1e-12)
-                assert closed_t.method == closed.method
+            assert validate_bona_fide(V).bona_fide
+            fp = None if closed is None else membership(normal_form_from_cm(V))
+            tol = _WITNESS_TOL * max(1.0, nf.a)
+            for S in frames:
+                W = S @ V @ S.T
+                assert validate_bona_fide(W).bona_fide
+                numeric_t, closed_t = discord_routes(W)
+                assert numeric_t.discord == pytest.approx(numeric.discord, abs=1e-12)
+                assert numeric_t.method == numeric.method
+                assert (closed is None) == (closed_t is None)
+                if closed is not None:
+                    assert closed_t.discord == pytest.approx(closed.discord, abs=1e-12)
+                    assert closed_t.method == closed.method
+                    fp_t = membership(normal_form_from_cm(W))
+                    for x, y in ((fp_t.b, fp.b), (fp_t.tau, fp.tau), (fp_t.eta, fp.eta)):
+                        assert x == pytest.approx(y, abs=tol)
             kinds.add(closed is None)
         assert kinds == {True, False}
 

@@ -31,7 +31,6 @@ from gdiscord import (
 from gdiscord.symplectic import (
     _PATTERN_RTOL,
     _array_max,
-    _spectrum_arrays,
     _verdict,
     bona_fide_normal_form_mask,
     normal_form_spectrum,
@@ -177,7 +176,8 @@ class TestSpectrum:
             nf = diag.reduction.nf
             assert bool(bona_fide_normal_form_mask(nf.a, nf.b, nf.c, nf.cp))
             arrays = [np.array([x]) for x in (nf.a, nf.b, nf.c, nf.cp)]
-            assert _spectrum_arrays(*arrays, np.sqrt)[1][0] == normal_form_spectrum(nf).nu_minus == diag.nu_min
+            nu_minus = _verdict(*arrays, np, _array_max)[2][0]
+            assert nu_minus == normal_form_spectrum(nf).nu_minus == diag.nu_min
             ref = symplectic_spectrum(V)
             assert diag.nu_min == pytest.approx(ref.nu_minus, abs=1e-9)
             assert diag.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
@@ -404,7 +404,7 @@ SPECTRUM_ULPS = 512
 @pytest.mark.parametrize("name", SPECTRUM_CLASSES)
 def test_spectrum_is_accurate_to_the_last_bits(name):
     nfs = SPECTRUM_CLASSES[name](np.random.default_rng(2026), 1000)
-    _, arr_minus, arr_plus = _spectrum_arrays(*map(np.array, zip(*nfs)), np.sqrt)
+    _, _, arr_minus, arr_plus, _ = _verdict(*map(np.array, zip(*nfs)), np, _array_max)
     worst = {}
     for nf, arrays in zip(nfs, zip(arr_minus.tolist(), arr_plus.tolist())):
         refs = spectrum_reference(*nf)
