@@ -171,10 +171,10 @@ def reduce_cm(V: np.ndarray) -> Reduction:
 def _reduce_rows(rows) -> Reduction:
     """:func:`reduce_cm` of a CM already read by :func:`_cm_rows`."""
     (a00, a01, c00, c01), (v10, a11, c10, c11), (v20, v21, b00, b01), (v30, v31, v32, b11) = rows
-    # max |V - nf| <= tol * max(1, max |V|), entry by entry; the four entries
-    # that define nf match themselves exactly
+    # max |V - nf| <= tol * max |V|, entry by entry, at every scale; the four
+    # entries that define nf match themselves exactly
     bound = _PATTERN_RTOL * max(
-        1.0, abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
+        abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
         abs(v20), abs(v21), abs(b00), abs(b01), abs(v30), abs(v31), abs(v32), abs(b11))
     if max(abs(a01), abs(c01), abs(v10), abs(a11 - a00), abs(c10), abs(v20 - c00),
            abs(v21), abs(b01), abs(v30), abs(v31 - c11), abs(v32), abs(b11 - b00)) <= bound:

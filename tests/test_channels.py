@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,7 @@ from gdiscord import (
     pathological_form_matrices,
     validate_bona_fide,
 )
-
-SQRT6 = math.sqrt(6.0)
+from states import WORKED_CM
 
 
 class TestParams:
@@ -106,7 +103,7 @@ class TestApply:
 
     def test_amplified_epr_is_worked_state(self):
         out = apply_to_mode_A(GaussianChannelParams(2.0, 1.0), epr_cm(2.0, 1))
-        target = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        target = WORKED_CM
         assert np.allclose(out, target, atol=1e-12)
 
     def test_depolarizing_gives_product(self):

@@ -34,9 +34,18 @@ from gdiscord.verification import (
     random_normal_forms,
     random_squeezed_thermal,
 )
+from states import (
+    FIXED_FRAMES,
+    FRAME_DEPENDENT_WITNESS_NF,
+    WORKED_CM,
+    WORKED_NF,
+    classed_normal_forms,
+    local_frame,
+    local_symplectic,
+    seeded_states,
+    verify_cms,
+)
 
-SQRT6 = math.sqrt(6.0)
-WORKED = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
 # bona fide (nu_min = 1.242), with a homodyne optimum (u = 0): the edge of
 # the scan's u range
 EDGE_CM = [
@@ -97,15 +106,6 @@ def phi_search_oracle(V):
     return x / y, phi % math.pi
 
 
-def local_symplectic(rng):
-    """Random rotation times squeezer on each mode."""
-    S = np.zeros((4, 4))
-    for k in (0, 2):
-        S[k:k + 2, k:k + 2] = rotation_matrix(rng.uniform(0, math.pi)) @ squeezer_matrix(
-            math.exp(rng.uniform(-math.log(3.0), math.log(3.0))))
-    return S
-
-
 class TestConditionalEntropy:
     def test_product_state_any_measurement(self):
         V = embed_normal_form(NormalFormCM(3.0, 2.0, 0, 0))
@@ -114,23 +114,13 @@ class TestConditionalEntropy:
             assert conditional_entropy_measured(V, m) == pytest.approx(h(3.0), abs=1e-12)
 
     def test_worked_state_heterodyne(self):
-        s = conditional_entropy_measured(WORKED, GaussianMeasurement.heterodyne())
+        s = conditional_entropy_measured(WORKED_CM, GaussianMeasurement.heterodyne())
         assert s == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("b", [1.0, 2.0, 6.0])
     def test_epr_heterodyne_prepares_coherent(self, b):
         s = conditional_entropy_measured(epr_cm(b), GaussianMeasurement.heterodyne())
         assert s == pytest.approx(0.0, abs=1e-9)
-
-
-def seeded_states(rng, n):
-    """Seeded normal forms, every other one under a random local symplectic."""
-    for i, nf in enumerate(zip(*random_normal_forms(rng, n))):
-        V = embed_normal_form(NormalFormCM(*map(float, nf)))
-        if i % 2:
-            S = local_symplectic(rng)
-            V = S @ V @ S.T
-        yield V
 
 
 class TestScanObjective:
@@ -172,7 +162,7 @@ class TestScanObjective:
         # _best_seed writes out u = 0, inf and 1; its value must be what
         # _scan_objective gives at the returned weights, and no endpoint lower
         edge = embed_normal_form(family_cm_from_params(FamilyParams(2, 2, 1, 1, 1)))
-        states = [WORKED, edge, np.array(EDGE_CM), *seeded_states(np.random.default_rng(41), 20)]
+        states = [WORKED_CM, edge, np.array(EDGE_CM), *seeded_states(np.random.default_rng(41), 20)]
         seen = set()
         for V in states:
             forms = _scan_forms(V.tolist())
@@ -188,10 +178,8 @@ class TestScanObjective:
 
     @staticmethod
     def _rotated_worked_winner(theta):
-        R = np.zeros((4, 4))
-        R[:2, :2] = rotation_matrix(theta)
-        R[2:, 2:] = rotation_matrix(0.7 * theta)
-        return gaussian_discord_numeric(R @ WORKED @ R.T)
+        R = local_frame(rotation_matrix(theta), rotation_matrix(0.7 * theta))
+        return gaussian_discord_numeric(R @ WORKED_CM @ R.T)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1])
     def test_heterodyne_winner_reports_phi_zero(self, theta):
@@ -224,12 +212,8 @@ class TestScanObjective:
         a, b, c, cp = (4.6698468087009335, 4.716915775305877,
                        -2.766168646876578, 4.415916563093463)
         nf = np.array([[a, 0, c, 0], [0, a, 0, cp], [c, 0, b, 0], [0, cp, 0, b]])
-        S = np.zeros((4, 4))
-        for k, theta, sq in ((0, 0.8767626113683948, 0.49643377916799275),
-                             (2, 1.629210857405166, 2.9132206010834234)):
-            rot = np.array([[math.cos(theta), -math.sin(theta)],
-                            [math.sin(theta), math.cos(theta)]])
-            S[k:k + 2, k:k + 2] = rot @ np.diag([math.sqrt(sq), 1.0 / math.sqrt(sq)])
+        S = local_frame(*(rotation_matrix(theta) @ squeezer_matrix(sq) for theta, sq in (
+            (0.8767626113683948, 0.49643377916799275), (1.629210857405166, 2.9132206010834234))))
         V = S @ nf @ S.T
         V = 0.5 * (V + V.T)
         ref = gaussian_discord_numeric(nf).s_min_cond
@@ -238,7 +222,7 @@ class TestScanObjective:
 
 class TestMinimizer:
     def test_heterodyne_optimal_for_squeezed_thermal(self):
-        res = gaussian_discord_numeric(WORKED)
+        res = gaussian_discord_numeric(WORKED_CM)
         assert res.s_min_cond == pytest.approx(2.0, abs=1e-8)
         assert res.u_opt == pytest.approx(1.0, abs=1e-3)
 
@@ -311,8 +295,7 @@ class TestTermination:
 
     def test_locally_transformed_states_match_normal_form(self):
         rng = np.random.default_rng(37)
-        for nf in zip(*random_normal_forms(rng, 200)):
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        for V in verify_cms(rng, 200):
             S = local_symplectic(rng)
             ref = gaussian_discord_numeric(V).discord
             assert gaussian_discord_numeric(S @ V @ S.T).discord == pytest.approx(ref, abs=1e-6)
@@ -327,44 +310,13 @@ def discord_routes(V):
     return gaussian_discord_numeric(V), closed
 
 
-def local_rotations(phi_a, phi_b):
-    """Rotation by phi_a on mode A and by phi_b on mode B."""
-    zero = np.zeros((2, 2))
-    return np.block([[rotation_matrix(phi_a), zero], [zero, rotation_matrix(phi_b)]])
-
-
-# pi on mode A takes (c, cp) to (-c, -cp), pi/2 on both modes swaps c and cp,
-# and 1e-9 on mode A misses the normal-form pattern match
-FIXED_FRAMES = (local_rotations(math.pi, 0.0), local_rotations(0.5 * math.pi, 0.5 * math.pi),
-                local_rotations(1e-9, 0.0))
-
-
 class TestLocalInvariance:
-    @staticmethod
-    def _states(rng, n):
-        a, b, c = random_squeezed_thermal(rng, n)
-        yield from (NormalFormCM(*map(float, row), -float(row[2])) for row in zip(a, b, c))
-        yield from (family_cm_from_params(fp) for fp in random_family_params(rng, n))
-        outside = 0
-        for nf in zip(*random_normal_forms(rng, 4 * n)):
-            nf = NormalFormCM(*map(float, nf))
-            try:
-                membership(nf)
-            except OutOfFamily:
-                outside += 1
-                yield nf
-            if outside == n:
-                break
-        for b in rng.uniform(1.0, 20.0, n):  # symmetric squeezed thermal: a degenerate spectrum
-            c = math.sqrt((b * b - 1.0) * rng.uniform(0.0, 1.0))
-            yield NormalFormCM(b, b, c, -c)
-
     def test_discord_verdict_and_route_survive_local_symplectics(self):
         # the witness (r, sign, xi) is left out: it still depends on the frame
         # (ROADMAP item 4); (b, tau, eta) and the discord do not
         rng = np.random.default_rng(45)
         kinds = set()
-        for nf in self._states(rng, 60):
+        for nf in classed_normal_forms(rng, 60):
             V = embed_normal_form(nf)
             frames = (local_symplectic(rng), *FIXED_FRAMES)
             numeric, closed = discord_routes(V)
@@ -423,9 +375,20 @@ class TestLocalInvariance:
         assert in_family > 500
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the witness r reads 1/r in a frame "
+                   "that misses the normal-form pattern match")
+def test_witness_survives_a_frame_that_misses_the_pattern_match():
+    V = embed_normal_form(FRAME_DEPENDENT_WITNESS_NF)
+    S = FIXED_FRAMES[2]  # 1e-9 on mode A
+    fp, fp_t = (membership(normal_form_from_cm(W)) for W in (V, S @ V @ S.T))
+    tol = _WITNESS_TOL * max(1.0, FRAME_DEPENDENT_WITNESS_NF.a)
+    for x, y in ((fp_t.r, fp.r), (fp_t.sign, fp.sign), (fp_t.xi, fp.xi)):
+        assert x == pytest.approx(y, abs=tol)
+
+
 class TestInputValidation:
     def test_nan_entry_rejected(self):
-        V = WORKED.copy()
+        V = WORKED_CM.copy()
         V[0, 1] = V[1, 0] = math.nan
         with pytest.raises(DomainError, match="non-finite"):
             gaussian_discord_numeric(V)
@@ -437,7 +400,7 @@ class TestInputValidation:
             gaussian_discord_numeric(V)
 
     def test_asymmetric_cm_rejected(self):
-        V = WORKED.copy()
+        V = WORKED_CM.copy()
         V[0, 2] += 0.1
         with pytest.raises(DomainError, match="not symmetric"):
             gaussian_discord_numeric(V)
@@ -445,7 +408,7 @@ class TestInputValidation:
 
 class TestDiscordReports:
     def test_worked_number_closed(self):
-        fp = membership(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        fp = membership(WORKED_NF)
         rep = gaussian_discord_closed_form(fp)
         expect = h(2.0) - h(1.0) - h(4.0) + h(3.0)
         assert rep.discord == pytest.approx(expect, abs=1e-12)
@@ -453,7 +416,7 @@ class TestDiscordReports:
         assert rep.method == "closed_form"
 
     def test_worked_number_numeric(self):
-        rep = gaussian_discord_numeric(WORKED)
+        rep = gaussian_discord_numeric(WORKED_CM)
         assert rep.discord == pytest.approx(0.950067264945, abs=1e-9)
         assert rep.method == "numeric_scan"
         assert rep.u_opt == pytest.approx(1.0, abs=1e-3)
@@ -516,10 +479,7 @@ class TestDiscordReports:
         for fp in random_family_params(rng, 40):
             V = embed_normal_form(family_cm_from_params(fp))
             ref = gaussian_discord_numeric(V)
-            S = np.block([
-                [squeezer_matrix(rng.uniform(0.4, 2.5)), np.zeros((2, 2))],
-                [np.zeros((2, 2)), np.eye(2)],
-            ])
+            S = local_frame(squeezer_matrix(rng.uniform(0.4, 2.5)), np.eye(2))
             rep = gaussian_discord_numeric(S @ V @ S.T)
             for field in ("s_a", "s_b", "s_ab", "s_min_cond", "discord"):
                 assert getattr(rep, field) == pytest.approx(getattr(ref, field), abs=1e-8)
@@ -529,10 +489,7 @@ class TestDiscordReports:
         for fp in random_family_params(rng, 20):
             V = embed_normal_form(family_cm_from_params(fp))
             ref = gaussian_discord_numeric(V)
-            R = np.block([
-                [np.eye(2), np.zeros((2, 2))],
-                [np.zeros((2, 2)), rotation_matrix(rng.uniform(0, math.pi))],
-            ])
+            R = local_frame(np.eye(2), rotation_matrix(rng.uniform(0, math.pi)))
             rep = gaussian_discord_numeric(R @ V @ R.T)
             assert rep.s_min_cond == pytest.approx(ref.s_min_cond, abs=1e-8)
             assert rep.discord == pytest.approx(ref.discord, abs=1e-8)
@@ -542,7 +499,7 @@ class TestDiscordReports:
 @pytest.mark.parametrize("with_diag", [False, True], ids=["validated-here", "diagnosis-passed"])
 def test_state_is_read_once(monkeypatch, frame, with_diag):
     # validation and the route share one read of V through the checked gate
-    V = WORKED
+    V = WORKED_CM
     if frame:
         S = local_symplectic(np.random.default_rng(37))
         V = S @ V @ S.T
@@ -559,7 +516,7 @@ def test_state_is_read_once(monkeypatch, frame, with_diag):
 
 
 def test_report_is_a_read_only_record():
-    rep = gaussian_discord_numeric(WORKED)
+    rep = gaussian_discord_numeric(WORKED_CM)
     with pytest.raises(AttributeError):
         rep.discord = 0.0
     assert repr(rep) == (
@@ -567,5 +524,5 @@ def test_report_is_a_read_only_record():
         " i_ab=1.7049547671085312, s_min_cond=2.0000000000000004,"
         " classical_corr=0.7548875021634682, discord=0.950067264945063,"
         " method='numeric_scan', u_opt=1.0, phi_opt=0.0)")
-    closed = gaussian_discord_closed_form(membership(NormalFormCM(5.0, 2.0, SQRT6, -SQRT6)))
+    closed = gaussian_discord_closed_form(membership(WORKED_NF))
     assert repr(closed).endswith("method='closed_form', u_opt=None, phi_opt=None)")

@@ -1,6 +1,4 @@
-import decimal
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,8 +13,7 @@ from gdiscord import (
     h,
     thermal_entropy_fock,
 )
-
-SQRT6 = math.sqrt(6.0)
+from states import WORKED_CM, h_reference
 
 
 class TestH:
@@ -41,14 +38,9 @@ class TestH:
                     fn(x)
 
     def test_against_decimal_reference(self):
-        # the reference form cancels about log10(x) digits, so it runs at
-        # log10(x) + 40 of them
         xs = [1.0 + 2.0**-40] + [1.0 + 10.0 ** (k / 4) for k in range(-48, 1201, 3)]
         for x in xs:
-            with decimal.localcontext() as ctx:
-                ctx.prec = int(math.log10(x)) + 40
-                xp, xm = (Decimal(x) + 1) / 2, (Decimal(x) - 1) / 2
-                ref = (xp * xp.ln() - xm * xm.ln()) / Decimal(2).ln()
+            ref = h_reference(x)
             assert abs(h(x) - float(ref)) <= 1e-15 * float(ref), x
 
     def test_strictly_increasing(self):
@@ -67,7 +59,7 @@ class TestStateEntropies:
         assert entropy_two_mode(V) == pytest.approx(h(3.0) + h(1.7), abs=1e-12)
 
     def test_worked_state(self):
-        V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        V = WORKED_CM
         assert entropy_two_mode(V) == pytest.approx(h(4.0), abs=1e-11)
 
 
@@ -81,7 +73,7 @@ class TestMutualInformation:
         assert gaussian_discord_numeric(epr_cm(2.0)).i_ab == pytest.approx(2 * h(2.0), abs=1e-9)
 
     def test_worked_state(self):
-        V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        V = WORKED_CM
         expect = h(5.0) + h(2.0) - h(4.0)
         assert gaussian_discord_numeric(V).i_ab == pytest.approx(expect, abs=1e-11)
         assert expect == pytest.approx(1.7049547671, abs=1e-9)

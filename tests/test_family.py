@@ -26,8 +26,7 @@ from gdiscord.family import _correlation_arrays, _eta_arrays, _tau_bounds_arrays
 from gdiscord.samplecsv import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
 from gdiscord.verification import random_family_params, random_squeezed_thermal
-
-SQRT6 = math.sqrt(6.0)
+from states import WORKED_NF, local_frame
 
 
 def composite_construction(fp: FamilyParams) -> np.ndarray:
@@ -35,15 +34,15 @@ def composite_construction(fp: FamilyParams) -> np.ndarray:
     K = fp.channel.K
     k_total = squeezer_matrix(fp.xi) @ K @ squeezer_matrix(1.0 / fp.r)
     n_total = squeezer_matrix(fp.xi) @ fp.channel.N @ squeezer_matrix(fp.xi).T
-    big_k = np.block([[k_total, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
-    big_n = np.block([[n_total, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])
+    big_k = local_frame(k_total, np.eye(2))
+    big_n = local_frame(n_total, np.zeros((2, 2)))
     return big_k @ epr_cm(fp.b, fp.sign) @ big_k.T + big_n
 
 
 class TestDecomposeSqueezedThermal:
     # membership on V(a, b, c, -c): an EPR state through a phase-insensitive channel
     def test_worked_state(self):
-        fp = membership(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        fp = membership(WORKED_NF)
         assert fp.tau == pytest.approx(2.0, abs=1e-12)
         assert fp.eta == pytest.approx(1.0, abs=1e-12)
 
@@ -89,8 +88,8 @@ class TestForwardMap:
     def test_reduces_to_squeezed_thermal_at_r1(self):
         nf = family_cm_from_params(FamilyParams(b=2, r=1, tau=2, eta=1, sign=1))
         assert nf.a == pytest.approx(5.0, abs=1e-12)
-        assert nf.c == pytest.approx(SQRT6, abs=1e-12)
-        assert nf.cp == pytest.approx(-SQRT6, abs=1e-12)
+        assert nf.c == pytest.approx(WORKED_NF.c, abs=1e-12)
+        assert nf.cp == pytest.approx(WORKED_NF.cp, abs=1e-12)
 
     def test_negative_tau_flips_relative_sign(self):
         nf = family_cm_from_params(FamilyParams(b=2, r=1, tau=-1 / 3, eta=4 / 3, sign=1))
@@ -225,13 +224,13 @@ class TestMembership:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(4))
     def test_non_finite_rejected(self, slot, bad):
-        params = [5.0, 2.0, SQRT6, -SQRT6]
+        params = list(WORKED_NF)
         params[slot] = bad
         with pytest.raises(DomainError, match="not bona fide"):
             membership(NormalFormCM(*params))
 
     def test_squeezed_thermal_route(self):
-        fp = membership(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        fp = membership(WORKED_NF)
         assert fp.r == 1.0
         assert fp.tau == pytest.approx(2.0, abs=1e-9)
         assert fp.eta == pytest.approx(1.0, abs=1e-9)

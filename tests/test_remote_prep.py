@@ -15,9 +15,8 @@ from gdiscord import (
     epr_cm,
     epr_squeezing_range,
 )
-from gdiscord.verification import random_normal_forms
+from states import WORKED_CM, verify_cms
 
-SQRT6 = math.sqrt(6.0)
 Z = np.diag([1.0, -1.0])
 
 
@@ -115,8 +114,7 @@ class TestConditioning:
 
     def test_homodyne_limit_matches_small_u(self):
         rng = np.random.default_rng(41)
-        for nf in zip(*random_normal_forms(rng, 20)):
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        for V in verify_cms(rng, 20):
             for phi in (0.0, 0.7):
                 lim = conditional_cm(V, GaussianMeasurement(0.0, phi))
                 tiny = conditional_cm(V, GaussianMeasurement(1e-9, phi))
@@ -126,8 +124,7 @@ class TestConditioning:
         # no cancellation at large or small u: the finite seeds sit within
         # O(1/u) = 1e-12 of their limits, not at rounding noise of order u * eps
         rng = np.random.default_rng(45)
-        for nf in zip(*random_normal_forms(rng, 50)):
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        for V in verify_cms(rng, 50):
             for phi in (0.0, 0.7, 2.2):
                 for u, lim in ((1e-12, 0.0), (1e12, math.inf)):
                     finite = conditional_cm(V, GaussianMeasurement(u, phi))
@@ -136,8 +133,7 @@ class TestConditioning:
 
     def test_matches_schur_oracle(self):
         rng = np.random.default_rng(42)
-        for nf in zip(*random_normal_forms(rng, 200)):
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        for V in verify_cms(rng, 200):
             m = GaussianMeasurement(10 ** rng.uniform(-2, 2), rng.uniform(0, math.pi))
             ours = conditional_cm(V, m)
             assert np.max(np.abs(ours - schur_oracle(V, m))) <= 1e-12
@@ -158,7 +154,7 @@ class TestModeASide:
         assert np.allclose(st.cm, np.eye(2), atol=1e-12)
 
     def test_asymmetric_state_vs_schur_oracle(self):
-        V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        V = WORKED_CM
         m = GaussianMeasurement(1.7, 0.3)
         st = conditioning_on_mode_A(V, None, m, [0.1, 0.2])
         assert np.max(np.abs(st.cm - schur_oracle(V, m, measured="A"))) <= 1e-12
@@ -167,9 +163,8 @@ class TestModeASide:
 class TestStatisticalIdentities:
     def test_law_of_total_variance(self):
         rng = np.random.default_rng(43)
-        for nf in zip(*random_normal_forms(rng, 300)):
-            a = float(nf[0])
-            V = embed_normal_form(NormalFormCM(*map(float, nf)))
+        for V in verify_cms(rng, 300):
+            a = V[0, 0]
             m = GaussianMeasurement(10 ** rng.uniform(-2, 2), rng.uniform(0, math.pi))
             L = conditional_mean_map(V, m)
             total = conditional_cm(V, m) + L @ (V[2:, 2:] + m.seed_cm()) @ L.T

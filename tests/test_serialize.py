@@ -32,6 +32,7 @@ from gdiscord.serialize import (
     parse_measurement_payload,
     round12,
 )
+from states import WORKED_CM, WORKED_NF
 
 
 class TestFmt:
@@ -121,7 +122,7 @@ class TestParseOthers:
 
 class TestEmission:
     def test_discord_report_flat_json(self):
-        V = embed_normal_form(NormalFormCM(5, 2, math.sqrt(6), -math.sqrt(6)))
+        V = WORKED_CM
         rep = gaussian_discord_numeric(V)
         d = discord_report_to_dict(rep)
         text = json.dumps(d)
@@ -131,7 +132,7 @@ class TestEmission:
         assert "u_opt" in parsed
 
     def test_family_params_dict(self):
-        fp = membership(NormalFormCM(5, 2, math.sqrt(6), -math.sqrt(6)))
+        fp = membership(WORKED_NF)
         d = family_params_to_dict(fp)
         assert d["sign"] == 1
         assert d["tau"] == pytest.approx(2.0, abs=1e-9)

@@ -35,21 +35,15 @@ from gdiscord.symplectic import (
     bona_fide_normal_form_mask,
     normal_form_spectrum,
 )
-
-SQRT6 = math.sqrt(6.0)
-
-
-def random_normal_forms(rng, n, vmax=5.0):
-    out = []
-    while len(out) < n:
-        a = rng.uniform(1.0, vmax)
-        b = rng.uniform(1.0, vmax)
-        half = math.sqrt(max(a * b - 1.0 - abs(a - b), 0.0))
-        c = rng.uniform(-half, half)
-        cp = rng.uniform(-half, half)
-        if bona_fide_normal_form_mask(a, b, c, cp):
-            out.append(NormalFormCM(a, b, c, cp))
-    return out
+from states import (
+    SPECTRUM_CLASSES,
+    WORKED_CM,
+    WORKED_NF,
+    local_frame,
+    scalar_normal_forms,
+    spectrum_reference,
+    squeezed_rotations,
+)
 
 
 class TestEmbed:
@@ -62,10 +56,10 @@ class TestEmbed:
         assert np.allclose(V, epr_cm(2.0, 1), atol=1e-15)
 
     def test_direct_construction(self):
-        V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        V = WORKED_CM
         assert np.allclose(V[:2, :2], 5 * np.eye(2))
         assert np.allclose(V[2:, 2:], 2 * np.eye(2))
-        assert np.allclose(V[:2, 2:], np.diag([SQRT6, -SQRT6]))
+        assert np.allclose(V[:2, 2:], np.diag([WORKED_NF.c, WORKED_NF.cp]))
         assert np.array_equal(V, V.T)
 
     def test_pattern_extraction(self):
@@ -87,11 +81,9 @@ class TestEmbed:
         # a normal form under random local symplectics reduces back to it, with
         # c >= |cp|, and b T_B^{-1} T_B^{-T} rebuilds the B block
         rng = np.random.default_rng(106)
-        for nf in random_normal_forms(rng, 300):
-            S = np.zeros((4, 4))
-            for k in (0, 2):
-                S[k:k + 2, k:k + 2] = rotation_matrix(rng.uniform(0, np.pi)) @ squeezer_matrix(
-                    math.exp(rng.uniform(-2.0, 2.0)))
+        for nf in scalar_normal_forms(rng, 300):
+            S = local_frame(*(rotation_matrix(rng.uniform(0, np.pi)) @ squeezer_matrix(
+                math.exp(rng.uniform(-2.0, 2.0))) for _ in range(2)))
             V = S @ embed_normal_form(nf) @ S.T
             red = reduce_cm(V)
             big, small = sorted((abs(nf.c), abs(nf.cp)), reverse=True)
@@ -122,7 +114,7 @@ class TestSpectrum:
         assert nu.nu_plus == pytest.approx(1.0, abs=1e-9)
 
     def test_worked_state(self):
-        V = embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6))
+        V = WORKED_CM
         nu = symplectic_spectrum(V)
         assert nu.nu_minus == pytest.approx(1.0, abs=1e-12)
         assert nu.nu_plus == pytest.approx(4.0, abs=1e-12)
@@ -138,7 +130,7 @@ class TestSpectrum:
 
     def test_agrees_with_eigen_oracle(self):
         rng = np.random.default_rng(101)
-        for nf in random_normal_forms(rng, 2000):
+        for nf in scalar_normal_forms(rng, 2000):
             V = embed_normal_form(nf)
             closed = symplectic_spectrum(V)
             oracle = symplectic_spectrum_eigen(V)
@@ -147,12 +139,10 @@ class TestSpectrum:
 
     def test_invariant_under_local_symplectics(self):
         rng = np.random.default_rng(102)
-        for nf in random_normal_forms(rng, 300):
+        for nf in scalar_normal_forms(rng, 300):
             V = embed_normal_form(nf)
             ref = symplectic_spectrum(V)
-            s1 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            s2 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
+            S = squeezed_rotations(rng)
             nu = symplectic_spectrum(S @ V @ S.T)
             assert nu.nu_minus == pytest.approx(ref.nu_minus, abs=1e-9)
             assert nu.nu_plus == pytest.approx(ref.nu_plus, abs=1e-9)
@@ -167,9 +157,7 @@ class TestSpectrum:
             x = 1.0 if k % 2 else rng.uniform(0.0, 1.0)
             c = math.sqrt(x * (a * a - 1.0)) * (1.0 if k % 4 < 2 else -1.0)
             V = embed_normal_form(NormalFormCM(a, a, c, -c))
-            s1 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            s2 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
+            S = squeezed_rotations(rng)
             W = S @ V @ S.T
             diag = validate_bona_fide(W)
             assert diag.bona_fide, (a, x, diag.reason)
@@ -184,14 +172,14 @@ class TestSpectrum:
 
     def test_determinant_identity(self):
         rng = np.random.default_rng(103)
-        for nf in random_normal_forms(rng, 500):
+        for nf in scalar_normal_forms(rng, 500):
             det = np.linalg.det(embed_normal_form(nf))
             expect = (nf.a * nf.b - nf.c**2) * (nf.a * nf.b - nf.cp**2)
             assert det == pytest.approx(expect, rel=1e-9)
 
     def test_embedded_states_are_bona_fide(self):
         rng = np.random.default_rng(104)
-        for nf in random_normal_forms(rng, 1000):
+        for nf in scalar_normal_forms(rng, 1000):
             nu = symplectic_spectrum(embed_normal_form(nf))
             assert nu.nu_minus >= 1.0 - 1e-9
 
@@ -223,7 +211,7 @@ class TestValidate:
         assert "c^2" in diag.reason
 
     def test_worked_state_boundary(self):
-        diag = validate_bona_fide(embed_normal_form(NormalFormCM(5, 2, SQRT6, -SQRT6)))
+        diag = validate_bona_fide(WORKED_CM)
         assert diag.bona_fide
         assert diag.nu_min == pytest.approx(1.0, abs=1e-9)
 
@@ -290,7 +278,7 @@ class TestConstructors:
 
 def test_nu_min_vectorized_matches_scalar():
     rng = np.random.default_rng(105)
-    nfs = random_normal_forms(rng, 200)
+    nfs = scalar_normal_forms(rng, 200)
     a = np.array([nf.a for nf in nfs])
     b = np.array([nf.b for nf in nfs])
     c = np.array([nf.c for nf in nfs])
@@ -321,7 +309,7 @@ def test_mask_is_the_verdict_of_validate_bona_fide():
     rng = np.random.default_rng(2028)
     scales = 10.0 ** np.arange(-320, 309, 4)
     nfs = [NormalFormCM(*(x * float(s) for x in nf))
-           for nf, s in zip(random_normal_forms(rng, 1000), rng.choice(scales, 1000))]
+           for nf, s in zip(scalar_normal_forms(rng, 1000), rng.choice(scales, 1000))]
     for _ in range(1000):
         mags = 10.0 ** rng.uniform(-320.0, 308.25, 4) * rng.choice([-1.0, 1.0], 4)
         mags[:2] = abs(mags[:2])
@@ -336,68 +324,6 @@ def test_mask_is_the_verdict_of_validate_bona_fide():
     assert verdicts[-1] and 300 < sum(verdicts) < len(nfs) - 300
 
 
-def spectrum_reference(a, b, c, cp):
-    """(nu_minus, nu_plus) of V(a, b, c, cp) from Delta and det V, in 40-digit decimal arithmetic."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        a, b, c, cp = map(decimal.Decimal, (a, b, c, cp))
-        delta = a * a + b * b + 2 * c * cp
-        root = max(delta * delta - 4 * (a * b - c * c) * (a * b - cp * cp), 0).sqrt()
-        return ((delta - root) / 2).sqrt(), ((delta + root) / 2).sqrt()
-
-
-def _local_frame_forms(rng, n):
-    out = []
-    for nf in random_normal_forms(rng, n):
-        S = np.zeros((4, 4))
-        S[:2, :2] = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-        S[2:, 2:] = squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-        V = embed_normal_form(nf)
-        out.append(normal_form_from_cm(S @ V @ S.T))
-    return out
-
-
-def _equal_variance_forms(rng, n):
-    out = []
-    while len(out) < n:
-        a = rng.uniform(1.0, 5.0)
-        c, cp = rng.uniform(-1.0, 1.0, 2) * math.sqrt(a * a - 1.0)
-        if bona_fide_normal_form_mask(a, a, c, cp):
-            out.append(NormalFormCM(a, a, c, cp))
-    return out
-
-
-def _positive_product_forms(rng, n):
-    out = []
-    while len(out) < n:
-        a, b = rng.uniform(1.0, 5.0, 2)
-        c, cp = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0, 2) * math.sqrt(a * b - 1.0)
-        if bona_fide_normal_form_mask(a, b, c, cp):
-            out.append(NormalFormCM(a, b, c, cp))
-    return out
-
-
-def _boundary_squeezed_thermal_forms(rng, n):
-    out = []
-    for a, b in rng.uniform(1.0, 5.0, (n, 2)):
-        c = math.sqrt(a * b - 1.0 - abs(a - b))  # nu_minus = 1
-        out.append(NormalFormCM(a, b, c, -c))
-    return out
-
-
-# each class draws 1000 normal forms with variances up to 5, unless named
-# otherwise.  Left out: pure EPR states of large b in a squeezed frame, whose
-# input fixes ab - c^2 only to eps b^2, so no formula can do better than that
-# noise floor (ROADMAP item 2)
-SPECTRUM_CLASSES = {
-    "generic": random_normal_forms,
-    "local-frame": _local_frame_forms,
-    "thermal-product-to-1e8": lambda rng, n: [
-        NormalFormCM(*(10.0 ** rng.uniform(0.0, 8.0, 2)), 0.0, 0.0) for _ in range(n)],
-    "a-equals-b": _equal_variance_forms,
-    "positive-c-cp": _positive_product_forms,
-    "boundary-squeezed-thermal": _boundary_squeezed_thermal_forms,
-}
 SPECTRUM_ULPS = 512
 
 
@@ -432,12 +358,10 @@ def test_nested_rows_read_as_the_array():
     # validation, the reduction and the numeric route read a CM's entries as
     # floats, so an array and its nested rows give the same bits
     rng = np.random.default_rng(107)
-    for k, nf in enumerate(random_normal_forms(rng, 200)):
+    for k, nf in enumerate(scalar_normal_forms(rng, 200)):
         V = embed_normal_form(nf)
         if k % 2:
-            s1 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            s2 = squeezer_matrix(rng.uniform(0.3, 3.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-            S = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
+            S = squeezed_rotations(rng)
             V = S @ V @ S.T
             V = 0.5 * (V + V.T)
         for fn in (validate_bona_fide, reduce_cm, gaussian_discord_numeric):
@@ -497,33 +421,30 @@ def test_every_cm_reader_rejects_what_validation_rejects(name, kind):
 @pytest.mark.parametrize("name", list(CM_READERS))
 def test_every_cm_reader_takes_a_rounded_local_frame(name):
     # S V S^T as computed, not symmetrized: its asymmetry is rounding, ~1e-16
-    S = np.zeros((4, 4))
-    S[:2, :2] = squeezer_matrix(1.7) @ rotation_matrix(0.4)
-    S[2:, 2:] = squeezer_matrix(0.6) @ rotation_matrix(2.1)
+    S = local_frame(squeezer_matrix(1.7) @ rotation_matrix(0.4),
+                    squeezer_matrix(0.6) @ rotation_matrix(2.1))
     V = S @ embed_normal_form(NormalFormCM(3.0, 2.0, 1.5, -1.2)) @ S.T
     assert 0.0 < np.max(np.abs(V - V.T)) < 1e-14
     CM_READERS[name](V)
 
 
 class TestRecords:
-    WORKED_NF = NormalFormCM(5.0, 2.0, SQRT6, -SQRT6)
-
     def test_fields_are_read_only(self):
-        diag = validate_bona_fide(self.WORKED_NF.rows())
-        for record, field in ((self.WORKED_NF, "a"), (diag, "nu_min")):
+        diag = validate_bona_fide(WORKED_NF.rows())
+        for record, field in ((WORKED_NF, "a"), (diag, "nu_min")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 3.0)
 
     def test_truth_follows_the_verdict(self):
-        accepted = validate_bona_fide(self.WORKED_NF.rows())
+        accepted = validate_bona_fide(WORKED_NF.rows())
         rejected = validate_bona_fide(NormalFormCM(2.0, 2.0, 2.0, -2.0).rows())
         assert (bool(accepted), bool(rejected)) == (True, False)
         assert not validate_bona_fide([[1.0]])  # a non-empty record can still be false
 
     def test_reprs_name_every_field(self):
-        assert repr(self.WORKED_NF) == (
+        assert repr(WORKED_NF) == (
             "NormalFormCM(a=5.0, b=2.0, c=2.449489742783178, cp=-2.449489742783178)")
-        assert repr(validate_bona_fide(self.WORKED_NF.rows())) == (
+        assert repr(validate_bona_fide(WORKED_NF.rows())) == (
             "BonaFideDiagnosis(bona_fide=True, nu_min=1.0, reason=None,"
             " nu_plus=4.0, reduction=Reduction(nf=NormalFormCM(a=5.0, b=2.0,"
             " c=2.449489742783178, cp=-2.449489742783178), tb_inv=(1.0, 0.0, 0.0, 1.0)))")
@@ -534,7 +455,7 @@ class TestRecords:
 
 @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-ulp-past"])
 def test_pattern_bound_is_inclusive(past):
-    # an off-pattern entry at _PATTERN_RTOL max(1, max |V|) still reads as the
+    # an off-pattern entry at _PATTERN_RTOL max |V| still reads as the
     # normal form, in its own (c, cp) order; one ulp more and V is reduced,
     # which puts c >= |cp|
     nf = NormalFormCM(5.0, 2.0, 1.0, -2.0)
@@ -547,6 +468,17 @@ def test_pattern_bound_is_inclusive(past):
         assert red.nf.cp == pytest.approx(-1.0, rel=1e-12)
     else:
         assert red == (nf, (1.0, 0.0, 0.0, 1.0))
+
+
+def test_tiny_cm_in_a_rotated_frame_quotes_its_own_nu_min():
+    # every entry lies below 1e-13, so a pattern bound with a floor of 1 would
+    # read this CM as its diagonal pattern and quote that state's nu_min
+    R = local_frame(rotation_matrix(0.3), rotation_matrix(0.3))
+    V = R @ (1e-14 * embed_normal_form(NormalFormCM(3.0, 2.0, 1.0, -1.0))) @ R.T
+    diag = validate_bona_fide(V)
+    assert not diag.bona_fide
+    assert diag.reason.startswith("nu_min = 1.79128784748e-14 < 1;"), diag.reason
+    assert diag.nu_min == pytest.approx(symplectic_spectrum_eigen(V).nu_minus, rel=1e-12)
 
 
 @pytest.mark.parametrize("nf", [NormalFormCM(1e308, 1e308, 9e307, 9e307),
