@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .entropy import h
@@ -40,25 +40,28 @@ CHANNEL_TOL = 1e-12
 QUANTUM_LIMITED_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GaussianChannelParams:
+class _ChannelFields(NamedTuple):
+    tau: float
+    eta: float
+
+
+class GaussianChannelParams(_ChannelFields):
     """Extended phase-insensitive channel (tau, eta).
 
     The matrices K and N are always derived from (tau, eta), never stored.
     """
 
-    tau: float
-    eta: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and math.isfinite(self.eta)):
+    def __new__(cls, tau: float, eta: float):
+        if not (math.isfinite(tau) and math.isfinite(eta)):
             raise InvalidChannelParams(
-                f"channel parameters must be finite, got tau={self.tau}, eta={self.eta}"
+                f"channel parameters must be finite, got tau={tau}, eta={eta}"
             )
-        if self.eta < abs(1.0 - self.tau) - CHANNEL_TOL:
-            raise InvalidChannelParams(
-                f"eta = {self.eta} violates eta >= |1 - tau| = {abs(1.0 - self.tau)}"
-            )
+        if eta < abs(1.0 - tau) - CHANNEL_TOL:
+            raise InvalidChannelParams(f"eta = {eta} violates eta >= |1 - tau| = {abs(1.0 - tau)}")
+        return super().__new__(cls, tau, eta)
 
     @property
     def K(self) -> np.ndarray:
@@ -84,8 +87,7 @@ class CanonicalForm(str, enum.Enum):
     D = "D"
 
 
-@dataclass(frozen=True)
-class ChannelClass:
+class ChannelClass(NamedTuple):
     """Canonical-form label with environment thermal parameters if defined."""
 
     label: CanonicalForm

@@ -40,7 +40,7 @@ implemented here in a cancellation-free rationalized form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .channels import GaussianChannelParams
@@ -61,8 +61,15 @@ _WITNESS_TOL = 1e-9
 _CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyFields(NamedTuple):
+    b: float
+    r: float
+    tau: float
+    eta: float
+    sign: int = 1
+
+
+class FamilyParams(_FamilyFields):
     """Witness of an EPR-plus-channel decomposition.
 
     ``b`` is the EPR variance (equal to the B-block variance of the output),
@@ -71,18 +78,16 @@ class FamilyParams:
     derived, never stored.
     """
 
-    b: float
-    r: float
-    tau: float
-    eta: float
-    sign: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        check_variance(self.b, "EPR variance")
-        _check_r(self.r, self.b)
-        if self.sign not in (1, -1):
-            raise DomainError(f"EPR sign must be +1 or -1, got {self.sign}")
-        self.channel  # validates eta >= |1 - tau|
+    def __new__(cls, b: float, r: float, tau: float, eta: float, sign: int = 1):
+        check_variance(b, "EPR variance")
+        _check_r(r, b)
+        if sign not in (1, -1):
+            raise DomainError(f"EPR sign must be +1 or -1, got {sign}")
+        GaussianChannelParams(tau, eta)  # validates eta >= |1 - tau|
+        return super().__new__(cls, b, r, tau, eta, sign)
 
     @property
     def channel(self) -> GaussianChannelParams:
@@ -258,23 +263,44 @@ def sample_family(
         raise DomainError(f"sample size must be >= 1, got {n}")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     check_variance(a, "local variance a")
     check_variance(b, "local variance b")
+    # the columns (c, cp, r, tau, eta, sign), allocated before any draw
+    cols = _allocated(np.empty, (6, n), float, f"sample size n = {n}")
     if b <= 1.0 and a <= 1.0:
         # no correlations possible; emit the product point deterministically
-        zeros = np.zeros(n)
-        return FamilySample(a, b, n, seed, zeros, zeros, np.ones(n),
-                            zeros, np.full(n, a), np.ones(n))
-    sizes = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
-    if threads > 1 and len(sizes) > 1:
+        cols[:] = np.array([0.0, 0.0, 1.0, 0.0, a, 1.0])[:, None]
+        return FamilySample(a, b, n, seed, *cols)
+
+    def fill(start: int) -> None:
+        chunk = _sample_chunk(a, b, min(_CHUNK, n - start), seed, start // _CHUNK)
+        for col, values in zip(cols, chunk):
+            col[start:start + len(values)] = values
+
+    starts = range(0, n, _CHUNK)
+    if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _sample_chunk(a, b, s[1], seed, s[0]), sizes))
+            list(pool.map(fill, starts))
     else:
-        chunks = [_sample_chunk(a, b, m, seed, i) for i, m in sizes]
-    cols = [np.concatenate([ch[j] for ch in chunks]) for j in range(6)]
+        for start in starts:
+            fill(start)
     return FamilySample(a, b, n, seed, *cols)
+
+
+def _allocated(make, shape: tuple, dtype, what: str):
+    """``make(shape, dtype)``, or DomainError when numpy refuses the size.
+
+    numpy refuses a shape past its index range, or one that malloc cannot
+    serve, before it allocates anything.
+    """
+    try:
+        return make(shape, dtype)
+    except (ValueError, MemoryError):
+        raise DomainError(f"{what} is too large: no {shape} array of {np.dtype(dtype)} fits") from None
 
 
 def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
@@ -290,7 +316,7 @@ def occupancy_grid(sample: FamilySample, bins: int = 200) -> dict:
         raise DomainError(f"bins must be >= 1, got {bins}")
     a, b = sample.a, sample.b
     half = math.sqrt(max(squeezed_thermal_bound(a, b), 0.0))  # the box's half-width
-    grid = np.zeros((bins, bins), dtype=np.int64)
+    grid = _allocated(np.zeros, (bins, bins), np.int64, f"bins = {bins}")
     n_phys = n_occ = 0
     if half > 0.0:  # a or b = 1 leaves no correlations: an empty grid on one point
         width = 2.0 * half / bins

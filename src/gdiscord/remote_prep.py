@@ -30,15 +30,19 @@ V0)^{-1}`` and ``D = A - L C^T``; the public functions are array views of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from .errors import DomainError, NumericalFailure
 from .symplectic import _cm_rows, check_variance, rotation_matrix
 
 
-@dataclass(frozen=True)
-class GaussianMeasurement:
+class _MeasurementFields(NamedTuple):
+    u: float
+    phi: float = 0.0
+
+
+class GaussianMeasurement(_MeasurementFields):
     """Rank-one Gaussian POVM with pure seed CM ``R(phi) diag(u, 1/u) R(phi)^T``.
 
     ``u == 0`` and ``u == inf`` tag the two homodyne limits; any finite
@@ -46,15 +50,14 @@ class GaussianMeasurement:
     being heterodyne detection.  ``phi`` is reduced modulo pi.
     """
 
-    u: float
-    phi: float = 0.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        u = float(self.u)
-        if math.isnan(u) or u < 0.0:
-            raise DomainError(f"measurement squeezing u must be >= 0, got {self.u}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phi", float(self.phi) % math.pi)
+    def __new__(cls, u: float, phi: float = 0.0):
+        value = float(u)
+        if math.isnan(value) or value < 0.0:
+            raise DomainError(f"measurement squeezing u must be >= 0, got {u}")
+        return super().__new__(cls, value, float(phi) % math.pi)
 
     @classmethod
     def heterodyne(cls) -> "GaussianMeasurement":
@@ -115,16 +118,20 @@ def _conditioning(rows, m: GaussianMeasurement):
     )
 
 
-@dataclass(frozen=True)
-class ConditionalState:
-    """Single-mode Gaussian state: mean 2-vector plus 2x2 CM."""
-
+class _ConditionalFields(NamedTuple):
     mean: np.ndarray
     cm: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, float).reshape(2))
-        object.__setattr__(self, "cm", np.asarray(self.cm, float).reshape(2, 2))
+
+class ConditionalState(_ConditionalFields):
+    """Single-mode Gaussian state: mean 2-vector plus 2x2 CM."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, mean: np.ndarray, cm: np.ndarray):
+        return super().__new__(
+            cls, np.asarray(mean, float).reshape(2), np.asarray(cm, float).reshape(2, 2))
 
 
 def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:

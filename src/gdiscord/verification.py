@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ REMOTE_PREP_SEED = 20260812
 SAMPLER_SEED = 42
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

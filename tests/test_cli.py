@@ -467,6 +467,11 @@ HOSTILE_INPUTS = [
     # destinations are opened before anything is sampled or written
     (["sample", "--a", "2", "--b", "2", "--n", "3", "--out", "no-such-dir/x.csv"], 2),
     (["sample", "--a", "2", "--b", "2", "--n", "3", "--grid-out", "no-such-dir/g.json"], 2),
+    # a seed numpy's SeedSequence refuses
+    (["sample", "--a", "2", "--b", "2", "--n", "5", "--seed", "-1"], 2),
+    # sizes numpy refuses before it allocates: past its index range
+    (["sample", "--a", "2", "--b", "2", "--n", "1" + "0" * 20], 2),
+    (["sample", "--a", "2", "--b", "2", "--n", "5", "--bins", "1" + "0" * 10, "--grid-out", "g.json"], 2),
 ]
 
 
@@ -476,7 +481,8 @@ HOSTILE_INPUTS = [
     "sample-threads-0", "sample-threads-negative", "discord-huge-int-cm", "discord-huge-int-normal-form",
     "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form",
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
-    "sample-unwritable-out", "sample-unwritable-grid-out"])
+    "sample-unwritable-out", "sample-unwritable-grid-out", "sample-negative-seed", "sample-huge-n",
+    "sample-huge-bins"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)
@@ -658,7 +664,8 @@ def test_cold_commands_never_import_numpy(args, tmp_path):
     res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, SRC, *args], cwd=tmp_path,
                          capture_output=True, timeout=30)
     code, *modules = res.stderr.decode().split()
-    assert (code, "numpy" in modules) == ("0", False), res.stderr
+    # the records are NamedTuples: no command pays for the dataclasses import
+    assert (code, "numpy" in modules, "dataclasses" in modules) == ("0", False, False), res.stderr
     ref = run_module_cli(args, tmp_path)
     assert ref.returncode == 0, ref.stderr
     assert res.stdout == ref.stdout
@@ -670,16 +677,18 @@ LOCAL_FRAME_STATE = '{"cm": [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0,
 @pytest.mark.parametrize("args, loaded, absent", [
     (["sample", "--a", "2", "--b", "2", "--n", "10", "--seed", "0", "--threads", "1"],
      {"gdiscord.family", "gdiscord.serialize", "gdiscord.samplecsv", "numpy"},
-     {"gdiscord.discord", "gdiscord.remote_prep", "gdiscord.verification", "concurrent.futures"}),
+     {"gdiscord.discord", "gdiscord.remote_prep", "gdiscord.verification", "concurrent.futures",
+      "dataclasses"}),
     (["classify", "--tau", "0.5", "--eta", "0.6"],
      {"gdiscord.channels", "gdiscord.serialize"},
-     {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "gdiscord.samplecsv", "numpy"}),
+     {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "gdiscord.samplecsv", "numpy",
+      "dataclasses"}),
     (["discord", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.discord", "gdiscord.family", "gdiscord.serialize"},
-     {"gdiscord.verification", "gdiscord.samplecsv", "numpy"}),
+     {"gdiscord.verification", "gdiscord.samplecsv", "numpy", "dataclasses"}),
     (["decompose", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.family", "gdiscord.serialize"},
-     {"gdiscord.discord", "gdiscord.verification", "gdiscord.samplecsv", "numpy"}),
+     {"gdiscord.discord", "gdiscord.verification", "gdiscord.samplecsv", "numpy", "dataclasses"}),
 ], ids=["sample", "classify", "discord-state", "decompose-state"])
 def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, SRC, *args], cwd=tmp_path,

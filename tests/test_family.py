@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -343,10 +344,18 @@ class TestSampler:
         assert not np.array_equal(s1.c, s2.c)
 
     def test_thread_count_invariant(self):
-        s1 = sample_family(2.0, 3.0, 150_000, 5, threads=1)
-        s4 = sample_family(2.0, 3.0, 150_000, 5, threads=4)
+        # the threads fill shared columns: with more threads than CPUs and a
+        # thread switch every microsecond, a chunk written to the wrong rows,
+        # or to none, breaks the equality
+        s1 = sample_family(2.0, 3.0, 600_000, 5, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s8 = sample_family(2.0, 3.0, 600_000, 5, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
         for col in ("c", "cp", "r", "tau", "eta", "sign"):
-            assert np.array_equal(getattr(s1, col), getattr(s4, col))
+            assert np.array_equal(getattr(s1, col), getattr(s8, col))
 
     def test_threads_run_on_a_pool(self, monkeypatch):
         import concurrent.futures
@@ -368,6 +377,16 @@ class TestSampler:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(DomainError, match="threads must be >= 1"):
             sample_family(2.0, 2.0, 10, 0, threads=threads)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            sample_family(2.0, 2.0, 10, -1)
+
+    @pytest.mark.parametrize("a", [2.0, 1.0], ids=["correlated", "product"])
+    def test_size_past_the_index_range_rejected(self, a):
+        # numpy refuses the columns before it allocates or draws anything
+        with pytest.raises(DomainError, match="^sample size n = 10{20} is too large"):
+            sample_family(a, a, 10**20, 0)
 
     def test_all_points_bona_fide(self):
         s = sample_family(2.0, 4.0, 50_000, 3)
@@ -413,6 +432,10 @@ class TestCoverage:
     def test_bins_below_one_rejected(self):
         with pytest.raises(DomainError, match="bins"):
             occupancy_grid(sample_family(2.0, 2.0, 10, 0), bins=0)
+
+    def test_bins_past_the_index_range_rejected(self):
+        with pytest.raises(DomainError, match="^bins = 10{10} is too large"):
+            occupancy_grid(sample_family(2.0, 2.0, 10, 0), bins=10**10)
 
     def test_grid_counts_total(self):
         s = sample_family(2.0, 2.0, 30_000, 14)
