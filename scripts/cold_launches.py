@@ -5,10 +5,10 @@
 Each ``*_SRC`` is a ``src`` directory holding ``gdiscord``.  The script copies
 both trees twice into a temporary directory: one pair without bytecode, one
 pair compiled with ``compileall``.  For each pair it launches the three cold
-commands of the benchmark (``classify``, ``discord``, ``decompose``) from
-both trees, ``--rounds`` times, alternating which tree goes first, and prints
-each command's median wall time per tree and the median of the per-round
-savings.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so the uncompiled
+commands of the benchmark (``classify``, ``discord``, ``decompose``) and
+``condition`` from both trees, ``--rounds`` times, alternating which tree
+goes first, and prints each command's median wall time per tree and the
+median of the per-round savings.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so the uncompiled
 copies stay without bytecode.  Last, it lists the modules of ``MODULES``
 that ``-X importtime`` shows each command importing, per tree.
 """
@@ -27,8 +27,10 @@ COMMANDS = {
     "classify": ["classify", "--tau", "0.5", "--eta", "0.6"],
     "discord": ["discord", "--normal-form", "5,2,2.449489743,-2.449489743"],
     "decompose": ["decompose", "--normal-form", "2,2,1,1"],
+    "condition": ["condition", "--state", '{"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}}',
+                  "--measurement", '{"u": 1}'],
 }
-MODULES = ("dataclasses", "inspect", "numpy")
+MODULES = ("dataclasses", "inspect", "numpy", "gdiscord.symplectic")
 
 
 def launch(src: str, args: list, extra=()) -> subprocess.CompletedProcess:

@@ -15,7 +15,9 @@ Within this family the canonical forms are:
     tau > 1              C (amplifier) eta = (tau - 1) * omega
     tau < 0              D             conjugate amplifier
 
-with ``omega = 2*nbar + 1`` the thermal variance of the environment.  The
+with ``omega = 2*nbar + 1`` the thermal variance of the environment.
+``classify`` reads a channel with eta within ``CHANNEL_TOL`` of ``|1 - tau|``
+as quantum limited, with omega = 1 and nbar = 0 exactly.  The
 pathological, highly phase-sensitive forms A2 and B1 fall outside this
 parametrization; only their (K, N) matrices are provided, since no
 finite-energy entropy-minimizing input is available for them.
@@ -29,12 +31,11 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from .entropy import h
-from .errors import DomainError, InvalidChannelParams
-from .symplectic import _cm_rows
+from .errors import DomainError, InvalidChannelParams, NumericalFailure
 
 # Quantum-limited channels sit exactly on eta = |1 - tau|; accept them with a
 # small tolerance.  classify reads tau and eta this close to a boundary value
-# (tau = 0 or 1, eta = 0) as on it.
+# (tau = 0 or 1, eta = 0 or |1 - tau|) as on it.
 CHANNEL_TOL = 1e-12
 # is_quantum_limited reports channels within this distance of eta = |1 - tau|
 QUANTUM_LIMITED_TOL = 1e-9
@@ -98,14 +99,24 @@ class ChannelClass(NamedTuple):
 def classify(params: GaussianChannelParams) -> ChannelClass:
     """Canonical-form label of an extended channel (tau, eta).
 
-    ``omega`` (and ``n_bar = (omega-1)/2``) are reported for the forms where
-    the environment is a thermal state; they are undefined for B2.
+    ``omega = eta / d`` and ``n_bar = (eta - d) / (2 d)``, with ``d = |1 - tau|``
+    (1 for A1), are reported for the forms where the environment is a thermal
+    state; they are undefined for B2.  A channel with eta within CHANNEL_TOL
+    of d is read as quantum limited: omega = 1 and n_bar = 0 exactly.  An
+    omega past the float range raises NumericalFailure.
     """
     tau, eta = params.tau, params.eta
 
-    def thermal(label: CanonicalForm, denom: float) -> ChannelClass:
+    def thermal(label: CanonicalForm, *terms: float) -> ChannelClass:
+        # d is the sum of terms; eta - d is summed exactly, so n_bar keeps its
+        # digits next to the boundary eta = d, where omega - 1 would cancel
+        denom, excess = math.fsum(terms), math.fsum([eta, *(-t for t in terms)])
+        if abs(excess) <= CHANNEL_TOL:
+            return ChannelClass(label, omega=1.0, n_bar=0.0)
         omega = eta / denom
-        return ChannelClass(label, omega=omega, n_bar=0.5 * (omega - 1.0))
+        if omega == math.inf:
+            raise NumericalFailure(f"environment variance omega = {eta} / {denom} is past the float range")
+        return ChannelClass(label, omega=omega, n_bar=0.5 * excess / denom)
 
     if abs(tau) <= CHANNEL_TOL:
         return thermal(CanonicalForm.A1, 1.0)
@@ -114,10 +125,10 @@ def classify(params: GaussianChannelParams) -> ChannelClass:
             return ChannelClass(CanonicalForm.B2_IDENTITY)
         return ChannelClass(CanonicalForm.B2_ADDITIVE)
     if tau < 0.0:
-        return thermal(CanonicalForm.D, 1.0 - tau)
+        return thermal(CanonicalForm.D, 1.0, -tau)
     if tau < 1.0:
-        return thermal(CanonicalForm.C_LOSSY, 1.0 - tau)
-    return thermal(CanonicalForm.C_AMPLIFIER, tau - 1.0)
+        return thermal(CanonicalForm.C_LOSSY, 1.0, -tau)
+    return thermal(CanonicalForm.C_AMPLIFIER, tau, -1.0)
 
 
 def pathological_form_matrices(
@@ -145,6 +156,8 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     Implements ``V -> (K (+) I) V (K^T (+) I) + (N (+) 0)``; V passes the
     CM gate of :func:`symplectic._cm_rows`.
     """
+    from .symplectic import _cm_rows
+
     V = np.array(_cm_rows(V))
     K = params.K
     A = K @ V[:2, :2] @ K.T + params.N

@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import serialize
 from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
-from .symplectic import NormalFormCM, validate_bona_fide
 
 # Each command imports the modules it runs in its own body, so a launch
-# loads only those: classify never loads family or numpy, and sample never
+# loads only those: classify never loads family, numpy or the CM algebra of
+# symplectic (only a command that reads a state does), and sample never
 # loads discord or remote_prep.
 
 def _finite_number(literal: str) -> float:
@@ -59,6 +59,8 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 def _state_from_options(normal_form: str | None, state: str | None):
     """(CM, its accepted diagnosis) of a state given by either option."""
+    from .symplectic import NormalFormCM, validate_bona_fide
+
     if (normal_form is None) == (state is None):
         raise ValidationError("provide exactly one of --normal-form or --state")
     if normal_form is not None:

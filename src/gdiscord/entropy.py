@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .symplectic import BONA_FIDE_TOL, symplectic_spectrum
 
 # Floating-point spectra of pure states may dip slightly below 1; values in
 # [1 - H_CLAMP_TOL, 1] are treated as exactly 1.  h must accept every
-# nu_minus the bona fide test admits, so the two tolerances are one.
-H_CLAMP_TOL = BONA_FIDE_TOL
+# nu_minus the bona fide test admits, so the two tolerances are one:
+# symplectic.BONA_FIDE_TOL is this constant.  It lives here, so that this
+# module imports no CM algebra and a command that reads no state loads none.
+H_CLAMP_TOL = 1e-9
 _FOCK_TAIL = 1e-15
 _LN2 = math.log(2.0)
 
@@ -36,6 +37,8 @@ def h(x: float) -> float:
 
 def entropy_two_mode(V) -> float:
     """Entropy of a two-mode Gaussian state of 4x4 CM V: ``h(nu_minus) + h(nu_plus)``."""
+    from .symplectic import symplectic_spectrum
+
     nu = symplectic_spectrum(V)
     return h(nu.nu_minus) + h(nu.nu_plus)
 

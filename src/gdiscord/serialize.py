@@ -10,7 +10,6 @@ import json
 import math
 
 from .errors import DomainError, ValidationError
-from .symplectic import NormalFormCM, _cm_rows
 
 # The records named in annotations here (DiscordReport, FamilySample, ...) are
 # not imported: annotations stay unevaluated text, and importing their
@@ -62,6 +61,8 @@ def parse_cm_payload(payload: dict) -> list[list[float]]:
     against each other, to ``_CM_AGREEMENT_RTOL``, and the 'cm' rows are
     returned.
     """
+    from .symplectic import NormalFormCM, _cm_rows
+
     if not isinstance(payload, dict):
         raise ValidationError("CM payload must be a JSON object")
     rows = None

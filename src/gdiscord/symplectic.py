@@ -27,11 +27,13 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
+from .entropy import H_CLAMP_TOL
 from .errors import DomainError, NumericalFailure
 
 # Uncertainty-principle tolerance: states with nu_min >= 1 - BONA_FIDE_TOL are
-# accepted, so boundary (quantum-limited) states pass.
-BONA_FIDE_TOL = 1e-9
+# accepted, so boundary (quantum-limited) states pass.  It is h's clamp
+# tolerance, so h accepts every nu_minus this test admits.
+BONA_FIDE_TOL = H_CLAMP_TOL
 SYMMETRY_RTOL = 1e-12
 
 

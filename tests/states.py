@@ -191,3 +191,11 @@ def h_reference(x):
         ctx.prec = int(math.log10(x)) + 40
         xp, xm = (decimal.Decimal(x) + 1) / 2, (decimal.Decimal(x) - 1) / 2
         return (xp * xp.ln() - xm * xm.ln()) / decimal.Decimal(2).ln()
+
+
+def thermal_reference(tau, eta):
+    """(omega, n_bar) = (eta / d, (eta - d) / (2 d)), d = |1 - tau|, in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        eta, d = decimal.Decimal(eta), abs(1 - decimal.Decimal(tau))
+        return eta / d, (eta - d) / (2 * d)

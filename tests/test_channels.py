@@ -7,6 +7,7 @@ from gdiscord import (
     GaussianChannelParams,
     InvalidChannelParams,
     NormalFormCM,
+    NumericalFailure,
     apply_to_mode_A,
     classify,
     embed_normal_form,
@@ -16,7 +17,7 @@ from gdiscord import (
     pathological_form_matrices,
     validate_bona_fide,
 )
-from states import WORKED_CM
+from states import WORKED_CM, thermal_reference
 
 
 class TestParams:
@@ -71,6 +72,27 @@ class TestClassify:
         assert cc.label is CanonicalForm.C_AMPLIFIER
         assert cc.omega == pytest.approx(2.0, abs=1e-12)
         assert cc.n_bar == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("tau, eta", [
+        (0.7, 0.3), (0.9, 0.1), (0.3, 0.7), (0.001, 0.999), (-0.7, 1.7), (1.3, 0.3), (2.0, 1.0)])
+    def test_quantum_limited_in_decimal_has_no_thermal_photons(self, tau, eta):
+        # 1 - tau and eta round apart; the parameters are still exactly those of the boundary
+        cc = classify(GaussianChannelParams(tau, eta))
+        assert (cc.omega, cc.n_bar) == (1.0, 0.0)
+
+    def test_thermal_parameters_match_a_decimal_reference(self):
+        rng = np.random.default_rng(7)
+        taus = [t for t in rng.uniform(-3.0, 4.0, 600) if abs(t - 1.0) > 1e-3 and abs(t) > 1e-3]
+        for tau, excess in zip(taus, 10.0 ** rng.uniform(-10.0, 1.0, len(taus))):
+            eta = abs(1.0 - tau) + excess  # down to 1e-10 above the boundary, where omega - 1 cancels
+            cc = classify(GaussianChannelParams(tau, eta))
+            omega, n_bar = thermal_reference(tau, eta)
+            assert abs(cc.omega - float(omega)) <= 1e-15 * float(omega), (tau, eta)
+            assert abs(cc.n_bar - float(n_bar)) <= 1e-15 * float(n_bar), (tau, eta)
+
+    def test_omega_past_the_float_range_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="past the float range"):
+            classify(GaussianChannelParams(0.5, 1e308))
 
 
 class TestPathological:

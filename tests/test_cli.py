@@ -472,6 +472,8 @@ HOSTILE_INPUTS = [
     # sizes numpy refuses before it allocates: past its index range
     (["sample", "--a", "2", "--b", "2", "--n", "1" + "0" * 20], 2),
     (["sample", "--a", "2", "--b", "2", "--n", "5", "--bins", "1" + "0" * 10, "--grid-out", "g.json"], 2),
+    # an environment variance omega = eta / (1 - tau) past the float range
+    (["classify", "--tau", "0.5", "--eta", "1e308"], 4),
 ]
 
 
@@ -482,7 +484,7 @@ HOSTILE_INPUTS = [
     "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form",
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out", "sample-negative-seed", "sample-huge-n",
-    "sample-huge-bins"])
+    "sample-huge-bins", "classify-overflow"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)
@@ -682,7 +684,7 @@ LOCAL_FRAME_STATE = '{"cm": [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0,
     (["classify", "--tau", "0.5", "--eta", "0.6"],
      {"gdiscord.channels", "gdiscord.serialize"},
      {"gdiscord.discord", "gdiscord.family", "gdiscord.remote_prep", "gdiscord.samplecsv", "numpy",
-      "dataclasses"}),
+      "dataclasses", "gdiscord.symplectic"}),
     (["discord", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.discord", "gdiscord.family", "gdiscord.serialize"},
      {"gdiscord.verification", "gdiscord.samplecsv", "numpy", "dataclasses"}),
@@ -698,6 +700,16 @@ def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     assert res.returncode == 0 and code == "0" and res.stdout, res.stderr
     assert loaded <= modules
     assert not absent & modules, absent & modules
+
+
+def test_entropy_module_is_a_leaf(tmp_path):
+    # h and its clamp tolerance load no CM algebra: symplectic reads the tolerance from entropy
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import gdiscord.entropy; print(*sorted(sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code, SRC], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=30)
+    assert res.returncode == 0, res.stderr
+    loaded = {m for m in res.stdout.split() if m.startswith("gdiscord.")}
+    assert loaded == {"gdiscord.entropy", "gdiscord.errors"}
 
 
 # imports the package alone, then reads every exported name two ways

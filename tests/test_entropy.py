@@ -13,6 +13,8 @@ from gdiscord import (
     h,
     thermal_entropy_fock,
 )
+from gdiscord.entropy import H_CLAMP_TOL
+from gdiscord.symplectic import BONA_FIDE_TOL
 from states import WORKED_CM, h_reference
 
 
@@ -30,6 +32,13 @@ class TestH:
 
     def test_clamp_window(self):
         assert h(1.0 - 1e-10) == 0.0
+
+    def test_clamp_window_is_the_bona_fide_tolerance(self):
+        # h accepts every nu_minus the bona fide test admits, and no other
+        assert H_CLAMP_TOL == BONA_FIDE_TOL
+        assert h(1.0 - BONA_FIDE_TOL) == 0.0
+        with pytest.raises(DomainError, match="finite and >= 1"):
+            h(math.nextafter(1.0 - BONA_FIDE_TOL, 0.0))
 
     def test_domain(self):
         for fn in (h, thermal_entropy_fock):
