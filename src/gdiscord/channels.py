@@ -165,11 +165,12 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     return np.block([[A, C], [C.T, V[2:, 2:]]])
 
 
-def min_output_entropy(params: GaussianChannelParams) -> float:
+def min_output_entropy(params: GaussianChannelParams | FamilyParams) -> float:
     """Minimum output entropy of the extended channel, in bits.
 
     Coherent inputs are optimal for the whole (tau, eta) family, and they
     come out as thermal states with variance ``|tau| + eta``, hence the
-    value ``h(|tau| + eta)``.
+    value ``h(|tau| + eta)``.  Only ``params.tau`` and ``params.eta`` are
+    read, so a family witness, which has checked its channel, serves as it is.
     """
     return h(abs(params.tau) + params.eta)

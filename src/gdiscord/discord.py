@@ -49,10 +49,13 @@ also covers the homodyne seeds (x or y zero).  The route values V's own
 ratio at phi = 0 and at phi*, each minimised exactly over u, and adopts phi*
 only when lower by more than a rounding margin, so a normal form keeps its
 phi = 0 bits and flat directions keep the exact heterodyne and homodyne
-points.  At u = 1 the phi terms carry the factor ``y^2 - x^2 = 0`` exactly,
-so the heterodyne value is flat in phi to the last bit.  A root replaces the
-best endpoint only when lower by the same margin.  The ratio only ranks
-candidates: the entropy reported for the winner is
+points.  Evaluations whose result the route already holds are shared: when
+V's entries equal its normal form's (``-0.0 == 0.0``), V's phi = 0 value is
+the normal form's, found once; and when phi* = 0 the phi* value is the
+incumbent, so it is not computed again.  At u = 1 the phi terms carry the
+factor ``y^2 - x^2 = 0`` exactly, so the heterodyne value is flat in phi to
+the last bit.  A root replaces the best endpoint only when lower by the same
+margin.  The ratio only ranks candidates: the entropy reported for the winner is
 :func:`conditional_entropy_measured` at it, which reads ``D = A - C (B +
 V0)^{-1} C^T`` from ``remote_prep._conditioning``, the one place that
 conditions on a measurement; so the route reports exactly what conditioning
@@ -169,9 +172,13 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     return best
 
 
-def _entropy_measured(rows, m: GaussianMeasurement) -> float:
-    """:func:`conditional_entropy_measured` of the CM with row-major entries ``rows``."""
-    _, ((d00, d01), (d10, d11)) = _conditioning(rows, m)
+def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
+    """:func:`conditional_entropy_measured` of the CM with row-major entries ``rows``.
+
+    The measurement is given as ``remote_prep._conditioning`` reads it: seed
+    weights ``(x, y)`` and angle ``phi``.
+    """
+    _, ((d00, d01), (d10, d11)) = _conditioning(rows, x, y, phi)
     det = d00 * d11 - d01 * d10
     if not math.isfinite(det):
         raise NumericalFailure("conditional CM is not finite")
@@ -184,7 +191,7 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
     The conditional CM is outcome-independent, so no averaging is needed:
     the value is ``h`` of its symplectic eigenvalue.
     """
-    return _entropy_measured(_cm_rows(V), m)
+    return _entropy_measured(_cm_rows(V), *m.weights, m.phi)
 
 
 def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
@@ -195,26 +202,42 @@ def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
     ``diag.reduction`` and u is minimised exactly at it (see the module
     docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner is
     reported with u = 0.  Raises DomainError for a CM that is not bona fide.
+
+    When ``rows == nf.rows()``, V's forms and its phi = 0 best are the normal
+    form's: they differ at most in the sign of a zero ``e`` term, on which no
+    value the route computes depends.  When ``phi_star == 0.0`` the phi* best
+    would be the incumbent, which a rival must beat by a margin, so it is not
+    evaluated.
     """
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
     nf, (t00, t01, t10, t11) = diag.reduction
-    _, x, y = _best_seed(_scan_forms(nf.rows()), 0.0)
+    nf_rows = nf.rows()
+    nf_forms = _scan_forms(nf_rows)
+    nf_best = _best_seed(nf_forms, 0.0)
+    _, x, y = nf_best
     xx, yy = x * x, y * y  # P = T_B^{-1} diag(x^2, y^2) T_B^{-T}, the seed on V
     p00 = t00 * t00 * xx + t01 * t01 * yy
     p01 = t00 * t10 * xx + t01 * t11 * yy
     p11 = t10 * t10 * xx + t11 * t11 * yy
     phi_star = 0.5 * math.atan2(2.0 * p01, p00 - p11)
-    forms = _scan_forms(rows)
-    phi, best = 0.0, _best_seed(forms, 0.0)
-    rival = _best_seed(forms, phi_star)
-    if rival[0] < best[0] * (1.0 - _ROUNDING_MARGIN):
-        phi, best = phi_star, rival
+    if rows == nf_rows:
+        forms, best = nf_forms, nf_best
+    else:
+        forms = _scan_forms(rows)
+        best = _best_seed(forms, 0.0)
+    phi = 0.0
+    if phi_star != 0.0:
+        rival = _best_seed(forms, phi_star)
+        if rival[0] < best[0] * (1.0 - _ROUNDING_MARGIN):
+            phi, best = phi_star, rival
     _, x, y = best
     if x > y:  # fold: (u, phi) is the measurement (1/u, phi + pi/2); u = inf is (1, 0)
         x, y, phi = y, x, phi + 0.5 * math.pi
     u, phi = x / y, phi % math.pi
-    return u, phi, _entropy_measured(rows, GaussianMeasurement(u, phi))
+    # the weights and angle GaussianMeasurement(u, phi) holds: u <= 1, and its
+    # own reduction moves only a phi that rounded up to pi
+    return u, phi, _entropy_measured(rows, u, 1.0, phi % math.pi)
 
 
 def _report(
@@ -236,7 +259,7 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     """
     nf = family_cm_from_params(fp)
     nu = normal_form_spectrum(nf)
-    s_min = min_output_entropy(fp.channel)
+    s_min = min_output_entropy(fp)  # fp holds its channel's (tau, eta), already checked
     return _report(h(nf.a), h(nf.b), h(nu.nu_minus) + h(nu.nu_plus), s_min, "closed_form")
 
 

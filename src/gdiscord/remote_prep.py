@@ -23,8 +23,14 @@ homogeneous weights.  With ``r = (cos phi, sin phi)`` and ``s = (-sin phi, cos p
 so no weight exceeds 1; ``(0, 1)`` is homodyne detection of the ``r``
 quadrature (u -> 0) and ``(1, 0)`` of the ``s`` quadrature (u -> inf).  For
 positive definite B every term is nonnegative, so no limit needs a branch
-and no term cancels at large or small u.  The kernel returns ``L = C (B +
-V0)^{-1}`` and ``D = A - L C^T``; the public functions are array views of it.
+and no term cancels at large or small u.  The kernel is
+``_conditioning(rows, x, y, phi)``: the CM's row-major entries, the seed's
+weights and its angle, which the public functions pass as ``*m.weights,
+m.phi`` and the discord route as the (u, phi) it has chosen.  It returns
+``L = C (B + V0)^{-1}`` and ``D = A - L C^T``; the public functions are
+array views of it.  A denominator past the float range (``det B + 1``
+overflows for variances above about 1.3e154) leaves no finite inverse, and
+raises NumericalFailure rather than reading ``(B + V0)^{-1}`` as 0.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ class GaussianMeasurement(_MeasurementFields):
 
     ``u == 0`` and ``u == inf`` tag the two homodyne limits; any finite
     ``u > 0`` is an ordinary squeezed-state quasi-projection, with ``u == 1``
-    being heterodyne detection.  ``phi`` is reduced modulo pi.
+    being heterodyne detection.  ``phi`` must be finite, and is reduced
+    modulo pi.
     """
 
     __slots__ = ()
@@ -57,7 +64,10 @@ class GaussianMeasurement(_MeasurementFields):
         value = float(u)
         if math.isnan(value) or value < 0.0:
             raise DomainError(f"measurement squeezing u must be >= 0, got {u}")
-        return super().__new__(cls, value, float(phi) % math.pi)
+        angle = float(phi)
+        if not math.isfinite(angle):
+            raise DomainError(f"measurement angle phi must be finite, got {phi}")
+        return super().__new__(cls, value, angle % math.pi)
 
     @classmethod
     def heterodyne(cls) -> "GaussianMeasurement":
@@ -90,23 +100,27 @@ class GaussianMeasurement(_MeasurementFields):
         return R @ np.diag([self.u, 1.0 / self.u]) @ R.T
 
 
-def _conditioning(rows, m: GaussianMeasurement):
+def _conditioning(rows, x: float, y: float, phi: float):
     """``(L, D)`` for measuring mode B of the CM with row-major entries ``rows``.
 
+    The seed has weights ``(x, y)``, ``u = x/y``, and angle ``phi``, as in a
+    :class:`GaussianMeasurement`'s ``weights`` and ``phi``.
     ``L = C (B + V0)^{-1}`` and ``D = A - L C^T``, each as 2x2 nested tuples
     of floats, with ``(B + V0)^{-1}`` from the module formula.  Raises
-    NumericalFailure when B is not positive definite.
+    NumericalFailure when B is not positive definite, or when the formula's
+    denominator is not finite.
     """
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     if not (b00 > 0.0 and b00 * b11 - b01 * b01 > 0.0):
         raise NumericalFailure("B block is not positive definite; cannot condition")
-    x, y = m.weights
-    cos_phi, sin_phi = math.cos(m.phi), math.sin(m.phi)
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     cc, ss, cs = cos_phi * cos_phi, sin_phi * sin_phi, cos_phi * sin_phi
     xx, yy, xy = x * x, y * y, x * y
     rbr = b00 * cc + 2.0 * b01 * cs + b11 * ss
     sbs = b00 * ss - 2.0 * b01 * cs + b11 * cc
     den = xy * (b00 * b11 - b01 * b01 + 1.0) + xx * sbs + yy * rbr
+    if not math.isfinite(den):  # (B + V0)^{-1} would read as 0, or as NaN at xy = 0
+        raise NumericalFailure("conditional CM is not finite")
     i00 = (xy * b11 + xx * ss + yy * cc) / den
     i01 = ((yy - xx) * cs - xy * b01) / den
     i11 = (xy * b00 + xx * cc + yy * ss) / den
@@ -143,12 +157,12 @@ def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Linear map L = C (B + V0)^{-1} sending (k - xB) to the mean shift of A."""
-    return np.array(_conditioning(_cm_rows(V), m)[0])
+    return np.array(_conditioning(_cm_rows(V), *m.weights, m.phi)[0])
 
 
 def conditional_cm(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
     """Outcome-independent conditional CM of mode A: ``A - C (B+V0)^{-1} C^T``."""
-    return np.array(_conditioning(_cm_rows(V), m)[1])
+    return np.array(_conditioning(_cm_rows(V), *m.weights, m.phi)[1])
 
 
 def condition_on_outcome(
@@ -160,7 +174,7 @@ def condition_on_outcome(
     """
     mean_a, mean_b = _split_mean(mean_AB)
     k = np.asarray(k, float).reshape(2)
-    L, D = _conditioning(_cm_rows(V), m)
+    L, D = _conditioning(_cm_rows(V), *m.weights, m.phi)
     cm = np.array(D)
     with np.errstate(invalid="ignore", over="ignore"):
         mean = mean_a + np.array(L) @ (k - mean_b)

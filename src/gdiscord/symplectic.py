@@ -123,7 +123,8 @@ def _cm_rows(V) -> list[list[float]]:
     (_, v01, v02, v03), (v10, _, v12, v13), (v20, v21, _, v23), (v30, v31, v32, _) = rows
     asym = max(abs(v01 - v10), abs(v02 - v20), abs(v03 - v30),
                abs(v12 - v21), abs(v13 - v31), abs(v23 - v32))
-    if asym > SYMMETRY_RTOL * max(1.0, max(map(abs, entries))):
+    # the bound is at least SYMMETRY_RTOL, so max |V| is read only past it
+    if asym > SYMMETRY_RTOL and asym > SYMMETRY_RTOL * max(1.0, max(map(abs, entries))):
         raise DomainError(f"not symmetric (max asymmetry {asym:.3e})")
     return rows
 
@@ -174,12 +175,13 @@ def _reduce_rows(rows) -> Reduction:
     """:func:`reduce_cm` of a CM already read by :func:`_cm_rows`."""
     (a00, a01, c00, c01), (v10, a11, c10, c11), (v20, v21, b00, b01), (v30, v31, v32, b11) = rows
     # max |V - nf| <= tol * max |V|, entry by entry, at every scale; the four
-    # entries that define nf match themselves exactly
-    bound = _PATTERN_RTOL * max(
-        abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
-        abs(v20), abs(v21), abs(b00), abs(b01), abs(v30), abs(v31), abs(v32), abs(b11))
-    if max(abs(a01), abs(c01), abs(v10), abs(a11 - a00), abs(c10), abs(v20 - c00),
-           abs(v21), abs(b01), abs(v30), abs(v31 - c11), abs(v32), abs(b11 - b00)) <= bound:
+    # entries that define nf match themselves exactly, and a distance of 0
+    # meets every bound, so max |V| is read only for a nonzero one
+    distance = max(abs(a01), abs(c01), abs(v10), abs(a11 - a00), abs(c10), abs(v20 - c00),
+                   abs(v21), abs(b01), abs(v30), abs(v31 - c11), abs(v32), abs(b11 - b00))
+    if distance == 0.0 or distance <= _PATTERN_RTOL * max(
+            abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
+            abs(v20), abs(v21), abs(b00), abs(b01), abs(v30), abs(v31), abs(v32), abs(b11)):
         return Reduction(NormalFormCM(a00, b00, c00, c11), _IDENTITY)
     if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
         raise DomainError("not positive definite")

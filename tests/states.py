@@ -69,8 +69,9 @@ def squeezed_rotations(rng):
 
 # pi on mode A takes (c, cp) to (-c, -cp), pi/2 on both modes swaps c and cp,
 # and 1e-9 on mode A misses the normal-form pattern match
-FIXED_FRAMES = tuple(local_frame(rotation_matrix(phi_a), rotation_matrix(phi_b)) for phi_a, phi_b in
-                     ((math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi), (1e-9, 0.0)))
+FIXED_FRAME_ANGLES = ((math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi), (1e-9, 0.0))
+FIXED_FRAMES = tuple(local_frame(rotation_matrix(phi_a), rotation_matrix(phi_b))
+                     for phi_a, phi_b in FIXED_FRAME_ANGLES)
 
 
 def verify_cms(rng, n):

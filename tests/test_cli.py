@@ -474,6 +474,9 @@ HOSTILE_INPUTS = [
     (["sample", "--a", "2", "--b", "2", "--n", "5", "--bins", "1" + "0" * 10, "--grid-out", "g.json"], 2),
     # an environment variance omega = eta / (1 - tau) past the float range
     (["classify", "--tau", "0.5", "--eta", "1e308"], 4),
+    # det B + 1 past the float range, which once read (B + V0)^{-1} as 0 and printed cm = A
+    (["condition", "--state", '{"normal_form": {"a": 1e160, "b": 1e160, "c": 5e159, "cp": -5e159}}',
+      "--measurement", '{"u": 1}', "--outcome", "0,0"], 4),
 ]
 
 
@@ -484,7 +487,7 @@ HOSTILE_INPUTS = [
     "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form",
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out", "sample-negative-seed", "sample-huge-n",
-    "sample-huge-bins", "classify-overflow"])
+    "sample-huge-bins", "classify-overflow", "condition-overflowing-denominator"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -35,6 +36,7 @@ from gdiscord.verification import (
     random_squeezed_thermal,
 )
 from states import (
+    FIXED_FRAME_ANGLES,
     FIXED_FRAMES,
     FRAME_DEPENDENT_WITNESS_NF,
     WORKED_CM,
@@ -526,3 +528,81 @@ def test_report_is_a_read_only_record():
         " method='numeric_scan', u_opt=1.0, phi_opt=0.0)")
     closed = gaussian_discord_closed_form(membership(WORKED_NF))
     assert repr(closed).endswith("method='closed_form', u_opt=None, phi_opt=None)")
+
+
+def _frame_rows(phi_a, phi_b, s_a=1.0, s_b=1.0):
+    """squeezer(s) rotation(phi) on each mode, as four rows of Python floats."""
+    def block(phi, s):
+        cos, sin, root = math.cos(phi), math.sin(phi), math.sqrt(s)
+        return [[root * cos, -root * sin], [sin / root, cos / root]]
+    (p, q), (t, u) = block(phi_a, s_a), block(phi_b, s_b)
+    return [p + [0.0, 0.0], q + [0.0, 0.0], [0.0, 0.0] + t, [0.0, 0.0] + u]
+
+
+def _in_frame(S, rows):
+    """``S V S^T`` in Python floats, summed left to right: the same bits wherever floats are IEEE."""
+    def dot(x, y):
+        total = 0.0
+        for xi, yi in zip(x, y):
+            total = total + xi * yi
+        return total
+    SV = [[dot(s, col) for col in zip(*rows)] for s in S]
+    return [[dot(sv, s) for s in S] for sv in SV]
+
+
+# the off-pattern slots of a 4x4 normal form: zero in NormalFormCM.rows()
+_OFF_PATTERN = [(i, j) for i in range(4) for j in range(4) if (i - j) % 2]
+
+
+def _pinned_cms():
+    """The CMs whose validation and discord reports :func:`test_reports_keep_their_bits` pins.
+
+    Each seeded normal form comes in both (c, cp) orders, so a share of the
+    optima fold to phi = pi/2; then with -0.0 in its off-pattern slots, then
+    within _PATTERN_RTOL of its pattern but off it, then in local frames:
+    the fixed frames of ``states`` and seeded squeezed rotations.
+    """
+    rng = np.random.default_rng(3141)
+    nfs = [NormalFormCM(*map(float, v)) for nf in classed_normal_forms(rng, 12)
+           for v in (nf, nf._replace(c=nf.cp, cp=nf.c))]
+    for nf in nfs:
+        yield nf.rows()
+    for nf in nfs:
+        rows = nf.rows()
+        for i, j in _OFF_PATTERN:
+            rows[i][j] = -0.0
+        yield rows
+    for nf in nfs:
+        rows = nf.rows()
+        off = 0.4 * symplectic._PATTERN_RTOL * max(nf.a, nf.b, abs(nf.c), abs(nf.cp))
+        rows[0][1] = rows[1][0] = off
+        rows[2][3] = rows[3][2] = -off
+        rows[1][1] = nf.a + off
+        yield rows
+    frames = [_frame_rows(phi_a, phi_b) for phi_a, phi_b in FIXED_FRAME_ANGLES]
+    for phi_a, phi_b, s_a, s_b in rng.uniform([0.0, 0.0, 0.5, 0.5], [math.pi, math.pi, 2.0, 2.0], (3, 4)):
+        frames.append(_frame_rows(phi_a, phi_b, s_a, s_b))
+    for nf in nfs[::3]:
+        for S in frames:
+            yield _in_frame(S, nf.rows())
+
+
+def test_reports_keep_their_bits():
+    # every bit of the diagnosis and of both routes' reports, on the inputs
+    # that take each shortcut of the gate, the reduction and the numeric
+    # route and on those that just miss it; the transformed CMs are built in
+    # Python floats, so no BLAS or vector libm enters the pinned bits
+    digest = hashlib.sha256()
+    folded = 0
+    for rows in _pinned_cms():
+        diag = validate_bona_fide(rows)
+        numeric = gaussian_discord_numeric(rows)
+        assert numeric == gaussian_discord_numeric(rows, diag)
+        try:
+            closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
+        except OutOfFamily:
+            closed = None
+        folded += numeric.phi_opt == 0.5 * math.pi
+        digest.update(repr((diag, numeric, closed)).encode())
+    assert folded >= 10
+    assert digest.hexdigest()[:16] == "ff25b44fecea8df4"

@@ -95,6 +95,12 @@ REJECTED = [
     (lambda: GaussianMeasurement(-1), DomainError, "measurement squeezing u must be >= 0, got -1"),
     (lambda: GaussianMeasurement(1.0)._replace(u=-0.5), DomainError,
      "measurement squeezing u must be >= 0, got -0.5"),
+    (lambda: GaussianMeasurement(1.0, math.nan), DomainError,
+     "measurement angle phi must be finite, got nan"),
+    (lambda: GaussianMeasurement(1.0, math.inf), DomainError,
+     "measurement angle phi must be finite, got inf"),
+    (lambda: GaussianMeasurement(1.0)._replace(phi=math.inf), DomainError,
+     "measurement angle phi must be finite, got inf"),
     (lambda: ConditionalState([0, 0, 0], [[1, 0], [0, 1]]), ValueError,
      "cannot reshape array of size 3 into shape (2,)"),
 ]
@@ -104,7 +110,8 @@ REJECTED = [
     "channel-nan-tau", "channel-inf-eta", "channel-eta-below-bound", "family-b-below-1",
     "family-nan-b", "family-r-outside", "family-sign-0", "family-eta-below-bound",
     "family-inf-tau", "family-replace-r", "measurement-nan-u", "measurement-negative-u",
-    "measurement-replace-u", "conditional-mean-of-3"])
+    "measurement-replace-u", "measurement-nan-phi", "measurement-inf-phi", "measurement-replace-phi",
+    "conditional-mean-of-3"])
 def test_record_rejects_its_invalid_fields(build, error, message):
     with pytest.raises(error) as info:
         build()

@@ -7,6 +7,7 @@ from gdiscord import (
     DomainError,
     GaussianMeasurement,
     NormalFormCM,
+    NumericalFailure,
     condition_on_outcome,
     conditional_cm,
     conditional_mean_map,
@@ -130,6 +131,17 @@ class TestConditioning:
                     finite = conditional_cm(V, GaussianMeasurement(u, phi))
                     limit = conditional_cm(V, GaussianMeasurement(lim, phi))
                     assert np.max(np.abs(finite - limit)) <= 1e-10
+
+    @pytest.mark.parametrize("view", [conditional_cm, conditional_mean_map])
+    @pytest.mark.parametrize("m", [GaussianMeasurement(1.0), GaussianMeasurement(0.3, 0.7),
+                                   GaussianMeasurement.homodyne_q(), GaussianMeasurement.homodyne_p()],
+                             ids=["heterodyne", "squeezed", "homodyne-q", "homodyne-p"])
+    def test_overflowing_denominator_is_a_typed_error(self, view, m):
+        # det B + 1 is past the float range for b above ~1.34e154: (B + V0)^{-1}
+        # read as 0 made cm = A (1e160 I, for 7.5e159 I), and 0 * inf = NaN the homodyne maps
+        V = NormalFormCM(1e160, 1e160, 5e159, -5e159).rows()
+        with pytest.raises(NumericalFailure, match="^conditional CM is not finite$"):
+            view(V, m)
 
     def test_matches_schur_oracle(self):
         rng = np.random.default_rng(42)

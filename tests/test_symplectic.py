@@ -30,6 +30,7 @@ from gdiscord import (
 )
 from gdiscord.symplectic import (
     _PATTERN_RTOL,
+    SYMMETRY_RTOL,
     _array_max,
     _verdict,
     bona_fide_normal_form_mask,
@@ -468,6 +469,21 @@ def test_pattern_bound_is_inclusive(past):
         assert red.nf.cp == pytest.approx(-1.0, rel=1e-12)
     else:
         assert red == (nf, (1.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0], ids=["max-below-1", "max-above-1"])
+@pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-ulp-past"])
+def test_symmetry_bound_is_inclusive(scale, past):
+    # an asymmetry of exactly SYMMETRY_RTOL max(1, max |V|) passes the gate and
+    # one ulp more is rejected, with max |V| on either side of the floor of 1
+    bound = SYMMETRY_RTOL * max(1.0, scale)
+    rows = (scale * np.eye(4)).tolist()
+    rows[1][0] = math.nextafter(bound, math.inf) if past else bound
+    if past:
+        with pytest.raises(DomainError, match=r"^not symmetric \(max asymmetry"):
+            reduce_cm(rows)
+    else:
+        assert reduce_cm(rows).nf.a == scale
 
 
 def test_tiny_cm_in_a_rotated_frame_quotes_its_own_nu_min():
