@@ -82,7 +82,10 @@ def main() -> None:
             for side, tree in trees.items():
                 log = launch(tree, args, ("-X", "importtime")).stderr.decode()
                 seen = {line.rsplit("|", 1)[1].strip() for line in log.splitlines() if "|" in line}
-                print(f"  {name:10s} {side:7s}", [m for m in MODULES if m in seen] or "none")
+                # importlib.import_module, as gdiscord._numpy calls it, logs no line of its
+                # own module: numpy shows through its submodules
+                print(f"  {name:10s} {side:7s}", [m for m in MODULES if m in seen or any(
+                    s.startswith(m + ".") for s in seen)] or "none")
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ from . import serialize
 from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
 
 # Each command imports the modules it runs in its own body, so a launch
-# loads only those: classify never loads family, numpy or the CM algebra of
-# symplectic (only a command that reads a state does), and sample never
-# loads discord or remote_prep.
+# loads only those: classify never loads family or the CM algebra of
+# symplectic (only a command that reads a state does), sample never loads
+# discord or remote_prep, and only sample and verify, which work on arrays,
+# load numpy.
 
 def _finite_number(literal: str) -> float:
     """JSON float hook: the homodyne limit is spelled "inf", never as a number."""
@@ -139,13 +140,13 @@ def sample(args):
 
 def condition(args):
     """Conditional state of the unmeasured mode after a Gaussian measurement."""
-    from .remote_prep import condition_on_outcome, conditioning_on_mode_A
+    from .remote_prep import _conditioned_state
 
     V, _ = _state_from_options(None, args.state)
     m = serialize.parse_measurement_payload(_load_json(args.measurement))
     k = _parse_floats(args.outcome, 2, "--outcome")
     mean_ab = None if args.mean is None else _parse_floats(args.mean, 4, "--mean")
-    result = (condition_on_outcome if args.mode == "B" else conditioning_on_mode_A)(V, mean_ab, m, k)
+    result = _conditioned_state(V, mean_ab, m, k, args.mode)
     sys.stdout.write(serialize.dumps(serialize.conditional_state_to_dict(result)))
 
 

@@ -144,7 +144,9 @@ def eta_from_a(a: float, r: float, tau: float, b: float) -> float:
 def _eta_arrays(a, r, tau, b, sqrt=math.sqrt):
     """Unclamped :func:`eta_from_a`; floats, or arrays with ``sqrt=np.sqrt``."""
     tb = abs(tau) * b
-    root = sqrt(4.0 * a * a * r * r + (r * r - 1.0) ** 2 * tau * tau * b * b)
+    # a product, not ** 2: a float's ** 2 calls libm pow, an array's squares exactly
+    d = r * r - 1.0
+    root = sqrt(4.0 * a * a * r * r + d * d * tau * tau * b * b)
     return (root - (1.0 + r * r) * tb) / (2.0 * r)
 
 
@@ -184,7 +186,8 @@ def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
     means r lies outside [1/b, b] and raises NumericalFailure.
     """
     r = np.asarray(r, float)
-    q = (r * r - 1.0) ** 2 * b * b
+    d = r * r - 1.0  # squared as d * d, so a scalar r rounds as an array does
+    q = d * d * b * b
     g_plus = (r + b) * (r * b + 1.0)
     p_plus = b * (1.0 + r * r) + 2.0 * r
     root_plus = np.sqrt(q + 4.0 * a * a * r * g_plus)

@@ -27,8 +27,12 @@ and no term cancels at large or small u.  The kernel is
 ``_conditioning(rows, x, y, phi)``: the CM's row-major entries, the seed's
 weights and its angle, which the public functions pass as ``*m.weights,
 m.phi`` and the discord route as the (u, phi) it has chosen.  It returns
-``L = C (B + V0)^{-1}`` and ``D = A - L C^T``; the public functions are
-array views of it.  A denominator past the float range (``det B + 1``
+``L = C (B + V0)^{-1}`` and ``D = A - L C^T``.  ``_conditioned_state``
+turns them into the unmeasured mode's ``(mean, cm)`` as floats, with plain
+float operations, for either measured mode; ``gdiscord condition`` prints
+it, and ``condition_on_outcome`` and ``conditioning_on_mode_A`` are its
+array views, as ``conditional_mean_map`` and ``conditional_cm`` are the
+kernel's.  A denominator past the float range (``det B + 1``
 overflows for variances above about 1.3e154) leaves no finite inverse, and
 raises NumericalFailure rather than reading ``(B + V0)^{-1}`` as 0.
 """
@@ -148,11 +152,33 @@ class ConditionalState(_ConditionalFields):
             cls, np.asarray(mean, float).reshape(2), np.asarray(cm, float).reshape(2, 2))
 
 
-def _split_mean(mean_AB) -> tuple[np.ndarray, np.ndarray]:
-    if mean_AB is None:
-        return np.zeros(2), np.zeros(2)
-    mean_AB = np.asarray(mean_AB, float).reshape(4)
-    return mean_AB[:2], mean_AB[2:]
+def _conditioned_state(rows, mean, m: GaussianMeasurement, k, mode: str):
+    """``(mean, cm)`` of the unmeasured mode, as tuples of floats.
+
+    ``rows`` are the CM's row-major entries, ``mean`` the state's four means
+    (None for zero), ``k`` the outcome ``(q, p)`` and ``mode`` the measured
+    mode, "A" or "B".  The mean is ``x + L (k - x')`` in plain float
+    operations, with ``(L, D)`` from :func:`_conditioning`; the CM is ``D``.
+    Raises NumericalFailure when the conditional mean or CM is not finite.
+    """
+    mean = (0.0, 0.0, 0.0, 0.0) if mean is None else mean
+    if mode == "A":  # A and B roles permuted
+        rows = [row[2:] + row[:2] for row in rows[2:] + rows[:2]]
+        mean = (*mean[2:], *mean[:2])
+    ((l00, l01), (l10, l11)), cm = _conditioning(rows, *m.weights, m.phi)
+    x0, x1, xb0, xb1 = mean
+    s0, s1 = k[0] - xb0, k[1] - xb1
+    out = (x0 + (l00 * s0 + l01 * s1), x1 + (l10 * s0 + l11 * s1))
+    if not all(map(math.isfinite, out + cm[0] + cm[1])):
+        raise NumericalFailure("conditional mean or CM is not finite")
+    return out, cm
+
+
+def _array_view(V, mean_AB, m: GaussianMeasurement, k, mode: str) -> ConditionalState:
+    """:func:`_conditioned_state` of array-like arguments, as arrays."""
+    mean = None if mean_AB is None else np.asarray(mean_AB, float).reshape(4).tolist()
+    k = np.asarray(k, float).reshape(2).tolist()
+    return ConditionalState(*_conditioned_state(_cm_rows(V), mean, m, k, mode))
 
 
 def conditional_mean_map(V: np.ndarray, m: GaussianMeasurement) -> np.ndarray:
@@ -172,25 +198,14 @@ def condition_on_outcome(
 
     Raises NumericalFailure when the conditional mean or CM is not finite.
     """
-    mean_a, mean_b = _split_mean(mean_AB)
-    k = np.asarray(k, float).reshape(2)
-    L, D = _conditioning(_cm_rows(V), *m.weights, m.phi)
-    cm = np.array(D)
-    with np.errstate(invalid="ignore", over="ignore"):
-        mean = mean_a + np.array(L) @ (k - mean_b)
-    if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
-        raise NumericalFailure("conditional mean or CM is not finite")
-    return ConditionalState(mean, cm)
+    return _array_view(V, mean_AB, m, k, "B")
 
 
 def conditioning_on_mode_A(
     V: np.ndarray, mean_AB, m: GaussianMeasurement, k
 ) -> ConditionalState:
     """State of mode B after measuring mode A (A and B roles permuted)."""
-    mean_a, mean_b = _split_mean(mean_AB)
-    rows = _cm_rows(V)
-    swapped = [row[2:] + row[:2] for row in rows[2:] + rows[:2]]
-    return condition_on_outcome(swapped, np.concatenate([mean_b, mean_a]), m, k)
+    return _array_view(V, mean_AB, m, k, "A")
 
 
 def epr_squeezing_range(mu: float, u: float) -> float:
@@ -202,8 +217,7 @@ def epr_squeezing_range(mu: float, u: float) -> float:
     (u = inf); heterodyne gives ``r = 1`` (coherent states).
     """
     check_variance(mu, "EPR variance")
-    if math.isnan(u) or u < 0.0:
-        raise DomainError(f"measurement squeezing u must be >= 0, got {u}")
+    u = GaussianMeasurement(u).u
     if u == 0.0:
         return 1.0 / mu
     if math.isinf(u):

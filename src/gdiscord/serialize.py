@@ -136,10 +136,9 @@ def channel_class_to_dict(cc: ChannelClass, params: GaussianChannelParams) -> di
 
 
 def conditional_state_to_dict(state: ConditionalState) -> dict:
-    return {
-        "mean": [round12(float(x)) for x in state.mean],
-        "cm": [[round12(x) for x in row] for row in state.cm.tolist()],
-    }
+    """A ``(mean, cm)`` pair, of floats or of arrays, with its numbers rounded."""
+    mean, cm = state
+    return {"mean": [round12(x) for x in mean], "cm": [[round12(x) for x in row] for row in cm]}
 
 
 def occupancy_to_json(info: dict) -> str:

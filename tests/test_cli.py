@@ -13,9 +13,10 @@ import pytest
 
 import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
-from gdiscord import cli, symplectic
-from gdiscord.serialize import round12
-from states import BOUNDARY_SQUEEZED_THERMAL_NF, EXTREME_VALUES, NEGATIVE_DISCORD_NF, WORKED_CM, local_frame
+from gdiscord import GaussianMeasurement, cli, condition_on_outcome, conditioning_on_mode_A, symplectic
+from gdiscord.serialize import conditional_state_to_dict, dumps, round12
+from states import (BOUNDARY_SQUEEZED_THERMAL_NF, EXTREME_VALUES, NEGATIVE_DISCORD_NF, WORKED_CM,
+                    local_frame, seeded_states)
 
 # the source tree that the subprocess tests run, and an environment that imports it
 SRC = str(Path(gdiscord.__file__).resolve().parents[1])
@@ -427,6 +428,19 @@ class TestConditionCommand:
         for key in ("mean", "cm"):  # u = 1e308 shifts the mean by O(1/u), a subnormal
             np.testing.assert_allclose(huge[key], limit[key], rtol=1e-15, atol=1e-300)
 
+    @pytest.mark.parametrize("mode, view", [("B", condition_on_outcome), ("A", conditioning_on_mode_A)])
+    def test_prints_what_the_library_views_return(self, run_cli, mode, view):
+        rng = np.random.default_rng(48)
+        for V in seeded_states(rng, 30):
+            m = {"u": 10 ** rng.uniform(-2, 2), "phi": rng.uniform(0, math.pi)}
+            k, mean = rng.normal(0, 3, 2).tolist(), rng.normal(0, 3, 4).tolist()
+            res = run_cli(["condition", "--state", json.dumps({"cm": V.tolist()}),
+                           "--measurement", json.dumps(m), "--outcome", ",".join(map(repr, k)),
+                           "--mean", ",".join(map(repr, mean)), "--mode", mode])
+            assert res.exit_code == 0, res.stderr
+            state = view(V, mean, GaussianMeasurement(**m), k)
+            assert res.stdout_bytes == dumps(conditional_state_to_dict(state)).encode()
+
     def test_malformed_json_exit_2(self, run_cli):
         res = run_cli([
             "condition", "--state", "{not json", "--measurement", '{"u": 1}',
@@ -679,6 +693,10 @@ def test_cold_commands_never_import_numpy(args, tmp_path):
 # V(2, 2, 1, -1) with mode A rotated by pi/2: a full CM off the normal-form pattern
 LOCAL_FRAME_STATE = '{"cm": [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]]}'
 
+# condition works on floats from the parsed state to the printed one
+CONDITION_ABSENT = {"numpy", "inspect", "dataclasses", "gdiscord.discord", "gdiscord.family",
+                    "gdiscord.samplecsv"}
+
 @pytest.mark.parametrize("args, loaded, absent", [
     (["sample", "--a", "2", "--b", "2", "--n", "10", "--seed", "0", "--threads", "1"],
      {"gdiscord.family", "gdiscord.serialize", "gdiscord.samplecsv", "numpy"},
@@ -694,7 +712,13 @@ LOCAL_FRAME_STATE = '{"cm": [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0,
     (["decompose", "--state", LOCAL_FRAME_STATE],
      {"gdiscord.family", "gdiscord.serialize"},
      {"gdiscord.discord", "gdiscord.verification", "gdiscord.samplecsv", "numpy", "dataclasses"}),
-], ids=["sample", "classify", "discord-state", "decompose-state"])
+    (["condition", "--state", LOCAL_FRAME_STATE, "--measurement", '{"u": 0.5, "phi": 0.3}',
+      "--outcome", "0.4,-0.7"],
+     {"gdiscord.remote_prep", "gdiscord.serialize"}, CONDITION_ABSENT),
+    (["condition", "--state", LOCAL_FRAME_STATE, "--measurement", '{"u": "inf"}', "--outcome", "0.4,-0.7",
+      "--mean", "0.1,-0.2,0.3,0.4", "--mode", "A"],
+     {"gdiscord.remote_prep", "gdiscord.serialize"}, CONDITION_ABSENT),
+], ids=["sample", "classify", "discord-state", "decompose-state", "condition-B-state", "condition-A-mean"])
 def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     res = subprocess.run([sys.executable, "-c", LOADED_MODULES_CLI, SRC, *args], cwd=tmp_path,
                          capture_output=True, timeout=30)

@@ -203,6 +203,23 @@ class TestTauBounds:
             lo, hi = tau_bounds(a, b, r)
             assert lo <= 0.0 <= hi
 
+    def test_scalar_and_array_readings_agree_bit_for_bit(self):
+        # a float's or numpy scalar's x ** 2 calls libm pow, which can differ from the
+        # exact x * x that numpy gives an array; this input's tau_max once read one ulp apart
+        a, b, r = 1.0367959856379074, 4.896761393548381, 3.297437323332727
+        assert tau_bounds(a, b, r) == tuple(float(t[0]) for t in _tau_bounds_arrays(a, b, [r]))
+        rng = np.random.default_rng(28)
+        n = 5000
+        b = rng.uniform(1.0 + 1e-6, 10.0, n)
+        a = rng.uniform(1.0, 10.0, n)
+        r = rng.uniform(1.0 / b, b)
+        bounds = [tau_bounds(*args) for args in zip(a.tolist(), b.tolist(), r.tolist())]
+        for j in range(n):  # the sampler reads one (a, b) at every r
+            assert bounds[j] == tuple(float(t[0]) for t in _tau_bounds_arrays(a[j], b[j], r[j:j + 1]))
+        tau = rng.uniform(*np.array(bounds).T)
+        etas = [_eta_arrays(*args) for args in zip(a.tolist(), r.tolist(), tau.tolist(), b.tolist())]
+        assert etas == _eta_arrays(a, r, tau, b, np.sqrt).tolist()
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
 def test_every_variance_has_one_domain_check(bad):

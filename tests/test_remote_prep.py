@@ -16,7 +16,7 @@ from gdiscord import (
     epr_cm,
     epr_squeezing_range,
 )
-from states import WORKED_CM, verify_cms
+from states import WORKED_CM, seeded_states, verify_cms
 
 Z = np.diag([1.0, -1.0])
 
@@ -149,6 +149,23 @@ class TestConditioning:
             m = GaussianMeasurement(10 ** rng.uniform(-2, 2), rng.uniform(0, math.pi))
             ours = conditional_cm(V, m)
             assert np.max(np.abs(ours - schur_oracle(V, m))) <= 1e-12
+
+
+def test_mean_is_the_plain_float_formula():
+    # x + L (k - x') with each product and sum rounded once, on every host: a BLAS
+    # matrix-vector product may fuse l00 * s0 + l01 * s1 into one rounding
+    rng = np.random.default_rng(46)
+    for V in seeded_states(rng, 200):
+        m = GaussianMeasurement(10 ** rng.uniform(-2, 2), rng.uniform(0, math.pi))
+        mean_ab, k = rng.normal(0, 3, 4).tolist(), rng.normal(0, 3, 2).tolist()
+        for view, order in ((condition_on_outcome, [0, 1, 2, 3]), (conditioning_on_mode_A, [2, 3, 0, 1])):
+            W = V[np.ix_(order, order)]  # the measured mode last
+            (l00, l01), (l10, l11) = conditional_mean_map(W, m).tolist()
+            x0, x1, xb0, xb1 = (mean_ab[i] for i in order)
+            s0, s1 = k[0] - xb0, k[1] - xb1
+            st = view(V, mean_ab, m, k)
+            assert st.mean.tolist() == [x0 + (l00 * s0 + l01 * s1), x1 + (l10 * s0 + l11 * s1)]
+            assert st.cm.tolist() == conditional_cm(W, m).tolist()
 
 
 class TestModeASide:
