@@ -37,8 +37,6 @@ from .errors import DomainError, InvalidChannelParams, NumericalFailure
 # small tolerance.  classify reads tau and eta this close to a boundary value
 # (tau = 0 or 1, eta = 0 or |1 - tau|) as on it.
 CHANNEL_TOL = 1e-12
-# is_quantum_limited reports channels within this distance of eta = |1 - tau|
-QUANTUM_LIMITED_TOL = 1e-9
 
 
 class _ChannelFields(NamedTuple):
@@ -74,7 +72,13 @@ class GaussianChannelParams(_ChannelFields):
         return self.eta * np.eye(2)
 
     def is_quantum_limited(self) -> bool:
-        return abs(self.eta - abs(1.0 - self.tau)) <= QUANTUM_LIMITED_TOL
+        """True iff :func:`classify` reads the channel on eta = |1 - tau|.
+
+        That is n_bar = 0 for the thermal forms and B2_identity for B2; it
+        raises NumericalFailure where classify does.
+        """
+        cc = classify(self)
+        return cc.n_bar == 0.0 or cc.label is CanonicalForm.B2_IDENTITY
 
 
 class CanonicalForm(str, enum.Enum):
@@ -158,11 +162,12 @@ def apply_to_mode_A(params: GaussianChannelParams, V: np.ndarray) -> np.ndarray:
     """
     from .symplectic import _cm_rows
 
-    V = np.array(_cm_rows(V))
+    V = np.array(_cm_rows(V))  # a copy, filled block by block
     K = params.K
-    A = K @ V[:2, :2] @ K.T + params.N
-    C = K @ V[:2, 2:]
-    return np.block([[A, C], [C.T, V[2:, 2:]]])
+    V[:2, :2] = K @ V[:2, :2] @ K.T + params.N
+    V[:2, 2:] = K @ V[:2, 2:]
+    V[2:, :2] = V[:2, 2:].T
+    return V
 
 
 def min_output_entropy(params: GaussianChannelParams | FamilyParams) -> float:

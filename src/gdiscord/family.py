@@ -159,7 +159,8 @@ def _check_r(r: float, b: float) -> None:
 def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
     """Transmissivity interval on which ``eta_from_a(a, r, tau, b) >= |1-tau|``.
 
-    Validating scalar form of :func:`_tau_bounds_arrays`.
+    Validating scalar form of :func:`_tau_bounds_arrays`, the one formula,
+    which the sampler and ``verify`` read on arrays.
     """
     check_variance(a, "local variance a")
     check_variance(b, "local variance b")
@@ -171,8 +172,8 @@ def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
     return (float(tau_min), float(tau_max))
 
 
-def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
-    """tau_bounds for fixed (a, b) at every r; assumes b > 1 or a > 1.
+def _tau_bounds_arrays(a, b, r) -> tuple[np.ndarray, np.ndarray]:
+    """tau_bounds at every (a, b, r), floats or arrays that broadcast; assumes b > 1 or a > 1.
 
     Rationalized closed forms (no subtractive cancellation at the domain
     endpoints r = 1/b, r = b, where the textbook expressions become 0/0):
@@ -182,8 +183,9 @@ def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
         tau_max = (p+ + sqrt(q + 4 a^2 r g+)) / (2 g+)           for a >= b,
 
     with g+- = (r +- b)(r b +- 1), q = (r^2-1)^2 b^2 and
-    p+- = b (1 + r^2) +- 2 r.  A radicand below zero by more than rounding
-    means r lies outside [1/b, b] and raises NumericalFailure.
+    p+- = b (1 + r^2) +- 2 r; tau_max is selected element by element.  A
+    radicand of an a <= b element below zero by more than rounding means r
+    lies outside [1/b, b] and raises NumericalFailure.
     """
     r = np.asarray(r, float)
     d = r * r - 1.0  # squared as d * d, so a scalar r rounds as an array does
@@ -192,18 +194,16 @@ def _tau_bounds_arrays(a: float, b: float, r) -> tuple[np.ndarray, np.ndarray]:
     p_plus = b * (1.0 + r * r) + 2.0 * r
     root_plus = np.sqrt(q + 4.0 * a * a * r * g_plus)
     tau_min = -2.0 * r * (a * a - 1.0) / (p_plus + root_plus)
-    if a <= b:
-        g_minus = (r - b) * (r * b - 1.0)
-        p_minus = b * (1.0 + r * r) - 2.0 * r
-        rad = q - 4.0 * a * a * r * g_minus
-        if np.any(rad < -1e-9 * np.maximum(1.0, q)):
-            raise NumericalFailure(
-                f"negative radicand {np.min(rad)} in tau_max; r outside its domain?"
-            )
-        tau_max = 2.0 * r * (a * a - 1.0) / (p_minus + np.sqrt(np.maximum(rad, 0.0)))
-    else:
-        tau_max = (p_plus + root_plus) / (2.0 * g_plus)
-    return tau_min, tau_max
+    g_minus = (r - b) * (r * b - 1.0)
+    p_minus = b * (1.0 + r * r) - 2.0 * r
+    rad = q - 4.0 * a * a * r * g_minus
+    a_le_b = a <= b
+    bad = a_le_b & (rad < -1e-9 * np.maximum(1.0, q))
+    if np.any(bad):
+        raise NumericalFailure(f"negative radicand {np.min(rad[bad])} in tau_max; r outside its domain?")
+    with np.errstate(divide="ignore"):  # a > b elements drop this form, 1/0 at b = 1, r = 1
+        low = 2.0 * r * (a * a - 1.0) / (p_minus + np.sqrt(np.maximum(rad, 0.0)))
+    return tau_min, np.where(a_le_b, low, (p_plus + root_plus) / (2.0 * g_plus))
 
 
 class FamilySample:

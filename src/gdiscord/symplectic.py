@@ -269,13 +269,15 @@ def symplectic_spectrum_eigen(V: np.ndarray) -> SymplecticSpectrum:
     """Spectrum via the moduli of the eigenvalues of i*Omega*V.
 
     Independent of the closed form above; used as a cross-checking oracle.
+    V is one CM, which gives float fields, or an (n, 4, 4) stack, which
+    gives lists of n floats from one eigensolver call.
     """
     omega = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
     eig = np.linalg.eigvals(1j * omega @ np.asarray(V, float))
-    mods = np.sort(np.abs(eig))
+    mods = np.sort(np.abs(eig), axis=-1)
     # eigenvalues come in +-nu pairs
-    return SymplecticSpectrum(float(mods[0]), float(mods[2]))
+    return SymplecticSpectrum(*mods[..., [0, 2]].T.tolist())
 
 
 def _verdict(a, b, c, cp, xp=math, largest=max):

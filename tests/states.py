@@ -24,7 +24,12 @@ from gdiscord import (
     squeezer_matrix,
 )
 from gdiscord.symplectic import bona_fide_normal_form_mask
-from gdiscord.verification import random_family_params, random_normal_forms, random_squeezed_thermal
+from gdiscord.verification import (
+    random_family_params,
+    random_local_frames,
+    random_normal_forms,
+    random_squeezed_thermal,
+)
 
 # the worked state V(5, 2, sqrt 6, -sqrt 6): an EPR state of b = 2 through
 # the amplifier tau = 2, eta = 1, with nu_minus = 1 and nu_plus = 4
@@ -124,13 +129,9 @@ def scalar_normal_forms(rng, n):
 
 
 def _local_frame_forms(rng, n):
-    out = []
-    for nf in scalar_normal_forms(rng, n):
-        S = local_frame(*(squeezer_matrix(rng.uniform(0.5, 2.0)) @ rotation_matrix(rng.uniform(0, np.pi))
-                          for _ in range(2)))
-        V = embed_normal_form(nf)
-        out.append(normal_form_from_cm(S @ V @ S.T))
-    return out
+    forms = scalar_normal_forms(rng, n)
+    return [normal_form_from_cm(S @ embed_normal_form(nf) @ S.T)
+            for nf, S in zip(forms, random_local_frames(rng, n))]
 
 
 def _equal_variance_forms(rng, n):

@@ -4,9 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
 lines, or ``gdiscord verify`` for the same checks outside pytest.
 """
 
+import math
+
+import numpy as np
 import pytest
 
+from gdiscord import FamilyParams, eta_from_a, rotation_matrix, squeezer_matrix, tau_bounds
 from gdiscord import verification as ver
+from states import local_frame
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +59,33 @@ def test_criterion_8_channel_classification():
 
 def test_criterion_9_sampler_determinism():
     _assert(ver.check_sampler_determinism(n=200_000))
+
+
+def scalar_family_params(rng, n):
+    """The witnesses of ``ver.random_family_params``, drawn one scalar at a time."""
+    params = []
+    for _ in range(n):
+        b = rng.uniform(1.0 + 1e-6, ver.VMAX)
+        a = rng.uniform(1.0, ver.VMAX)
+        r = rng.uniform(1.0 / b, b)
+        tau = rng.uniform(*tau_bounds(a, b, r))
+        eta = max(eta_from_a(a, r, tau, b), abs(1.0 - tau))
+        sign = 1 if rng.uniform() < 0.5 else -1
+        params.append(FamilyParams(b=b, r=r, tau=tau, eta=eta, sign=sign))
+    return params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, ver.ROUND_TRIP_SEED])
+def test_random_family_params_equal_the_scalar_loop(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert ver.random_family_params(rng, 3000) == scalar_family_params(ref, 3000)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, ver.ORACLE_SEED])
+def test_random_local_frames_equal_the_per_state_products(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    frames = [local_frame(*(squeezer_matrix(ref.uniform(0.5, 2.0)) @ rotation_matrix(ref.uniform(0, math.pi))
+                            for _ in range(2))) for _ in range(3000)]
+    assert np.array_equal(ver.random_local_frames(rng, 3000), frames)
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -17,7 +17,7 @@ from gdiscord import (
     pathological_form_matrices,
     validate_bona_fide,
 )
-from states import WORKED_CM, thermal_reference
+from states import WORKED_CM, seeded_states, thermal_reference
 
 
 class TestParams:
@@ -40,6 +40,14 @@ class TestParams:
         for tau in (-1.0, 0.0, 0.3, 1.0, 2.0):
             ch = GaussianChannelParams(tau, abs(1.0 - tau))
             assert ch.is_quantum_limited()
+
+    @pytest.mark.parametrize("tau, eta", [(1.0000000001, 1e-9), (0.5, 0.5000000005), (1.0, 5e-10)])
+    def test_quantum_limited_is_classify_reading(self, tau, eta):
+        # near eta = |1 - tau| but not read on it: a nonzero n_bar, or B2_additive
+        ch = GaussianChannelParams(tau, eta)
+        cc = classify(ch)
+        assert cc.n_bar != 0.0 and cc.label is not CanonicalForm.B2_IDENTITY
+        assert not ch.is_quantum_limited()
 
 
 class TestClassify:
@@ -118,6 +126,19 @@ class TestPathological:
 
 
 class TestApply:
+    def test_equals_the_block_assembly(self):
+        # reference: [[K A K^T + N, K C], [(K C)^T, B]] with np.block, on arrays and row lists,
+        # with an asymmetry inside SYMMETRY_RTOL below the diagonal of each block
+        rng = np.random.default_rng(34)
+        for V in seeded_states(rng, 400):
+            V = V + np.tril(np.full((4, 4), 1e-13), -1)
+            tau = rng.uniform(-3.0, 3.0)
+            ch = GaussianChannelParams(tau, abs(1.0 - tau) + rng.uniform(0.0, 2.0))
+            A, C = ch.K @ V[:2, :2] @ ch.K.T + ch.N, ch.K @ V[:2, 2:]
+            ref = np.block([[A, C], [C.T, V[2:, 2:]]])
+            assert np.array_equal(apply_to_mode_A(ch, V), ref)
+            assert np.array_equal(apply_to_mode_A(ch, V.tolist()), ref)
+
     def test_identity_channel(self):
         V = epr_cm(2.5)
         out = apply_to_mode_A(GaussianChannelParams(1.0, 0.0), V)

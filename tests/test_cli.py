@@ -257,6 +257,13 @@ class TestClassifyCommand:
         assert out["label"] == "C_amplifier"
         assert out["quantum_limited"] is True
 
+    @pytest.mark.parametrize("tau, eta", [("1.0000000001", "1e-9"), ("0.5", "0.5000000005"), ("1", "5e-10")])
+    def test_near_boundary_is_not_quantum_limited(self, run_cli, tau, eta):
+        # quantum_limited is true only where classify reads omega 1 and n_bar 0, or B2_identity
+        out = json.loads(run_cli(["classify", "--tau", tau, "--eta", eta]).output)
+        assert out["label"] == "B2_additive" or out["n_bar"] > 0.0
+        assert out["quantum_limited"] is False
+
     def test_invalid_params_exit_2(self, run_cli):
         res = run_cli(["classify", "--tau", "0.5", "--eta", "0.1"])
         assert res.exit_code == 2
@@ -766,8 +773,7 @@ def test_package_exports_resolve_lazily(tmp_path):
 
 
 def test_numpy_is_reached_through_one_boundary():
-    # the package binds np to the lazy gdiscord._numpy; only verification,
-    # which is all arrays, imports numpy itself
+    # every module binds np to the lazy gdiscord._numpy; none imports numpy itself
     importers, type_checking = [], []
     for path in sorted(Path(gdiscord.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -780,7 +786,7 @@ def test_numpy_is_reached_through_one_boundary():
             else:
                 continue
             importers += [path.name for m in modules if m.split(".")[0] == "numpy"]
-    assert importers == ["verification.py"]
+    assert importers == []
     assert type_checking == []
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,23 @@ class TestTauBounds:
         tau = rng.uniform(*np.array(bounds).T)
         etas = [_eta_arrays(*args) for args in zip(a.tolist(), r.tolist(), tau.tolist(), b.tolist())]
         assert etas == _eta_arrays(a, r, tau, b, np.sqrt).tolist()
+
+    def test_per_element_a_b_equal_each_element_alone(self):
+        # a <= b and a > b elements in one call, b = 1 among them, each read as the scalar call reads it
+        rng = np.random.default_rng(29)
+        n = 4000
+        b = np.where(rng.uniform(size=n) < 0.1, 1.0, rng.uniform(1.0, 5.0, n))
+        a = rng.uniform(1.0 + 1e-9, 5.0, n)
+        r = rng.uniform(1.0 / b, b)
+        assert np.any(a <= b) and np.any(a > b)
+        lo, hi = _tau_bounds_arrays(a, b, r)
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            tau_bounds(*args) for args in zip(a.tolist(), b.tolist(), r.tolist())]
+
+    def test_b_at_vacuum_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tau_bounds(3.0, 1.0, 1.0) == (-1.0, 2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])

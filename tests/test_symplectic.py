@@ -42,6 +42,7 @@ from states import (
     WORKED_NF,
     local_frame,
     scalar_normal_forms,
+    seeded_states,
     spectrum_reference,
     squeezed_rotations,
 )
@@ -137,6 +138,11 @@ class TestSpectrum:
             oracle = symplectic_spectrum_eigen(V)
             assert closed.nu_minus == pytest.approx(oracle.nu_minus, abs=1e-9)
             assert closed.nu_plus == pytest.approx(oracle.nu_plus, abs=1e-9)
+
+    def test_eigen_oracle_on_a_stack_equals_one_call_per_cm(self):
+        W = np.array(list(seeded_states(np.random.default_rng(103), 400)))
+        assert list(zip(*symplectic_spectrum_eigen(W))) == [symplectic_spectrum_eigen(V) for V in W]
+        assert type(symplectic_spectrum_eigen(W[0]).nu_minus) is float
 
     def test_invariant_under_local_symplectics(self):
         rng = np.random.default_rng(102)
