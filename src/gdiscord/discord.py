@@ -73,7 +73,7 @@ from .entropy import h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
-from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, normal_form_spectrum
+from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, _record, normal_form_spectrum
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
@@ -207,7 +207,12 @@ def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
     form's: they differ at most in the sign of a zero ``e`` term, on which no
     value the route computes depends.  When ``phi_star == 0.0`` the phi* best
     would be the incumbent, which a rival must beat by a margin, so it is not
-    evaluated.
+    evaluated.  On an exact normal form whose phi = 0 winner has x < y, phi* is
+    pi/2, whose candidates are the phi = 0 ones with p negated: the same
+    endpoint values, but each root read as its reciprocal u > 1, where the
+    sums of the ratio cancel differently.  That rival can win by more than the
+    margin (V(896.1216897966443, 181.22551173647014, 402.9751649842417,
+    -317.9255979398487), by 1.7e-13 of the value), so it is evaluated there too.
     """
     if not diag.bona_fide:
         raise DomainError(f"state is not bona fide: {diag.reason}")
@@ -244,11 +249,9 @@ def _report(
     s_a: float, s_b: float, s_ab: float, s_min: float, method: str,
     u_opt: float | None = None, phi_opt: float | None = None,
 ) -> DiscordReport:
-    i_ab = s_a + s_b - s_ab
-    classical = s_a - s_min
-    return DiscordReport(
-        s_a, s_b, s_ab, i_ab, s_min, classical, i_ab - classical, method, u_opt, phi_opt,
-    )
+    i_ab, classical = s_a + s_b - s_ab, s_a - s_min
+    return _record(DiscordReport, (
+        s_a, s_b, s_ab, i_ab, s_min, classical, i_ab - classical, method, u_opt, phi_opt))
 
 
 def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:

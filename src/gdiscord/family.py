@@ -47,6 +47,7 @@ from .channels import GaussianChannelParams
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
     NormalFormCM,
+    _record,
     _verdict,
     bona_fide_normal_form_mask,
     check_variance,
@@ -110,7 +111,7 @@ def family_cm_from_params(fp: FamilyParams) -> NormalFormCM:
     tb = abs(fp.tau) * fp.b
     a = math.sqrt((fp.eta * fp.r + tb) * (fp.eta / fp.r + tb))
     c, cp = _correlation_arrays(fp.b, fp.r, fp.tau, fp.eta, fp.sign)
-    return NormalFormCM(a=a, b=fp.b, c=c, cp=cp)
+    return _record(NormalFormCM, (a, fp.b, c, cp))
 
 
 def _correlation_arrays(b, r, tau, eta, sign, sqrt=math.sqrt):
@@ -168,8 +169,7 @@ def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
     if b <= 1.0 and a <= 1.0:
         # both modes at the vacuum limit: product states only
         return (0.0, 0.0)
-    tau_min, tau_max = _tau_bounds_arrays(a, b, r)
-    return (float(tau_min), float(tau_max))
+    return tuple(map(float, _tau_bounds_arrays(a, b, r)))
 
 
 def _tau_bounds_arrays(a, b, r) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +183,10 @@ def _tau_bounds_arrays(a, b, r) -> tuple[np.ndarray, np.ndarray]:
         tau_max = (p+ + sqrt(q + 4 a^2 r g+)) / (2 g+)           for a >= b,
 
     with g+- = (r +- b)(r b +- 1), q = (r^2-1)^2 b^2 and
-    p+- = b (1 + r^2) +- 2 r; tau_max is selected element by element.  A
-    radicand of an a <= b element below zero by more than rounding means r
-    lies outside [1/b, b] and raises NumericalFailure.
+    p+- = b (1 + r^2) +- 2 r; tau_max is selected element by element, and a
+    form that no element selects is not computed.  A radicand of an a <= b
+    element below zero by more than rounding means r lies outside [1/b, b]
+    and raises NumericalFailure.
     """
     r = np.asarray(r, float)
     d = r * r - 1.0  # squared as d * d, so a scalar r rounds as an array does
@@ -194,16 +195,17 @@ def _tau_bounds_arrays(a, b, r) -> tuple[np.ndarray, np.ndarray]:
     p_plus = b * (1.0 + r * r) + 2.0 * r
     root_plus = np.sqrt(q + 4.0 * a * a * r * g_plus)
     tau_min = -2.0 * r * (a * a - 1.0) / (p_plus + root_plus)
-    g_minus = (r - b) * (r * b - 1.0)
-    p_minus = b * (1.0 + r * r) - 2.0 * r
-    rad = q - 4.0 * a * a * r * g_minus
     a_le_b = a <= b
-    bad = a_le_b & (rad < -1e-9 * np.maximum(1.0, q))
-    if np.any(bad):
-        raise NumericalFailure(f"negative radicand {np.min(rad[bad])} in tau_max; r outside its domain?")
-    with np.errstate(divide="ignore"):  # a > b elements drop this form, 1/0 at b = 1, r = 1
-        low = 2.0 * r * (a * a - 1.0) / (p_minus + np.sqrt(np.maximum(rad, 0.0)))
-    return tau_min, np.where(a_le_b, low, (p_plus + root_plus) / (2.0 * g_plus))
+    high = (p_plus + root_plus) / (2.0 * g_plus) if not np.all(a_le_b) else 0.0
+    low = 0.0
+    if np.any(a_le_b):
+        rad = q - 4.0 * a * a * r * ((r - b) * (r * b - 1.0))  # q - 4 a^2 r g-
+        bad = a_le_b & (rad < -1e-9 * np.maximum(1.0, q))
+        if np.any(bad):
+            raise NumericalFailure(f"negative radicand {np.min(rad[bad])} in tau_max; r outside its domain?")
+        with np.errstate(divide="ignore"):  # a > b elements drop this form, 1/0 at b = 1, r = 1
+            low = 2.0 * r * (a * a - 1.0) / (b * (1.0 + r * r) - 2.0 * r + np.sqrt(np.maximum(rad, 0.0)))
+    return tau_min, np.where(a_le_b, low, high)
 
 
 class FamilySample:
@@ -389,7 +391,11 @@ def membership(nf: NormalFormCM) -> FamilyParams:
         r = 1.0
     else:
         r = min(max(math.sqrt(x / y) if y > 0.0 else b, 1.0 / b), b)
-    fp = FamilyParams(b=b, r=r, tau=tau, eta=eta, sign=sign)
+    # FamilyParams' checks hold, so the witness is built without them: b > 1 (see
+    # above) and finite, as a bona fide verdict reads only finite parameters; r
+    # is 1 or clamped into [1/b, b]; sign is +-1; tau and eta are finite (see
+    # above), and eta >= |1 - tau|, its floor
+    fp = _record(FamilyParams, (b, r, tau, eta, sign))
     out = family_cm_from_params(fp)
     err = max(abs(out.a - a), abs(out.c - c), abs(out.cp - cp))
     if err > _WITNESS_TOL * max(1.0, a):

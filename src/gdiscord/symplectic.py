@@ -93,6 +93,9 @@ class Reduction(NamedTuple):
 # that normal form, keeping its own bits and (c, cp) order
 _PATTERN_RTOL = 1e-13
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
+# builds a record from a tuple of its fields without the record's Python-level
+# __new__; for the package's own records whose fields need no check
+_record = tuple.__new__
 
 
 def _cm_rows(V) -> list[list[float]]:
@@ -176,13 +179,17 @@ def _reduce_rows(rows) -> Reduction:
     (a00, a01, c00, c01), (v10, a11, c10, c11), (v20, v21, b00, b01), (v30, v31, v32, b11) = rows
     # max |V - nf| <= tol * max |V|, entry by entry, at every scale; the four
     # entries that define nf match themselves exactly, and a distance of 0
-    # meets every bound, so max |V| is read only for a nonzero one
+    # meets every bound.  Each other entry v is off its pattern entry p (0,
+    # a00, b00, c00 or c11) by a term of the distance, exact when v and p are
+    # within a factor 2 (Sterbenz) and at least |v|/2 when they are not, so
+    # max |V| <= max |p| + distance unless the distance fails both bounds;
+    # max |V| is read only where that bound lets the distance pass
     distance = max(abs(a01), abs(c01), abs(v10), abs(a11 - a00), abs(c10), abs(v20 - c00),
                    abs(v21), abs(b01), abs(v30), abs(v31 - c11), abs(v32), abs(b11 - b00))
-    if distance == 0.0 or distance <= _PATTERN_RTOL * max(
-            abs(a00), abs(a01), abs(c00), abs(c01), abs(v10), abs(a11), abs(c10), abs(c11),
-            abs(v20), abs(v21), abs(b00), abs(b01), abs(v30), abs(v31), abs(v32), abs(b11)):
-        return Reduction(NormalFormCM(a00, b00, c00, c11), _IDENTITY)
+    if distance == 0.0 or distance <= _PATTERN_RTOL * (
+            max(abs(a00), abs(b00), abs(c00), abs(c11)) + distance
+    ) and distance <= _PATTERN_RTOL * max(map(abs, sum(rows, []))):
+        return _record(Reduction, (_record(NormalFormCM, (a00, b00, c00, c11)), _IDENTITY))
     if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
         raise DomainError("not positive definite")
     a, _, (p00, p01, p11) = _unit_det_sqrt(a00, a01, a11)
@@ -197,7 +204,7 @@ def _reduce_rows(rows) -> Reduction:
     beta = 0.5 * (math.atan2(g, f) - math.atan2(h, e))
     cb, sb = math.cos(beta), math.sin(beta)
     tb_inv = (h00 * cb + h01 * sb, h01 * cb - h00 * sb, h01 * cb + h11 * sb, h11 * cb - h01 * sb)
-    return Reduction(NormalFormCM(a, b, q + r, q - r), tb_inv)
+    return _record(Reduction, (_record(NormalFormCM, (a, b, q + r, q - r)), tb_inv))
 
 
 def normal_form_from_cm(V: np.ndarray) -> NormalFormCM:
@@ -252,7 +259,7 @@ def normal_form_spectrum(nf: NormalFormCM) -> SymplecticSpectrum:
     _, disc, nu_minus, nu_plus, _ = _verdict(nf.a, nf.b, nf.c, nf.cp)
     if disc < -_DISC_TOL:
         raise NumericalFailure(_NEGATIVE_DISC.format(disc))
-    return SymplecticSpectrum(nu_minus, nu_plus)
+    return _record(SymplecticSpectrum, (nu_minus, nu_plus))
 
 
 def symplectic_spectrum(V: np.ndarray) -> SymplecticSpectrum:
@@ -394,7 +401,7 @@ def _diagnose(rows) -> BonaFideDiagnosis:
     a, b, c, cp = red.nf
     ok, disc, nu_minus, nu_plus, indefinite = _verdict(a, b, c, cp)
     if ok:
-        return BonaFideDiagnosis(True, nu_minus, nu_plus=nu_plus, reduction=red)
+        return _record(BonaFideDiagnosis, (True, nu_minus, None, nu_plus, red))
     if disc < -_DISC_TOL:
         return BonaFideDiagnosis(False, None, _NEGATIVE_DISC.format(disc))
     # an indefinite V (a negative variance or block determinant) is named before

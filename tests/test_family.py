@@ -19,6 +19,7 @@ from gdiscord import (
     eta_from_a,
     family_cm_from_params,
     membership,
+    normal_form_from_cm,
     occupancy_grid,
     sample_family,
     squeezer_matrix,
@@ -28,7 +29,7 @@ from gdiscord.family import _correlation_arrays, _eta_arrays, _tau_bounds_arrays
 from gdiscord.samplecsv import sample_to_csv
 from gdiscord.symplectic import bona_fide_normal_form_mask
 from gdiscord.verification import random_family_params, random_squeezed_thermal
-from states import WORKED_NF, local_frame
+from states import EXTREME_VALUES, WORKED_NF, classed_normal_forms, local_frame, local_symplectic
 
 
 def composite_construction(fp: FamilyParams) -> np.ndarray:
@@ -477,3 +478,28 @@ class TestCoverage:
         info = occupancy_grid(s)
         assert int(np.sum(info["grid"])) == 30_000
         assert 0.0 < info["coverage_fraction"] < 1.0
+
+
+def test_membership_witness_passes_the_record_check():
+    # membership builds its witness without FamilyParams' checks, on the argument
+    # written where it builds it; the checked constructor accepts every witness
+    # with the same bits: in local frames, with r clamped to 1/b or b, with eta
+    # at its floor |1 - tau|, and at extreme scales
+    rng = np.random.default_rng(35)
+    nfs = list(classed_normal_forms(rng, 200))
+    nfs += [normal_form_from_cm(S @ embed_normal_form(nf) @ S.T)
+            for nf, S in zip(nfs, (local_symplectic(rng) for _ in nfs))]
+    for fp in random_family_params(rng, 200):
+        nfs += [family_cm_from_params(fp._replace(r=r)) for r in (fp.b, 1.0 / fp.b)]
+        nfs.append(family_cm_from_params(fp._replace(eta=abs(1.0 - fp.tau))))
+    nfs += [NormalFormCM(*rng.choice(EXTREME_VALUES, 4) * [1, 1, *rng.choice([-1, 1], 2)])
+            for _ in range(2000)]
+    witnesses = 0
+    for nf in nfs:
+        try:
+            fp = membership(NormalFormCM(*map(float, nf)))
+        except (DomainError, OutOfFamily, NumericalFailure):
+            continue
+        assert repr(FamilyParams(*fp)) == repr(fp)
+        witnesses += 1
+    assert witnesses > 1500

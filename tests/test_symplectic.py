@@ -460,21 +460,52 @@ class TestRecords:
             " got (1, 1)', nu_plus=None, reduction=None)")
 
 
+# the 12 entries that _reduce_rows holds to its pattern, each with the entry of
+# the normal form it must equal (None: it must be 0)
+_PATTERN_SLOTS = (((0, 1), None), ((0, 3), None), ((1, 0), None), ((1, 1), (0, 0)),
+                  ((1, 2), None), ((2, 0), (0, 2)), ((2, 1), None), ((2, 3), None),
+                  ((3, 0), None), ((3, 1), (1, 3)), ((3, 2), None), ((3, 3), (2, 2)))
+
+
+def _pattern_edge(scale):
+    """(M, t), M >= 3 scale, with _PATTERN_RTOL * M == t exactly and t of at most 4 significant bits.
+
+    So t moves an entry of order ``scale`` exactly.
+    """
+    t0 = 2.0 ** math.ceil(math.log2(_PATTERN_RTOL * 3.0 * scale))
+    for t in (t0 * (1.0 + k / 8.0) for k in range(8)):
+        M = t / _PATTERN_RTOL
+        for _ in range(3):
+            M = math.nextafter(M, 0.0)
+        for _ in range(7):
+            if _PATTERN_RTOL * M == t:
+                return M, t
+            M = math.nextafter(M, math.inf)
+    raise AssertionError(f"no edge found at scale {scale}")
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("slot", range(12))
 @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-ulp-past"])
-def test_pattern_bound_is_inclusive(past):
-    # an off-pattern entry at _PATTERN_RTOL max |V| still reads as the
-    # normal form, in its own (c, cp) order; one ulp more and V is reduced,
-    # which puts c >= |cp|
-    nf = NormalFormCM(5.0, 2.0, 1.0, -2.0)
-    bound = _PATTERN_RTOL * 5.0
+def test_pattern_bound_is_inclusive(past, slot, scale):
+    # an entry off its pattern by exactly _PATTERN_RTOL max |V| still reads as
+    # the normal form: its own bits, its (c, cp) order and T_B = I.  One ulp
+    # further off and V is reduced, which puts c >= |cp|
+    M, t = _pattern_edge(scale)
+    nf = NormalFormCM(2.0 * scale, M, 0.75 * scale, -1.25 * scale)
     rows = nf.rows()
-    rows[0][1] = rows[1][0] = math.nextafter(bound, math.inf) if past else bound
+    (i, j), held = _PATTERN_SLOTS[slot]
+    pattern = rows[held[0]][held[1]] if held else 0.0
+    off = pattern - t
+    assert off - pattern == -t  # the distance _reduce_rows reads is t, exactly
+    rows[i][j] = math.nextafter(off, -math.inf) if past else off
+    assert max(abs(x) for row in rows for x in row) == M
     red = reduce_cm(rows)
     if past:
-        assert red.nf.c == pytest.approx(2.0, rel=1e-12)
-        assert red.nf.cp == pytest.approx(-1.0, rel=1e-12)
+        assert red.nf.c > abs(red.nf.cp)
     else:
         assert red == (nf, (1.0, 0.0, 0.0, 1.0))
+        assert red.nf.c < abs(red.nf.cp)
 
 
 @pytest.mark.parametrize("scale", [0.5, 3.0], ids=["max-below-1", "max-above-1"])
