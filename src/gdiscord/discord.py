@@ -249,9 +249,11 @@ def _report(
     s_a: float, s_b: float, s_ab: float, s_min: float, method: str,
     u_opt: float | None = None, phi_opt: float | None = None,
 ) -> DiscordReport:
-    i_ab, classical = s_a + s_b - s_ab, s_a - s_min
+    i_ab = s_a + s_b - s_ab
+    classical = s_a - s_min
     return _record(DiscordReport, (
-        s_a, s_b, s_ab, i_ab, s_min, classical, i_ab - classical, method, u_opt, phi_opt))
+        s_a, s_b, s_ab, i_ab, s_min, classical, i_ab - classical, method, u_opt, phi_opt,
+    ))
 
 
 def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:

@@ -169,7 +169,8 @@ def tau_bounds(a: float, b: float, r: float) -> tuple[float, float]:
     if b <= 1.0 and a <= 1.0:
         # both modes at the vacuum limit: product states only
         return (0.0, 0.0)
-    return tuple(map(float, _tau_bounds_arrays(a, b, r)))
+    tau_min, tau_max = _tau_bounds_arrays(a, b, r)
+    return (float(tau_min), float(tau_max))
 
 
 def _tau_bounds_arrays(a, b, r) -> tuple[np.ndarray, np.ndarray]:

@@ -108,12 +108,9 @@ def parse_measurement_payload(payload: dict) -> GaussianMeasurement:
 
 
 def discord_report_to_dict(report: DiscordReport) -> dict:
-    """The report's fields in order, numbers rounded; a closed-form report has no u_opt, phi_opt.
-
-    A finite number (``x - x == 0``) is rounded in line as :func:`round12` rounds it.
-    """
-    return {name: value if name == "method" else float(f"{value:.12g}") + 0.0 if value - value == 0.0
-            else round12(value) for name, value in zip(report._fields, report) if value is not None}
+    """The report's fields in order, numbers rounded; a closed-form report has no u_opt, phi_opt."""
+    return {name: value if name == "method" else round12(value)
+            for name, value in zip(report._fields, report) if value is not None}
 
 
 def family_params_to_dict(fp: FamilyParams) -> dict:

@@ -133,13 +133,14 @@ class TestEmission:
         assert "u_opt" in parsed
 
     def test_report_fields_round_as_round12(self):
-        # the report's numbers are rounded in line; each reads as round12 of
-        # the field, -0.0 as 0.0 and the infinities spelled "inf" and "-inf"
+        # round12 formats in line, without fmt; each finite report field reads
+        # as float(fmt(x)), -0.0 as 0.0, and the infinities spell "inf" and "-inf"
         values = (-0.0, math.inf, -math.inf, 2.0 / 3.0, -1e-320, 1e308, 0.0)
         rep = DiscordReport(*values, "numeric_scan", 0.9500672649450631, -0.0)
         d = discord_report_to_dict(rep)
         assert list(d) == list(rep._fields)
-        assert repr(d) == repr({name: value if name == "method" else round12(value)
+        spelled = {math.inf: "inf", -math.inf: "-inf"}
+        assert repr(d) == repr({name: value if name == "method" else spelled.get(value) or float(fmt(value))
                                 for name, value in zip(rep._fields, rep)})
         assert json.dumps([d["s_a"], d["phi_opt"], d["s_b"], d["s_ab"]]) == '[0.0, 0.0, "inf", "-inf"]'
         nan = discord_report_to_dict(rep._replace(discord=math.nan))["discord"]

@@ -490,7 +490,8 @@ def _pattern_edge(scale):
 def test_pattern_bound_is_inclusive(past, slot, scale):
     # an entry off its pattern by exactly _PATTERN_RTOL max |V| still reads as
     # the normal form: its own bits, its (c, cp) order and T_B = I.  One ulp
-    # further off and V is reduced, which puts c >= |cp|
+    # further off and V is reduced, which puts c >= |cp|: a local rotation by
+    # pi/2 on each mode, then by pi on one, reads (c, cp) as (-cp, -c)
     M, t = _pattern_edge(scale)
     nf = NormalFormCM(2.0 * scale, M, 0.75 * scale, -1.25 * scale)
     rows = nf.rows()
@@ -503,6 +504,7 @@ def test_pattern_bound_is_inclusive(past, slot, scale):
     red = reduce_cm(rows)
     if past:
         assert red.nf.c > abs(red.nf.cp)
+        assert red.nf == pytest.approx((2.0 * scale, M, 1.25 * scale, -0.75 * scale), rel=1e-12)
     else:
         assert red == (nf, (1.0, 0.0, 0.0, 1.0))
         assert red.nf.c < abs(red.nf.cp)
