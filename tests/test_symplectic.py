@@ -504,7 +504,7 @@ def test_pattern_bound_is_inclusive(past, slot, scale):
     red = reduce_cm(rows)
     if past:
         assert red.nf.c > abs(red.nf.cp)
-        assert red.nf == pytest.approx((2.0 * scale, M, 1.25 * scale, -0.75 * scale), rel=1e-12)
+        assert red.nf == pytest.approx((2.0 * scale, M, 1.25 * scale, -0.75 * scale), rel=1e-12, abs=0.0)
     else:
         assert red == (nf, (1.0, 0.0, 0.0, 1.0))
         assert red.nf.c < abs(red.nf.cp)
