@@ -140,13 +140,13 @@ def _shape_text(V) -> str:
         return "a ragged sequence"
 
 
-def _unit_det_sqrt(x00: float, x01: float, x11: float):
+def _unit_det_sqrt(x00: float, x01: float, x11: float, det: float):
     """(sqrt(det X), M^{1/2}, M^{-1/2}) of a positive definite 2x2 X, M = X/sqrt(det X).
 
     For ``det M = 1``, ``M^{+-1/2} = (M + I)/s`` and ``(adj M + I)/s`` with
     ``s = sqrt(tr M + 2)``; each matrix is returned as (m00, m01, m11).
     """
-    root = math.sqrt(x00 * x11 - x01 * x01)
+    root = math.sqrt(det)
     m00, m01, m11 = x00 / root, x01 / root, x11 / root
     s = math.sqrt(m00 + m11 + 2.0)
     h00, h01, h11 = (m00 + 1.0) / s, m01 / s, (m11 + 1.0) / s
@@ -167,9 +167,10 @@ def reduce_cm(V: np.ndarray) -> Reduction:
         alpha - beta = atan2(H, E),  alpha + beta = atan2(G, F),
 
     so ``c >= |cp|`` and ``c cp = det C``; ``T_B^{-1} = M_B^{1/2} R(beta)``.
-    A CM already in normal form is returned as it is, with ``T_B = I``.
-    Raises DomainError when V is not a 4x4 matrix of numbers, or when A or B
-    is not positive definite.
+    A CM already in normal form is returned as it is, with ``T_B = I``; one
+    whose block determinants pass the float range is reduced as its exact
+    copy ``2^-k V`` (:func:`_reduce_scaled`).  Raises DomainError when V is
+    not a 4x4 matrix of numbers, or when A or B is not positive definite.
     """
     return _reduce_rows(_cm_rows(V))
 
@@ -190,10 +191,15 @@ def _reduce_rows(rows) -> Reduction:
             max(abs(a00), abs(b00), abs(c00), abs(c11)) + distance
     ) and distance <= _PATTERN_RTOL * max(map(abs, sum(rows, []))):
         return _record(Reduction, (_record(NormalFormCM, (a00, b00, c00, c11)), _IDENTITY))
-    if not (a00 > 0.0 and a00 * a11 > a01 * a01 and b00 > 0.0 and b00 * b11 > b01 * b01):
+    # for floats x - y > 0 exactly when x > y; a product past the float range
+    # leaves a determinant of inf or NaN, and only then is V scaled
+    det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
+    if not (det_a < math.inf and det_b < math.inf):
+        return _reduce_scaled(rows)
+    if not (a00 > 0.0 and det_a > 0.0 and b00 > 0.0 and det_b > 0.0):
         raise DomainError("not positive definite")
-    a, _, (p00, p01, p11) = _unit_det_sqrt(a00, a01, a11)
-    b, (h00, h01, h11), (q00, q01, q11) = _unit_det_sqrt(b00, b01, b11)
+    a, _, (p00, p01, p11) = _unit_det_sqrt(a00, a01, a11, det_a)
+    b, (h00, h01, h11), (q00, q01, q11) = _unit_det_sqrt(b00, b01, b11, det_b)
     n00, n01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11  # S_A C
     n10, n11 = p01 * c00 + p11 * c10, p01 * c01 + p11 * c11
     m00, m01 = n00 * q00 + n01 * q01, n00 * q01 + n01 * q11  # S_A C S_B
@@ -205,6 +211,20 @@ def _reduce_rows(rows) -> Reduction:
     cb, sb = math.cos(beta), math.sin(beta)
     tb_inv = (h00 * cb + h01 * sb, h01 * cb - h00 * sb, h01 * cb + h11 * sb, h11 * cb - h01 * sb)
     return _record(Reduction, (_record(NormalFormCM, (a, b, q + r, q - r)), tb_inv))
+
+
+def _reduce_scaled(rows) -> Reduction:
+    """:func:`_reduce_rows` of the exact copy ``2^-k V``, the normal form scaled back by ``2^k``.
+
+    k is the binary exponent of max |V| less one, so no product of the copy
+    overflows; ``nf(2^-k V) = 2^-k nf(V)`` and ``tb_inv`` is the same map,
+    exactly where no entry of the copy underflows.
+    """
+    k = math.frexp(max(map(abs, sum(rows, []))))[1] - 1
+    nf, tb_inv = _reduce_rows([[math.ldexp(x, -k) for x in row] for row in rows])
+    s = 2.0**k
+    nf = _record(NormalFormCM, (nf.a * s, nf.b * s, nf.c * s, nf.cp * s))
+    return _record(Reduction, (nf, tb_inv))
 
 
 def normal_form_from_cm(V: np.ndarray) -> NormalFormCM:
@@ -292,7 +312,8 @@ def _verdict(a, b, c, cp, xp=math, largest=max):
 
     Floats, or arrays with ``xp=np, largest=_array_max``.  All is read on the
     copy ``(a, b, c, cp) 2^-k``, k the binary exponent of the largest
-    |parameter| less one, so no product overflows; nu scales back by ``2^k``
+    |parameter| less one (0 where one is inf or NaN, which no verdict
+    accepts), so no product overflows; nu scales back by ``2^k``
     and disc by ``2^4k``, exactly: to the bits of an unscaled reading wherever
     that neither overflows nor underflows, and to +-inf past the float range
     (``1e308, 1e308, 9e307, 9e307`` has nu_plus = 1.9e308).
@@ -315,7 +336,10 @@ def _verdict(a, b, c, cp, xp=math, largest=max):
     comparison.  ``indefinite`` (``a < 0`` or a negative determinant) names a
     rejection's reason.
     """
-    k = xp.frexp(largest(abs(a), abs(b), abs(c), abs(cp)))[1] - 1
+    # frexp's mantissa is in [0.5, 1) or 0, and inf or NaN with exponent 0 for a
+    # non-finite parameter, which takes k = 0 so that no ldexp overflows
+    mantissa, k = xp.frexp(largest(abs(a), abs(b), abs(c), abs(cp)))
+    k = k - (mantissa < 1.0)
     ldexp, sqrt = xp.ldexp, xp.sqrt
     a, b, c, cp = ldexp(a, -k), ldexp(b, -k), ldexp(c, -k), ldexp(cp, -k)
     ab = a * b

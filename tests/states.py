@@ -46,6 +46,13 @@ BOUNDARY_SQUEEZED_THERMAL_NF = NormalFormCM(
     4.325826795419861, 1.0336081784686835, 0.4230736790517374, -0.4230736790517374)
 FRAME_DEPENDENT_WITNESS_NF = NormalFormCM(
     2.636796545476645, 3.9724079298444064, 2.5576493952517754, -2.678161171105045)
+# a family state whose ab - c^2 (about 194.6) is formed from products of about
+# 6.5e17, so both routes lose digits (items 2, 12 and 17): the numeric route
+# reads 0.6218 and the closed form -0.2542, where 80-digit mpmath of the
+# invariant formula (Adesso & Datta 2010) reads the value below
+CANCELLING_NF = NormalFormCM(
+    776597626.7080388, 835407354.672399, 805465932.8444784, -237423594.40312833)
+CANCELLING_DISCORD = 0.0275687256574229
 
 # parameters of the extreme-scale sweep: each of a, b, c, cp is drawn from these,
 # with either sign on c and cp

@@ -592,6 +592,26 @@ def test_boundary_squeezed_thermal_state_decomposes(run_cli):
     assert res.exit_code == 0, res.stderr
 
 
+# CMs that miss their normal-form pattern with products past the float range:
+# a bona fide state whose conditional CM overflows, an axis state for decompose,
+# and a CM whose correlation block leaves it indefinite
+_PAST_PRODUCTS = '{"cm": [[2e154, 0, 1e154, 0], [0, 3e154, 0, 0], [1e154, 0, 4e154, 0], [0, 0, 0, 5e154]]}'
+_INDEFINITE = ('{"cm": [[1.08e154, -9.95e153, 1.65e306, 6.8e307], [-9.95e153, 1.84e154, -2.39e306, -9.88e307], '
+               '[1.65e306, -2.39e306, 1.75, -0.0287], [6.8e307, -9.88e307, -0.0287, 0.57]]}')
+
+
+@pytest.mark.parametrize("cmd, state, code, reason", [
+    ("discord", _PAST_PRODUCTS, 4, "numerical: conditional CM is not finite"),
+    ("decompose", _PAST_PRODUCTS, 3, "out-of-family: axis states"),
+    ("discord", _INDEFINITE, 2, "validation: state is not bona fide: not positive definite"),
+    ("decompose", _INDEFINITE, 2, "validation: state is not bona fide: not positive definite"),
+])
+def test_cm_past_the_product_range_gets_a_true_verdict(run_cli, cmd, state, code, reason):
+    res = run_cli([cmd, "--state", state])
+    assert res.exit_code == code, res.stderr
+    assert res.stderr.startswith(f"error: {reason}"), res.stderr
+
+
 def test_extreme_scales_end_in_a_result_or_one_typed_error(run_cli):
     rng = np.random.default_rng(2027)
     for _ in range(300):

@@ -30,12 +30,15 @@ from gdiscord import discord, symplectic
 from gdiscord.discord import _best_seed, _form, _scan_forms
 from gdiscord.family import _WITNESS_TOL, eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
+from gdiscord.symplectic import squeezed_thermal_bound
 from gdiscord.verification import (
     random_family_params,
     random_normal_forms,
     random_squeezed_thermal,
 )
 from states import (
+    CANCELLING_DISCORD,
+    CANCELLING_NF,
     FIXED_FRAME_ANGLES,
     FIXED_FRAMES,
     FRAME_DEPENDENT_WITNESS_NF,
@@ -45,6 +48,7 @@ from states import (
     local_frame,
     local_symplectic,
     seeded_states,
+    squeezed_rotations,
     verify_cms,
 )
 
@@ -386,6 +390,43 @@ def test_witness_survives_a_frame_that_misses_the_pattern_match():
     tol = _WITNESS_TOL * max(1.0, FRAME_DEPENDENT_WITNESS_NF.a)
     for x, y in ((fp_t.r, fp.r), (fp_t.sign, fp.sign), (fp_t.xi, fp.xi)):
         assert x == pytest.approx(y, abs=tol)
+
+
+def _scaled_squeezed_thermal_cms(rng, e, n):
+    """n squeezed-thermal CMs, a and b in [1, 10] 10^e, each in one of the bank's frames."""
+    for _ in range(n):
+        a, b = rng.uniform(1.0, 10.0, 2) * 10.0**e
+        c = math.sqrt(rng.uniform(0.0, squeezed_thermal_bound(a, b)))
+        V = embed_normal_form(NormalFormCM(a, b, c, -c))
+        pick = rng.integers(6)
+        S = (np.eye(4), local_symplectic(rng), squeezed_rotations(rng), *FIXED_FRAMES)[pick]
+        yield S @ V @ S.T
+
+
+_PAST_THE_NUMERIC_RANGE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 15: the numeric route's forms overflow from a*b of about 1.3e154")
+
+
+@pytest.mark.parametrize("e", [*range(0, 73, 8), *(pytest.param(e, marks=_PAST_THE_NUMERIC_RANGE)
+                                                    for e in (80, 100, 120))])
+def test_routes_agree_at_scale(e):
+    # verify's criterion 1 bounds the gap at 1e-6 on variances up to 5; here the
+    # variances reach 10^(e+1), and the frames reach the reduction's general path
+    rng = np.random.default_rng([17, e])
+    for W in _scaled_squeezed_thermal_cms(rng, e, 40):
+        numeric, closed = discord_routes(W)
+        assert closed is not None
+        assert abs(numeric.discord - closed.discord) <= 1e-6, (e, numeric, closed)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2, 12 and 17: ab - c^2 cancels in both routes")
+@pytest.mark.parametrize("route", ["numeric", "closed"])
+def test_cancelling_state_gets_its_discord(route):
+    if route == "numeric":
+        report = gaussian_discord_numeric(embed_normal_form(CANCELLING_NF))
+    else:
+        report = gaussian_discord_closed_form(membership(CANCELLING_NF))
+    assert report.discord == pytest.approx(CANCELLING_DISCORD, abs=1e-6)
 
 
 class TestInputValidation:

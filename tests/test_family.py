@@ -266,6 +266,13 @@ class TestMembership:
         with pytest.raises(DomainError, match="not bona fide"):
             membership(NormalFormCM(*params))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_beside_a_huge_parameter_rejected(self, bad):
+        # the verdict reads k = 0 off a non-finite largest parameter, so no
+        # ldexp of 1e308 overflows
+        with pytest.raises(DomainError, match="not bona fide"):
+            membership(NormalFormCM(bad, 1e308, 0.0, 0.0))
+
     def test_squeezed_thermal_route(self):
         fp = membership(WORKED_NF)
         assert fp.r == 1.0

@@ -548,3 +548,18 @@ def test_spectrum_past_the_float_range_is_a_diagnosis(nf):
         assert diag.bona_fide and diag.nu_min == pytest.approx(1e307, rel=1e-12)
     else:
         assert not diag.bona_fide and diag.reason == "nu_min = 0 < 1"
+
+
+def test_reduction_past_the_product_range_reads_a_scaled_copy():
+    # every product of 2^600 V overflows, so it is reduced as the exact copy
+    # 2^-k V and scaled back: the normal form is 2^600 nf(V), bit for bit, and
+    # T_B^{-1} is V's own map
+    rng = np.random.default_rng(154)
+    for nf in scalar_normal_forms(rng, 60):
+        S = squeezed_rotations(rng)
+        V = S @ embed_normal_form(nf) @ S.T
+        red, big = reduce_cm(V), reduce_cm(2.0**600 * V)
+        assert big.nf == tuple(2.0**600 * x for x in red.nf)
+        assert big.tb_inv == red.tb_inv
+        diag = validate_bona_fide(2.0**600 * V)
+        assert diag.bona_fide and diag.nu_min == 2.0**600 * validate_bona_fide(V).nu_min
