@@ -1,4 +1,4 @@
-"""Compare two gdiscord source trees, interleaved on one CPU: per-state layers or cold launches.
+"""Compare two gdiscord source trees, interleaved on one CPU: the discord operation or cold launches.
 
     python3 scripts/compare_trees.py {layers,launches} BEFORE_SRC AFTER_SRC [--rounds 10] [--cpu 0]
 
@@ -12,20 +12,24 @@ BEFORE's rounds.  A speed claim holds when AFTER wins at least 9 of 10
 rounds and the median saving exceeds BEFORE's IQR; 10, the default, is the
 fewest rounds a claim may cite.
 
-``layers`` times each layer of the ``gdiscord discord`` pipeline in process,
-one child per tree and round, as the best of ``PASSES`` passes over the
-benchmark's own inputs: the 1,600 normal forms of discord-nf and the 900
-CMs in local frames of discord-cm that a 25-second seed-1 run draws, made
-with ``perfbench/inputs.py`` as ``perfbench/workloads.py`` makes them.  The
-layers are
+``layers`` times the benchmark's own discord operation, ``ops.discord_op``
+of ``perfbench/``, in process: one child per tree and round imports it, read
+only, against that tree's ``gdiscord`` and runs it on the benchmark's seed-1
+inputs, ``workloads._discord_inputs``, as many as a run of ``run_seconds``
+of ``BENCHMARK.json`` draws: 1,600 normal forms for discord-nf and 900 CMs in
+local frames for discord-cm.  Each of ``PASSES`` passes runs every state
+once through ``harness.direct``, for the key ``op.discord`` (per state), and
+once through a hook that times each call under the span name ``ops`` gives
+it (per call):
 
-    validate_bona_fide, normal_form_from_cm, membership,
-    gaussian_discord_closed_form, gaussian_discord_numeric,
-    discord_report_to_dict
+    symplectic.validate_bona_fide, symplectic.normal_form_from_cm,
+    family.membership, discord.gaussian_discord_closed_form,
+    discord.gaussian_discord_numeric, serialize.discord_report_to_dict
 
-and each one past the CM layers reads the outputs of the layers it follows.
-Last it prints a sha256 of every output of each tree (each record's
-``repr``, each exception's type and message), and exits 1 when they differ.
+the names of the benchmark's traced per-layer metrics.  A key's figure is
+the best of the passes.  Last it prints a sha256, per tree, of what every
+span returned (its ``repr``) or raised (the error's type and message), state
+by state, and exits 1 when the two trees differ.
 
 ``launches`` copies both trees twice, once without bytecode and once
 compiled with ``compileall``, and times fresh-interpreter launches of
@@ -39,6 +43,7 @@ import argparse
 import compileall
 import hashlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -50,14 +55,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SIDES = ("before", "after")
-# discord-nf and discord-cm draw 64 and 36 states per second of a run
-STATES = {"discord-nf": 1600, "discord-cm": 900}
 SEED = 1
 PASSES = 9
-LAYERS = ("validate_bona_fide", "normal_form_from_cm", "membership",
-          "gaussian_discord_closed_form", "gaussian_discord_numeric", "discord_report_to_dict")
-FEEDS = {"membership": ("normal_form_from_cm",), "gaussian_discord_closed_form": ("membership",),
-         "discord_report_to_dict": ("gaussian_discord_numeric", "gaussian_discord_closed_form")}
 COMMANDS = {
     "classify": ["classify", "--tau", "0.5", "--eta", "0.6"],
     "discord": ["discord", "--normal-form", "5,2,2.449489743,-2.449489743"],
@@ -81,96 +80,80 @@ def interleave(rounds: int, measure) -> dict:
 def report(runs: dict, unit: str) -> None:
     """Print each key's median per tree, median saving, rounds AFTER won and BEFORE's IQR."""
     n = len(runs["before"])
-    print(f"  {'median ' + unit:40s} {'before':>9s} {'after':>9s} {'saving':>9s} {'won':>6s} "
+    print(f"  {'median ' + unit:48s} {'before':>9s} {'after':>9s} {'saving':>9s} {'won':>6s} "
           f"{'IQR before':>10s}")
-    for key in runs["before"][0]:
+    for key in [key for key in runs["before"][0] if key in runs["after"][0]]:
         before, after = ([run[key] for run in runs[side]] for side in SIDES)
         q1, _, q3 = statistics.quantiles(before, n=4, method="inclusive") if n > 1 else before * 3
         saving = statistics.median(b - a for b, a in zip(before, after))
         won = sum(a < b for b, a in zip(before, after))
-        print(f"  {key:40s} {statistics.median(before):9.2f} {statistics.median(after):9.2f} "
+        print(f"  {key:48s} {statistics.median(before):9.2f} {statistics.median(after):9.2f} "
               f"{saving:+9.2f} {won:3d}/{n:<2d} {q3 - q1:10.2f}")
 
 
-def draw_inputs() -> dict:
-    """The benchmark's seed-1 discord inputs as CMs in nested lists, drawn by perfbench's code."""
-    sys.dont_write_bytecode = True  # perfbench/ is read, never written
-    sys.path.insert(0, PERFBENCH)
-    import inputs
-    import numpy as np
-
-    drawn = {}
-    for name, n in STATES.items():
-        rng = np.random.default_rng([SEED, 1 if name == "discord-cm" else 0])
-        nfs = inputs.normal_forms(rng, n)
-        if name == "discord-nf":
-            cms = [inputs.normal_form_matrix(row) for row in nfs]
-        else:
-            syms = inputs.local_symplectics(rng, n)
-            cms = [inputs.transformed_cm(row, sym) for row, sym in zip(nfs, syms)]
-        drawn[name] = [V.tolist() for V in cms]
-    return drawn
-
-
-def child(path: str) -> None:
-    """Time every layer on every input set; print {"us": {...}, "digest": ...} as JSON."""
-    import numpy as np
-
-    from gdiscord.discord import gaussian_discord_closed_form, gaussian_discord_numeric
+def child() -> None:
+    """Time ``ops.discord_op`` and its spans on both input sets; print {"us": ..., "digest": ...}."""
+    sys.path.insert(0, PERFBENCH)  # read only: children run with PYTHONDONTWRITEBYTECODE=1
+    import harness
+    import ops
+    import workloads
     from gdiscord.errors import GDiscordError
-    from gdiscord.family import membership
-    from gdiscord.serialize import discord_report_to_dict
-    from gdiscord.symplectic import normal_form_from_cm, validate_bona_fide
 
-    funcs = dict(zip(LAYERS, (validate_bona_fide, normal_form_from_cm, membership,
-                              gaussian_discord_closed_form, gaussian_discord_numeric,
-                              discord_report_to_dict)))
-    with open(path) as f:
-        drawn = json.load(f)
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
+        run_seconds = json.load(f)["run_seconds"]
+    spans, outputs = {}, []  # span name -> seconds of each call; (span name, what it returned)
+
+    def span(name, fn, *args):
+        """harness.direct that times the call under its span and keeps what it returns or raises."""
+        t0 = time.perf_counter()
+        try:
+            out = fn(*args)
+        except GDiscordError as exc:
+            out = exc
+        spans.setdefault(name, []).append(time.perf_counter() - t0)
+        outputs.append((name, out))
+        if isinstance(out, GDiscordError):
+            raise out
+        return out
+
+    def sweep(cms, call) -> float:
+        t0 = time.perf_counter()
+        for V in cms:
+            try:
+                ops.discord_op(V, call)
+            except GDiscordError:
+                pass
+        return time.perf_counter() - t0
+
     sha = hashlib.sha256()
     us = {}
-    for name, rows in drawn.items():
-        cms = [np.array(V) for V in rows]
-        outputs = {}
-        for layer in LAYERS:
-            # a layer past the CM ones reads the outputs of the layers it follows, errors left out
-            xs = [x for prior in FEEDS[layer] for x in outputs[prior]
-                  if not isinstance(x, str)] if layer in FEEDS else cms
-            fn = funcs[layer]
-            outputs[layer] = out = []
-            for x in xs:
-                try:
-                    out.append(fn(x))
-                except GDiscordError as exc:
-                    out.append(f"{type(exc).__name__}: {exc}")
-            sha.update(repr(out).encode())
-            best = float("inf")
-            for _ in range(PASSES):
-                t0 = time.perf_counter()
-                for x in xs:
-                    try:
-                        fn(x)
-                    except GDiscordError:
-                        pass
-                best = min(best, time.perf_counter() - t0)
-            us[f"{layer} {name}"] = 1e6 * best / max(len(xs), 1)
+    for kind, per_s in workloads.DISCORD_STATES_PER_S.items():
+        cms = workloads._discord_inputs(kind, SEED, round(per_s * run_seconds))[1]
+        best = {"op.discord": math.inf}
+        for i in range(PASSES):
+            best["op.discord"] = min(best["op.discord"], sweep(cms, harness.direct) / len(cms))
+            spans.clear()
+            outputs.clear()
+            sweep(cms, span)
+            for name, secs in spans.items():
+                best[name] = min(best.get(name, math.inf), sum(secs) / len(secs))
+            if i == 0:
+                sha.update(repr(outputs).encode())
+        us.update({f"{name} discord-{kind}": 1e6 * secs for name, secs in best.items()})
     print(json.dumps({"us": us, "digest": sha.hexdigest()}))
 
 
-def layers(trees: dict, rounds: int, tmp: str) -> int:
-    path = os.path.join(tmp, "inputs.json")
-    with open(path, "w") as f:
-        json.dump(draw_inputs(), f)
+def layers(trees: dict, rounds: int) -> int:
     env = {side: dict(os.environ, PYTHONPATH=os.pathsep.join([src, HERE]),
                       PYTHONDONTWRITEBYTECODE="1") for side, src in trees.items()}
     runs = interleave(rounds, lambda side: json.loads(subprocess.run(
-        [sys.executable, "-c", f"import compare_trees; compare_trees.child({path!r})"],
+        [sys.executable, "-c", "import compare_trees; compare_trees.child()"],
         env=env[side], stdout=subprocess.PIPE, check=True, text=True).stdout))
-    print(f"best of {PASSES} passes per round:")
-    report({side: [run["us"] for run in runs[side]] for side in SIDES}, "us per call")
+    print(f"best of {PASSES} passes per round; op.discord per state, each span per call:")
+    report({side: [run["us"] for run in runs[side]] for side in SIDES}, "us")
     digests = {side: {run["digest"] for run in runs[side]} for side in SIDES}
     for side, seen in digests.items():
-        print(f"  sha256 of every output, {side}: {', '.join(sorted(seen))}")
+        print(f"  sha256 of every span's output, {side}: {', '.join(sorted(seen))}")
     if digests["before"] != digests["after"] or len(digests["before"]) != 1:
         print("outputs differ between the trees")
         return 1
@@ -227,8 +210,10 @@ def main() -> int:
     os.sched_setaffinity(0, {opts.cpu})  # children inherit the one CPU
     trees = {side: os.path.abspath(getattr(opts, side)) for side in SIDES}
     print(f"{opts.mode}: {opts.rounds} interleaved rounds on CPU {opts.cpu}")
+    if opts.mode == "layers":
+        return layers(trees, opts.rounds)
     with tempfile.TemporaryDirectory() as tmp:
-        return (layers if opts.mode == "layers" else launches)(trees, opts.rounds, tmp)
+        return launches(trees, opts.rounds, tmp)
 
 
 if __name__ == "__main__":

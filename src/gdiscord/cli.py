@@ -4,6 +4,9 @@ Thin wrappers only: every numerical result comes from the library modules.
 Exit codes: 0 success, 2 usage or validation error (malformed input, not
 bona fide), 3 state outside the decomposition family, 4 numerical failure.
 Errors print one machine-parseable line on stderr: ``error: <kind>: <detail>``.
+``discord`` warns on stderr, ``warning: route-gap: <detail>``, when its two
+routes disagree by more than ``discord.ROUTE_GAP_BOUND``; stdout and the exit
+code stay as they are.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _state_from_options(normal_form: str | None, state: str | None):
 
 def discord(args):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
-    from .discord import gaussian_discord_closed_form, gaussian_discord_numeric
+    from .discord import ROUTE_GAP_BOUND, gaussian_discord_closed_form, gaussian_discord_numeric
     from .family import membership
 
     V, diag = _state_from_options(args.normal_form, args.state)
@@ -85,12 +88,16 @@ def discord(args):
         closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
     except OutOfFamily:
         closed = None
+    gap = closed and abs(closed.discord - numeric.discord)
     sys.stdout.write(serialize.dumps({
         "numeric": serialize.discord_report_to_dict(numeric),
         "closed_form": closed and serialize.discord_report_to_dict(closed),
-        "agreement_delta": closed and serialize.round12(abs(closed.discord - numeric.discord)),
+        "agreement_delta": serialize.round12(gap),
         "in_family": closed is not None,
     }))
+    if closed and gap > ROUTE_GAP_BOUND:
+        sys.stderr.write(f"warning: route-gap: the numeric and closed-form discords differ by "
+                         f"{serialize.fmt(gap)} bits, more than {ROUTE_GAP_BOUND:g}\n")
 
 
 def decompose(args):

@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from .channels import min_output_entropy
-from .entropy import h
+from .entropy import H_CLAMP_TOL, h
 from .errors import DomainError, NumericalFailure
 from .family import FamilyParams, family_cm_from_params
 from .remote_prep import GaussianMeasurement, _conditioning
@@ -78,6 +78,9 @@ from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, _record, normal_
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
 _ROUNDING_MARGIN = 8.0 * 2.0**-52
+# bits by which the numeric and closed-form discords of a family state may
+# differ: the limit of verify's criterion 1; past it the CLI warns on stderr
+ROUTE_GAP_BOUND = 1e-6
 
 
 class DiscordReport(NamedTuple):
@@ -182,14 +185,20 @@ def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
     det = d00 * d11 - d01 * d10
     if not math.isfinite(det):
         raise NumericalFailure("conditional CM is not finite")
-    return h(math.sqrt(max(det, 0.0)))
+    nu = math.sqrt(max(det, 0.0))
+    if nu < 1.0 - H_CLAMP_TOL:  # below h's domain: det D has rounded below the vacuum
+        raise NumericalFailure(f"conditional CM's symplectic eigenvalue {nu!r} is below 1: "
+                               "its determinant rounded below the vacuum's")
+    return h(nu)
 
 
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
     """Average entropy of mode A after measuring mode B with ``m``.
 
     The conditional CM is outcome-independent, so no averaging is needed:
-    the value is ``h`` of its symplectic eigenvalue.
+    the value is ``h`` of its symplectic eigenvalue.  Raises NumericalFailure
+    when the conditional CM is not finite, or when its eigenvalue has rounded
+    below ``h``'s domain ``[1 - H_CLAMP_TOL, inf)``: no clamp lifts it to 1.
     """
     return _entropy_measured(_cm_rows(V), *m.weights, m.phi)
 

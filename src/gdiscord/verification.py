@@ -23,6 +23,7 @@ from .channels import (
     pathological_form_matrices,
 )
 from .discord import (
+    ROUTE_GAP_BOUND,
     conditional_entropy_measured,
     gaussian_discord_closed_form,
     gaussian_discord_numeric,
@@ -173,12 +174,12 @@ def discord_sweep(n: int = 1000) -> tuple[CheckResult, CheckResult]:
         max_het_gap = max(max_het_gap, het - numeric.s_min_cond)
     elapsed = time.perf_counter() - t0
 
-    ok1 = max_dd <= 1e-6 and elapsed <= 60.0
+    ok1 = max_dd <= ROUTE_GAP_BOUND and elapsed <= 60.0
     res1 = CheckResult(
         "1-closed-vs-numeric-agreement",
         ok1,
         f"{n} squeezed-thermal states, max |D_closed - D_numeric| = {max_dd:.3e}"
-        f" (limit 1e-06), runtime {elapsed:.1f}s (limit 60s)",
+        f" (limit {ROUTE_GAP_BOUND:g}), runtime {elapsed:.1f}s (limit 60s)",
         elapsed,
     )
     ok2 = max_smin_err <= 1e-6 and max_het_gap <= 1e-8

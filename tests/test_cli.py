@@ -15,8 +15,9 @@ import gdiscord
 from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
 from gdiscord import GaussianMeasurement, cli, condition_on_outcome, conditioning_on_mode_A, symplectic
 from gdiscord.serialize import conditional_state_to_dict, dumps, round12
-from states import (BOUNDARY_SQUEEZED_THERMAL_NF, EXTREME_VALUES, NEGATIVE_DISCORD_NF, WORKED_CM,
-                    local_frame, seeded_states)
+from gdiscord.discord import ROUTE_GAP_BOUND
+from states import (BOUNDARY_SQUEEZED_THERMAL_NF, CANCELLING_NF, EXTREME_VALUES, NEGATIVE_DISCORD_NF,
+                    WORKED_CM, classed_normal_forms, local_frame, seeded_states)
 
 # the source tree that the subprocess tests run, and an environment that imports it
 SRC = str(Path(gdiscord.__file__).resolve().parents[1])
@@ -79,7 +80,7 @@ class TestDiscordCommand:
             "discord", "--normal-form", "5,2,2.449489743,-2.449489743",
         ])
         assert res.exit_code == 0
-        out = json.loads(res.output)
+        out = json.loads(res.stdout)
         assert out["in_family"] is True
         assert abs(out["numeric"]["discord"] - 0.950067) < 1e-6
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
@@ -88,7 +89,7 @@ class TestDiscordCommand:
     def test_rotated_state_reaches_closed_form(self, run_cli):
         res = run_cli(["discord", "--state", rotated_worked_state()])
         assert res.exit_code == 0
-        out = json.loads(res.output)
+        out = json.loads(res.stdout)
         assert out["in_family"] is True
         assert out["agreement_delta"] <= 1e-9
         assert abs(out["closed_form"]["discord"] - 0.950067) < 1e-6
@@ -98,7 +99,7 @@ class TestDiscordCommand:
         for frame in EPR_FRAMES:
             res = run_cli(["discord", "--state", squeezed_epr_state(b, frame)])
             assert res.exit_code == 0, (frame, res.stderr)
-            out = json.loads(res.output)
+            out = json.loads(res.stdout)
             assert out["in_family"] is True
             assert abs(out["numeric"]["discord"] - h(b)) < 1e-10  # a pure state: D = S(A)
             assert out["agreement_delta"] <= 1e-10
@@ -111,13 +112,13 @@ class TestDiscordCommand:
                             lambda rows: calls.append(rows) or reduce_rows(rows))
         res = run_cli(["discord", "--state", rotated_worked_state()])
         assert res.exit_code == 0
-        assert json.loads(res.output)["in_family"] is True
+        assert json.loads(res.stdout)["in_family"] is True
         assert len(calls) == 1
 
     def test_out_of_family_still_reports_numeric(self, run_cli):
         res = run_cli(["discord", "--normal-form", "2,2,1,-0.5"])
         assert res.exit_code == 0
-        out = json.loads(res.output)
+        out = json.loads(res.stdout)
         assert out["in_family"] is False
         assert out["closed_form"] is None
         assert out["numeric"]["discord"] > 0
@@ -128,7 +129,7 @@ class TestDiscordCommand:
         path.write_text(json.dumps(payload))
         res = run_cli(["discord", "--state", str(path)])
         assert res.exit_code == 0
-        assert abs(json.loads(res.output)["numeric"]["discord"] - 0.459148) < 1e-5
+        assert abs(json.loads(res.stdout)["numeric"]["discord"] - 0.459148) < 1e-5
 
     def test_not_bona_fide_exits_2(self, run_cli):
         res = run_cli(["discord", "--normal-form", "2,2,2,-2"])
@@ -176,16 +177,37 @@ class TestDiscordCommand:
     def test_large_variance_entropy(self, run_cli, state, s_a):
         res = run_cli(["discord", "--normal-form", state])
         assert res.exit_code == 0
-        assert json.loads(res.output)["numeric"]["s_a"] == s_a
+        assert json.loads(res.stdout)["numeric"]["s_a"] == s_a
 
 
     @pytest.mark.parametrize("state", ["2,1,1e-5,1e-5", "2,1,3e-5,-1e-5", "2,1,1e-5,-1e-5"])
     def test_vacuum_b_with_correlations_reports_numeric_only(self, run_cli, state):
         res = run_cli(["discord", "--normal-form", state])
         assert res.exit_code == 0
-        payload = json.loads(res.output)
+        payload = json.loads(res.stdout)
         assert payload["in_family"] is False
         assert payload["closed_form"] is None
+
+    @pytest.mark.parametrize("nf", [NormalFormCM(3e100, 2e100, 2.2e100, -2.2e100), CANCELLING_NF],
+                             ids=["past-the-numeric-range", "cancelling"])
+    def test_route_gap_is_one_warning_line(self, run_cli, nf):
+        # the two routes disagree (ROADMAP items 15 and 17): stdout and the exit code
+        # stay, and stderr names the gap
+        res = run_cli(["discord", "--normal-form", ",".join(map(repr, nf))])
+        assert res.exit_code == 0
+        gap = json.loads(res.stdout)["agreement_delta"]
+        assert gap > ROUTE_GAP_BOUND
+        assert res.stderr == (f"warning: route-gap: the numeric and closed-form discords differ "
+                              f"by {gap!r} bits, more than 1e-06\n")
+
+    def test_bank_states_raise_no_route_gap_warning(self, run_cli):
+        rng = np.random.default_rng(11)
+        in_family = 0
+        for nf in classed_normal_forms(rng, 100):
+            res = run_cli(["discord", "--normal-form", ",".join(map(repr, map(float, nf)))])
+            assert res.exit_code == 0 and res.stderr == "", (nf, res.stderr)
+            in_family += json.loads(res.stdout)["in_family"]
+        assert in_family == 300
 
 
 class TestDecomposeCommand:
@@ -498,6 +520,9 @@ HOSTILE_INPUTS = [
     # det B + 1 past the float range, which once read (B + V0)^{-1} as 0 and printed cm = A
     (["condition", "--state", '{"normal_form": {"a": 1e160, "b": 1e160, "c": 5e159, "cp": -5e159}}',
       "--measurement", '{"u": 1}', "--outcome", "0,0"], 4),
+    # an accepted state whose conditional CM's determinant rounds below the vacuum's
+    (["discord", "--normal-form",
+      "89892198.76922995,115051409.94953917,100494744.05535707,-101696726.65265156"], 4),
 ]
 
 
@@ -508,7 +533,8 @@ HOSTILE_INPUTS = [
     "condition-huge-int-u", "condition-5000-digit-u", "discord-5000-digit-normal-form",
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out", "sample-negative-seed", "sample-huge-n",
-    "sample-huge-bins", "classify-overflow", "condition-overflowing-denominator"])
+    "sample-huge-bins", "classify-overflow", "condition-overflowing-denominator",
+    "discord-conditional-below-vacuum"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)
@@ -551,7 +577,7 @@ def test_spectrum_that_overflows_is_read_rescaled(run_cli, cmd):
     # delta^2 overflows from about 1e77 on; the state is a product of thermal states
     res = run_cli([cmd, "--normal-form", "1e78,3,0,0"])
     assert res.exit_code == 0, res.output
-    out = json.loads(res.output)
+    out = json.loads(res.stdout)
     if cmd == "discord":
         assert out["numeric"]["s_a"] == out["closed_form"]["s_a"] == round12(h(1e78))
     else:
@@ -636,7 +662,7 @@ def test_thermal_product_of_unequal_variances_is_bona_fide(run_cli):
     # nu_minus = 3 << nu_plus = 1e16, where Delta - sqrt(disc) cancels to 0
     res = run_cli(["discord", "--normal-form", "1e16,3,0,0"])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["numeric"]["s_a"] == round12(h(1e16))
+    assert json.loads(res.stdout)["numeric"]["s_a"] == round12(h(1e16))
 
 
 @pytest.mark.parametrize("cmd", ["discord", "decompose"])

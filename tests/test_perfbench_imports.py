@@ -3,7 +3,9 @@ calls ``gdiscord.cli.main`` the way it expects.
 
 ``perfbench/`` imports gdiscord names directly and calls ``main`` with its own
 keywords, so deleting or renaming one would otherwise show only as a failed
-benchmark run.
+benchmark run.  ``scripts/compare_trees.py`` in turn runs the benchmark's
+discord operation on its inputs, so the names it reads from ``perfbench/``
+are checked here too.
 """
 
 import json
@@ -16,14 +18,16 @@ ROOT = Path(__file__).resolve().parents[1]
 IMPORTS = """\
 import sys
 sys.path[:0] = sys.argv[1:]
-import gdiscord, ops, inputs, harness, workloads, child
+import gdiscord, ops, inputs, harness, workloads, child, compare_trees
 assert gdiscord.__file__.startswith(sys.argv[1]), gdiscord.__file__
+assert callable(workloads._discord_inputs) and callable(ops.discord_op) and callable(harness.direct)
+assert set(workloads.DISCORD_STATES_PER_S) == {"nf", "cm"}, workloads.DISCORD_STATES_PER_S
 """
 
 
 def test_benchmark_modules_import_from_src():
     res = subprocess.run(
-        [sys.executable, "-c", IMPORTS, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", IMPORTS, str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")],
         capture_output=True, text=True, timeout=60,
     )
     assert res.returncode == 0, res.stderr
