@@ -20,8 +20,8 @@ _EXPORTS = {
         "classify", "min_output_entropy", "pathological_form_matrices",
     ),
     "discord": (
-        "DiscordReport", "conditional_entropy_measured", "gaussian_discord_closed_form",
-        "gaussian_discord_numeric",
+        "DiscordReport", "conditional_entropy_measured", "discord_routes",
+        "gaussian_discord_closed_form", "gaussian_discord_numeric",
     ),
     "entropy": ("entropy_two_mode", "h", "thermal_entropy_fock"),
     "errors": (

@@ -79,16 +79,9 @@ def _state_from_options(normal_form: str | None, state: str | None):
 
 def discord(args):
     """Quantum discord D(A|B), by numerical scan and (if in family) closed form."""
-    from .discord import ROUTE_GAP_BOUND, gaussian_discord_closed_form, gaussian_discord_numeric
-    from .family import membership
+    from .discord import ROUTE_GAP_BOUND, discord_routes
 
-    V, diag = _state_from_options(args.normal_form, args.state)
-    numeric = gaussian_discord_numeric(V, diag)
-    try:
-        closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
-    except OutOfFamily:
-        closed = None
-    gap = closed and abs(closed.discord - numeric.discord)
+    numeric, closed, gap = discord_routes(*_state_from_options(args.normal_form, args.state))
     sys.stdout.write(serialize.dumps({
         "numeric": serialize.discord_report_to_dict(numeric),
         "closed_form": closed and serialize.discord_report_to_dict(closed),

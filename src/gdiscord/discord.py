@@ -1,6 +1,6 @@
 """Quantum discord of two-mode Gaussian states under Gaussian measurements.
 
-Two routes are provided and cross-checked:
+Two routes are provided, and :func:`discord_routes` runs both on one CM:
 
 * a closed form for states in the EPR-plus-channel family, where the optimal
   measurement is known and the minimal conditional entropy is the channel's
@@ -70,8 +70,8 @@ from typing import NamedTuple
 from . import _numpy as np
 from .channels import min_output_entropy
 from .entropy import H_CLAMP_TOL, h
-from .errors import DomainError, NumericalFailure
-from .family import FamilyParams, family_cm_from_params
+from .errors import DomainError, NumericalFailure, OutOfFamily
+from .family import FamilyParams, family_cm_from_params, membership
 from .remote_prep import GaussianMeasurement, _conditioning
 from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, _record, normal_form_spectrum
 
@@ -175,6 +175,18 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     return best
 
 
+def _h_above_vacuum(nu: float, whose: str) -> float:
+    """``h`` of ``whose`` symplectic eigenvalue nu, which rounding may have put below the vacuum.
+
+    Raises NumericalFailure naming nu when it lies below ``h``'s domain
+    ``[1 - H_CLAMP_TOL, inf)``: no clamp lifts it to 1.
+    """
+    if nu < 1.0 - H_CLAMP_TOL:
+        raise NumericalFailure(f"{whose} symplectic eigenvalue {nu!r} is below 1: "
+                               "its determinant rounded below the vacuum's")
+    return h(nu)
+
+
 def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
     """:func:`conditional_entropy_measured` of the CM with row-major entries ``rows``.
 
@@ -185,11 +197,7 @@ def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
     det = d00 * d11 - d01 * d10
     if not math.isfinite(det):
         raise NumericalFailure("conditional CM is not finite")
-    nu = math.sqrt(max(det, 0.0))
-    if nu < 1.0 - H_CLAMP_TOL:  # below h's domain: det D has rounded below the vacuum
-        raise NumericalFailure(f"conditional CM's symplectic eigenvalue {nu!r} is below 1: "
-                               "its determinant rounded below the vacuum's")
-    return h(nu)
+    return _h_above_vacuum(math.sqrt(max(det, 0.0)), "conditional CM's")
 
 
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
@@ -203,14 +211,15 @@ def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float
     return _entropy_measured(_cm_rows(V), *m.weights, m.phi)
 
 
-def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
-    """``(u, phi, entropy)`` of the least measured conditional entropy of a CM.
+def _numeric_report(rows, diag: BonaFideDiagnosis) -> DiscordReport:
+    """Numeric route's report: the least measured conditional entropy of a CM, at (u, phi).
 
     ``rows`` are its row-major entries, ``diag`` its diagnosis.  Deterministic
     and loop-free: the angle comes from the normal-form reduction
     ``diag.reduction`` and u is minimised exactly at it (see the module
     docstring).  u is in [0, 1] and phi in [0, pi); a homodyne winner is
-    reported with u = 0.  Raises DomainError for a CM that is not bona fide.
+    reported with u = 0.  S(AB) comes from the diagnosis's spectrum.  Raises
+    DomainError for a CM that is not bona fide.
 
     When ``rows == nf.rows()``, V's forms and its phi = 0 best are the normal
     form's: they differ at most in the sign of a zero ``e`` term, on which no
@@ -251,7 +260,9 @@ def _minimize(rows, diag: BonaFideDiagnosis) -> tuple[float, float, float]:
     u, phi = x / y, phi % math.pi
     # the weights and angle GaussianMeasurement(u, phi) holds: u <= 1, and its
     # own reduction moves only a phi that rounded up to pi
-    return u, phi, _entropy_measured(rows, u, 1.0, phi % math.pi)
+    s_min = _entropy_measured(rows, u, 1.0, phi % math.pi)
+    return _report(h(nf.a), h(nf.b), h(diag.nu_min) + h(diag.nu_plus), s_min,
+                   "numeric_scan", u_opt=u, phi_opt=phi)
 
 
 def _report(
@@ -269,30 +280,45 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     """Discord of a family state: ``h(b) - h(nu-) - h(nu+) + h(|tau| + eta)``.
 
     The last term is the channel's minimum output entropy, attained by the
-    matched measurement; no numerical optimization is involved.
+    matched measurement; no numerical optimization is involved.  Raises
+    NumericalFailure when the witness normal form's nu- has rounded below 1.
     """
     nf = family_cm_from_params(fp)
     nu = normal_form_spectrum(nf)
     s_min = min_output_entropy(fp)  # fp holds its channel's (tau, eta), already checked
-    return _report(h(nf.a), h(nf.b), h(nu.nu_minus) + h(nu.nu_plus), s_min, "closed_form")
+    s_ab = _h_above_vacuum(nu.nu_minus, "witness normal form's") + h(nu.nu_plus)
+    return _report(h(nf.a), h(nf.b), s_ab, s_min, "closed_form")
 
 
-def gaussian_discord_numeric(
-    V: np.ndarray, diag: BonaFideDiagnosis | None = None
-) -> DiscordReport:
+def gaussian_discord_numeric(V: np.ndarray) -> DiscordReport:
     """Discord minimised over every rank-one Gaussian measurement; no family structure assumed.
 
     The least conditional entropy is found in closed form, minimising exactly
-    over u at phi = 0 and at phi* (see the module docstring).  ``diag`` is
-    V's :func:`symplectic.validate_bona_fide` diagnosis, when the caller
-    already has it; otherwise V is validated here, on the same one read of V.
+    over u at phi = 0 and at phi* (see the module docstring).  V is read and
+    validated once.
+    """
+    rows = _cm_rows(V)
+    return _numeric_report(rows, _diagnose(rows))
+
+
+def discord_routes(
+    V: np.ndarray, diag: BonaFideDiagnosis | None = None
+) -> tuple[DiscordReport, DiscordReport | None, float | None]:
+    """``(numeric, closed, gap)``: both routes on one CM, as ``gdiscord discord`` reports them.
+
+    V is read once and, unless ``diag`` holds its
+    :func:`symplectic.validate_bona_fide` diagnosis, validated on that read.
+    The numeric route runs first; then the closed form on the family witness
+    of the diagnosis's normal form, with ``closed`` None when V lies outside
+    the family.  ``gap`` is ``|closed.discord - numeric.discord|``, None
+    outside the family; past ``ROUTE_GAP_BOUND`` the routes disagree.
     """
     rows = _cm_rows(V)
     if diag is None:
         diag = _diagnose(rows)
-    u, phi, s_min = _minimize(rows, diag)
-    nf = diag.reduction.nf
-    return _report(
-        h(nf.a), h(nf.b), h(diag.nu_min) + h(diag.nu_plus), s_min,
-        "numeric_scan", u_opt=u, phi_opt=phi,
-    )
+    numeric = _numeric_report(rows, diag)
+    try:
+        closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
+    except OutOfFamily:
+        return numeric, None, None
+    return numeric, closed, abs(closed.discord - numeric.discord)

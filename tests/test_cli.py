@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import gdiscord
-from gdiscord import NormalFormCM, embed_normal_form, epr_cm, h, rotation_matrix, squeezer_matrix
+from gdiscord import (FamilyParams, NormalFormCM, embed_normal_form, epr_cm, family_cm_from_params, h,
+                      rotation_matrix, squeezer_matrix)
 from gdiscord import GaussianMeasurement, cli, condition_on_outcome, conditioning_on_mode_A, symplectic
 from gdiscord.serialize import conditional_state_to_dict, dumps, round12
 from gdiscord.discord import ROUTE_GAP_BOUND
@@ -523,6 +524,9 @@ HOSTILE_INPUTS = [
     # an accepted state whose conditional CM's determinant rounds below the vacuum's
     (["discord", "--normal-form",
       "89892198.76922995,115051409.94953917,100494744.05535707,-101696726.65265156"], 4),
+    # an accepted family state whose witness normal form's nu- rounds below the vacuum's
+    (["discord", "--normal-form",
+      "72359750755252.84,245003869751050.8,133148109071283.7,-133148109071253.8"], 4),
 ]
 
 
@@ -534,7 +538,7 @@ HOSTILE_INPUTS = [
     "condition-huge-float-u", "condition-infinity-u", "discord-nan-constant",
     "sample-unwritable-out", "sample-unwritable-grid-out", "sample-negative-seed", "sample-huge-n",
     "sample-huge-bins", "classify-overflow", "condition-overflowing-denominator",
-    "discord-conditional-below-vacuum"])
+    "discord-conditional-below-vacuum", "discord-closed-form-below-vacuum"])
 def test_hostile_input_ends_in_one_typed_error(args, code, tmp_path):
     res = subprocess.run([sys.executable, "-m", "gdiscord.cli", *args], cwd=tmp_path, env=SRC_ENV,
                          capture_output=True, text=True, timeout=10)
@@ -656,6 +660,27 @@ def test_extreme_scales_end_in_a_result_or_one_typed_error(run_cli):
                 assert res.stdout == "", args
             else:
                 json.loads(res.stdout)
+
+
+def test_accepted_family_states_are_never_a_validation_error(run_cli):
+    # family states with b log-uniform in [10^6, 10^17), r log-uniform on [1/b, b],
+    # tau ~ U[0.2, 0.9] and eta = (1 - tau) U[1, 3]: where rounding puts the
+    # conditional CM's or the witness normal form's nu- below the vacuum's 1,
+    # discord exits 4; this seed draws three states of the second kind
+    e, x, u_tau, u_eta = np.random.default_rng(4).random((4, 400))
+    b = 10.0 ** (6.0 + 11.0 * e)
+    tau = 0.2 + 0.7 * u_tau
+    params = zip(b.tolist(), (b ** (2.0 * x - 1.0)).tolist(), tau.tolist(),
+                 ((1.0 - tau) * (1.0 + 2.0 * u_eta)).tolist())
+    accepted = 0
+    for fp in params:
+        nf = family_cm_from_params(FamilyParams(*fp))
+        if not symplectic.validate_bona_fide(nf.rows()).bona_fide:
+            continue
+        accepted += 1
+        res = run_cli(["discord", "--normal-form", ",".join(map(repr, nf))])
+        assert res.exit_code in (0, 4), (nf, res.stderr)
+    assert accepted > 200
 
 
 def test_thermal_product_of_unequal_variances_is_bona_fide(run_cli):

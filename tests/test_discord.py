@@ -13,6 +13,7 @@ from gdiscord import (
     NumericalFailure,
     OutOfFamily,
     conditional_entropy_measured,
+    discord_routes,
     embed_normal_form,
     entropy_two_mode,
     epr_cm,
@@ -204,13 +205,6 @@ class TestScanObjective:
         for V in seeded_states(np.random.default_rng(42), 20):
             assert gaussian_discord_numeric(V).s_ab == entropy_two_mode(V)
 
-    def test_numeric_report_reuses_given_diagnosis(self):
-        for V in seeded_states(np.random.default_rng(43), 20):
-            assert gaussian_discord_numeric(V, validate_bona_fide(V)) == gaussian_discord_numeric(V)
-        V = np.diag([1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0])
-        with pytest.raises(DomainError, match="not bona fide"):
-            gaussian_discord_numeric(V, validate_bona_fide(V))
-
     def test_coupled_state_matches_normal_form(self):
         # a normal form under a local symplectic (rotation times squeezer
         # diag(sqrt(s), 1/sqrt(s)) per mode) that couples u and phi strongly:
@@ -307,15 +301,6 @@ class TestTermination:
             assert gaussian_discord_numeric(S @ V @ S.T).discord == pytest.approx(ref, abs=1e-6)
 
 
-def discord_routes(V):
-    """(numeric report, closed-form report or None), as `gdiscord discord` computes them."""
-    try:
-        closed = gaussian_discord_closed_form(membership(normal_form_from_cm(V)))
-    except OutOfFamily:
-        closed = None
-    return gaussian_discord_numeric(V), closed
-
-
 class TestLocalInvariance:
     def test_discord_verdict_and_route_survive_local_symplectics(self):
         # the witness (r, sign, xi) is left out: it still depends on the frame
@@ -325,14 +310,14 @@ class TestLocalInvariance:
         for nf in classed_normal_forms(rng, 60):
             V = embed_normal_form(nf)
             frames = (local_symplectic(rng), *FIXED_FRAMES)
-            numeric, closed = discord_routes(V)
+            numeric, closed, _ = discord_routes(V)
             assert validate_bona_fide(V).bona_fide
             fp = None if closed is None else membership(normal_form_from_cm(V))
             tol = _WITNESS_TOL * max(1.0, nf.a)
             for S in frames:
                 W = S @ V @ S.T
                 assert validate_bona_fide(W).bona_fide
-                numeric_t, closed_t = discord_routes(W)
+                numeric_t, closed_t, _ = discord_routes(W)
                 assert numeric_t.discord == pytest.approx(numeric.discord, abs=1e-12)
                 assert numeric_t.method == numeric.method
                 assert (closed is None) == (closed_t is None)
@@ -354,8 +339,8 @@ class TestLocalInvariance:
             for sign in (1, -1):
                 V = epr_cm(b, sign)
                 S = local_symplectic(rng)
-                numeric, closed = discord_routes(V)
-                numeric_t, closed_t = discord_routes(S @ V @ S.T)
+                numeric, closed, _ = discord_routes(V)
+                numeric_t, closed_t, _ = discord_routes(S @ V @ S.T)
                 assert numeric_t.discord == pytest.approx(h(b), abs=1e-10)
                 assert numeric.discord == pytest.approx(h(b), abs=1e-10)
                 assert closed_t.discord == pytest.approx(closed.discord, abs=1e-10)
@@ -414,9 +399,9 @@ def test_routes_agree_at_scale(e):
     # variances reach 10^(e+1), and the frames reach the reduction's general path
     rng = np.random.default_rng([17, e])
     for W in _scaled_squeezed_thermal_cms(rng, e, 40):
-        numeric, closed = discord_routes(W)
+        numeric, closed, gap = discord_routes(W)
         assert closed is not None
-        assert abs(numeric.discord - closed.discord) <= ROUTE_GAP_BOUND, (e, numeric, closed)
+        assert gap <= ROUTE_GAP_BOUND, (e, numeric, closed)
 
 
 # accepted family states (nu_min 1.289 and about 1.0) whose conditional CM at the
@@ -436,6 +421,20 @@ def test_conditional_eigenvalue_below_the_vacuum_is_a_numerical_failure():
     V = embed_normal_form(BELOW_VACUUM_NFS[1])
     with pytest.raises(NumericalFailure, match=r"eigenvalue 0\.0 is below 1"):
         conditional_entropy_measured(V, GaussianMeasurement.homodyne_q())
+
+
+# an accepted family state whose numeric route runs, but whose witness normal
+# form's nu- (nu_min 1.328 on the state) rounds below the vacuum's 1
+CLOSED_FORM_BELOW_VACUUM_NF = NormalFormCM(72359750755252.84, 245003869751050.8,
+                                           133148109071283.7, -133148109071253.8)
+
+
+def test_closed_form_eigenvalue_below_the_vacuum_is_a_numerical_failure():
+    nf = CLOSED_FORM_BELOW_VACUUM_NF
+    assert validate_bona_fide(nf.rows()).bona_fide
+    with pytest.raises(NumericalFailure, match=r"witness normal form's symplectic eigenvalue "
+                       r"0\.7669939408799111 is below 1"):
+        gaussian_discord_closed_form(membership(nf))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2, 12 and 17: ab - c^2 cancels in both routes")
@@ -560,7 +559,7 @@ class TestDiscordReports:
 @pytest.mark.parametrize("frame", [False, True], ids=["normal-form", "local-frame"])
 @pytest.mark.parametrize("with_diag", [False, True], ids=["validated-here", "diagnosis-passed"])
 def test_state_is_read_once(monkeypatch, frame, with_diag):
-    # validation and the route share one read of V through the checked gate
+    # validation and the routes share one read of V through the checked gate
     V = WORKED_CM
     if frame:
         S = local_symplectic(np.random.default_rng(37))
@@ -572,9 +571,18 @@ def test_state_is_read_once(monkeypatch, frame, with_diag):
     counted = lambda V: calls.append(V) or cm_rows(V)
     monkeypatch.setattr(symplectic, "_cm_rows", counted)
     monkeypatch.setattr(discord, "_cm_rows", counted)
-    rep = gaussian_discord_numeric(V, diag)
-    assert len(calls) == 1
-    assert rep.discord == pytest.approx(0.950067264945, abs=1e-9)
+    numeric, _, gap = discord_routes(V, diag)
+    assert len(calls) == 1 and gap <= 1e-9
+    if not with_diag:  # the numeric route alone reads V once too
+        calls.clear()
+        assert gaussian_discord_numeric(V) == numeric and len(calls) == 1
+    assert numeric.discord == pytest.approx(0.950067264945, abs=1e-9)
+
+
+def test_routes_reject_a_given_diagnosis_that_is_not_bona_fide():
+    V = np.diag([1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0])
+    with pytest.raises(DomainError, match="not bona fide"):
+        discord_routes(V, validate_bona_fide(V))
 
 
 def test_report_is_a_read_only_record():
@@ -656,12 +664,10 @@ def test_reports_keep_their_bits():
     folded = 0
     for rows in _pinned_cms():
         diag = validate_bona_fide(rows)
-        numeric = gaussian_discord_numeric(rows)
-        assert numeric == gaussian_discord_numeric(rows, diag)
-        try:
-            closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
-        except OutOfFamily:
-            closed = None
+        routes = discord_routes(rows, diag)
+        assert routes == discord_routes(rows)
+        numeric, closed, _ = routes
+        assert numeric == gaussian_discord_numeric(rows)
         folded += numeric.phi_opt == 0.5 * math.pi
         digest.update(repr((diag, numeric, closed)).encode())
     assert folded >= 10
