@@ -124,6 +124,8 @@ def _scan_forms(rows):
     ``S = B - C^T A^{-1} C``, eliminating on A without pivoting (A is positive
     definite) and multiplying by the pivots' reciprocals as LAPACK's ``solve``
     does, so a normal form's S is ``diag(b - c (c (1/a)), b - cp (cp (1/a)))``.
+    Raises NumericalFailure when a coefficient is not finite (from a*b of
+    about 1.3e154): no candidate can be ranked against inf.
     """
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     r0 = 1.0 / a00
@@ -137,7 +139,11 @@ def _scan_forms(rows):
     s00 = b00 - (c00 * x00 + c10 * x10)
     s01 = b01 - (c00 * x01 + c10 * x11)
     s11 = b11 - (c01 * x01 + c11 * x11)
-    return _form(s00, s01, s11, a00 * a11 - a01 * a10), _form(b00, b01, b11, 1.0)
+    forms = _form(s00, s01, s11, a00 * a11 - a01 * a10), _form(b00, b01, b11, 1.0)
+    if not all(map(math.isfinite, forms[0] + forms[1])):
+        raise NumericalFailure("scan forms overflow: det A (det S + 1) or det B + 1 "
+                               "is past the float range")
+    return forms
 
 
 def _best_seed(forms, phi: float) -> tuple[float, float, float]:

@@ -15,50 +15,51 @@ from states import local_frame
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    # criteria 1 and 2 share one pass over the same 1000 random states
-    return ver.discord_sweep(n=1000)
+def results():
+    # one run of every criterion, at the sizes `gdiscord verify` uses, keyed by number
+    return {int(result.name.split("-")[0]): result for result in ver.run_all()}
 
 
-def _assert(result: ver.CheckResult):
+def _assert(results, criterion: int):
+    result = results[criterion]
     print(result.line())
     assert result.passed, result.line()
 
 
-def test_criterion_1_closed_vs_numeric(sweep):
-    _assert(sweep[0])
+def test_criterion_1_closed_vs_numeric(results):
+    _assert(results, 1)
 
 
-def test_criterion_2_heterodyne_optimality(sweep):
-    _assert(sweep[1])
+def test_criterion_2_heterodyne_optimality(results):
+    _assert(results, 2)
 
 
-def test_criterion_3_worked_number():
-    _assert(ver.check_worked_number())
+def test_criterion_3_worked_number(results):
+    _assert(results, 3)
 
 
-def test_criterion_4_decomposition_round_trips():
-    _assert(ver.check_decomposition_round_trips(n=10_000))
+def test_criterion_4_decomposition_round_trips(results):
+    _assert(results, 4)
 
 
-def test_criterion_5_family_coverage():
-    _assert(ver.check_family_coverage(n=500_000))
+def test_criterion_5_family_coverage(results):
+    _assert(results, 5)
 
 
-def test_criterion_6_entropy_oracles():
-    _assert(ver.check_entropy_oracles(n=10_000))
+def test_criterion_6_entropy_oracles(results):
+    _assert(results, 6)
 
 
-def test_criterion_7_remote_prep_identities():
-    _assert(ver.check_remote_prep_identities())
+def test_criterion_7_remote_prep_identities(results):
+    _assert(results, 7)
 
 
-def test_criterion_8_channel_classification():
-    _assert(ver.check_channel_classification())
+def test_criterion_8_channel_classification(results):
+    _assert(results, 8)
 
 
-def test_criterion_9_sampler_determinism():
-    _assert(ver.check_sampler_determinism(n=200_000))
+def test_criterion_9_sampler_determinism(results):
+    _assert(results, 9)
 
 
 def scalar_family_params(rng, n):

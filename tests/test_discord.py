@@ -389,7 +389,9 @@ def _scaled_squeezed_thermal_cms(rng, e, n):
 
 
 _PAST_THE_NUMERIC_RANGE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 15: the numeric route's forms overflow from a*b of about 1.3e154")
+    strict=True, raises=NumericalFailure,
+    reason="ROADMAP item 15: the numeric route's forms overflow from a*b of about 1.3e154, "
+           "and the route ends in NumericalFailure instead of a value")
 
 
 @pytest.mark.parametrize("e", [*range(0, 73, 8), *(pytest.param(e, marks=_PAST_THE_NUMERIC_RANGE)
