@@ -33,10 +33,13 @@ by state, and exits 1 when the two trees differ.
 
 ``launches`` copies both trees twice, once without bytecode and once
 compiled with ``compileall``, and times fresh-interpreter launches of
-``classify``, ``discord``, ``decompose`` and ``condition`` from each copy;
-children run with ``PYTHONDONTWRITEBYTECODE=1``, so the uncompiled copies
-stay so.  Last it lists the modules of ``MODULES`` that ``-X importtime``
-shows each command importing, per tree.
+``classify``, ``discord``, ``decompose`` and ``condition`` from each copy,
+and from the compiled copy under ``python -S`` too: without ``site``, no
+``.pth`` file of the host preloads a module, so those rounds show what the
+commands import themselves.  Children run with
+``PYTHONDONTWRITEBYTECODE=1``, so the uncompiled copies stay so.  Last it
+lists the modules of ``MODULES`` that ``-X importtime`` shows each command
+importing under ``-S``, per tree.
 """
 
 import argparse
@@ -64,8 +67,10 @@ COMMANDS = {
     "condition": ["condition", "--state", '{"normal_form": {"a": 2, "b": 2, "c": 1, "cp": -1}}',
                   "--measurement", '{"u": 1}'],
 }
-CACHES = ("uncompiled", "compiled")
-MODULES = ("dataclasses", "inspect", "numpy", "gdiscord.symplectic")
+# launch variant -> (the copy it runs, its interpreter options)
+VARIANTS = {"uncompiled": ("uncompiled", ()), "compiled": ("compiled", ()),
+            "compiled -S": ("compiled", ("-S",))}
+MODULES = ("dataclasses", "inspect", "numpy", "pathlib", "typing", "gdiscord.symplectic")
 
 
 def interleave(rounds: int, measure) -> dict:
@@ -166,29 +171,31 @@ def launch(src: str, args: list, extra=()) -> subprocess.CompletedProcess:
                           capture_output=True, check=True)
 
 
-def timed(src: str, args: list) -> float:
+def timed(src: str, args: list, extra=()) -> float:
     t0 = time.perf_counter()
-    launch(src, args)
+    launch(src, args, extra)
     return 1e3 * (time.perf_counter() - t0)
 
 
 def launches(trees: dict, rounds: int, tmp: str) -> int:
     copies = {}
     for side, src in trees.items():
-        for cache in CACHES:
+        for cache in ("uncompiled", "compiled"):
             copies[side, cache] = dest = os.path.join(tmp, cache, side)
             shutil.copytree(os.path.join(src, "gdiscord"), os.path.join(dest, "gdiscord"),
                             ignore=shutil.ignore_patterns("__pycache__"))
             if cache == "compiled":
                 compileall.compile_dir(dest, quiet=1)
-    runs = interleave(rounds, lambda side: {f"{name} {cache}": timed(copies[side, cache], args)
-                                            for cache in CACHES for name, args in COMMANDS.items()})
-    print("launches from an uncompiled copy and from one compiled with compileall:")
+    runs = interleave(rounds, lambda side: {
+        f"{name} {variant}": timed(copies[side, cache], args, extra)
+        for variant, (cache, extra) in VARIANTS.items() for name, args in COMMANDS.items()})
+    print("launches from an uncompiled copy, from one compiled with compileall, "
+          "and from that one under python -S:")
     report(runs, "ms per launch")
-    print(f"modules of {', '.join(MODULES)} imported (-X importtime, compiled copies):")
+    print(f"modules of {', '.join(MODULES)} imported (-X importtime, compiled copies, -S):")
     for name, args in COMMANDS.items():
         for side in SIDES:
-            log = launch(copies[side, "compiled"], args, ("-X", "importtime")).stderr.decode()
+            log = launch(copies[side, "compiled"], args, ("-S", "-X", "importtime")).stderr.decode()
             seen = {line.rsplit("|", 1)[1].strip() for line in log.splitlines() if "|" in line}
             # importlib.import_module, as gdiscord._numpy calls it, logs no line of its
             # own module: numpy shows through its submodules

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import serialize
 from .errors import GDiscordError, NumericalFailure, OutOfFamily, ValidationError
@@ -37,11 +36,12 @@ def _finite_number(literal: str) -> float:
 
 
 def _load_json(text_or_path: str):
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file, read in the locale's encoding."""
     text = text_or_path
-    with contextlib.suppress(OSError):
-        if Path(text).is_file():
-            text = Path(text).read_text()
+    with contextlib.suppress(OSError, ValueError):  # ValueError: bytes the encoding refuses
+        if os.path.isfile(text):
+            with open(text) as f:
+                text = f.read()
     try:
         return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit

@@ -73,7 +73,7 @@ from .entropy import H_CLAMP_TOL, h
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .family import FamilyParams, family_cm_from_params, membership
 from .remote_prep import GaussianMeasurement, _conditioning
-from .symplectic import BonaFideDiagnosis, _cm_rows, _diagnose, _record, normal_form_spectrum
+from .symplectic import BonaFideDiagnosis, _cm_rows, _read, _record, normal_form_spectrum
 
 # relative margin by which a root or phi* must beat the incumbent; a few
 # ulps, so rounding alone never moves an exact heterodyne or phi = 0 point
@@ -301,10 +301,9 @@ def gaussian_discord_numeric(V: np.ndarray) -> DiscordReport:
 
     The least conditional entropy is found in closed form, minimising exactly
     over u at phi = 0 and at phi* (see the module docstring).  V is read and
-    validated once.
+    validated once, or not at all when it is the CM the last read read.
     """
-    rows = _cm_rows(V)
-    return _numeric_report(rows, _diagnose(rows))
+    return _numeric_report(*_read(V))
 
 
 def discord_routes(
@@ -313,15 +312,18 @@ def discord_routes(
     """``(numeric, closed, gap)``: both routes on one CM, as ``gdiscord discord`` reports them.
 
     V is read once and, unless ``diag`` holds its
-    :func:`symplectic.validate_bona_fide` diagnosis, validated on that read.
+    :func:`symplectic.validate_bona_fide` diagnosis, validated on that read;
+    without ``diag``, a float64 V with the bits of the CM last read reuses
+    that read (``symplectic._read``).
     The numeric route runs first; then the closed form on the family witness
     of the diagnosis's normal form, with ``closed`` None when V lies outside
     the family.  ``gap`` is ``|closed.discord - numeric.discord|``, None
     outside the family; past ``ROUTE_GAP_BOUND`` the routes disagree.
     """
-    rows = _cm_rows(V)
     if diag is None:
-        diag = _diagnose(rows)
+        rows, diag = _read(V)
+    else:
+        rows = _cm_rows(V)
     numeric = _numeric_report(rows, diag)
     try:
         closed = gaussian_discord_closed_form(membership(diag.reduction.nf))

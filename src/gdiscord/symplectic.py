@@ -16,9 +16,11 @@ positive definite A and B reaches one by local symplectics, in closed form
 (:func:`reduce_cm`), and validation and the spectrum read that reduction.
 Every function of the package that takes a CM reads its entries as floats
 through one gate, :func:`_cm_rows`, which admits only sixteen finite numbers
-symmetric to ``SYMMETRY_RTOL``; the functions that build or return arrays
-reach numpy through ``gdiscord._numpy``, which imports it on their first
-``np.`` read.
+symmetric to ``SYMMETRY_RTOL``; validation, the reduction and the discord
+routes read through :func:`_read`, which keeps the last float64 CM's read,
+keyed on its bits, so the calls a caller makes on one CM read it once.  The
+functions that build or return arrays reach numpy through
+``gdiscord._numpy``, which imports it on their first ``np.`` read.
 """
 
 from __future__ import annotations
@@ -107,19 +109,28 @@ def _cm_rows(V) -> list[list[float]]:
     """
     dtype = getattr(V, "dtype", None)
     if dtype is not None and dtype.char == "d" and V.shape == (4, 4):
-        rows = V.tolist()
-    else:
-        rows = V.tolist() if dtype is not None else V
-        try:
-            rows = [list(map(float, row)) for row in rows if not isinstance(row, (str, bytes))]
-        except TypeError:  # rows are numbers, or hold sequences
-            rows = None
-        except ValueError:
-            raise DomainError("matrix contains non-numeric entries") from None
-        except OverflowError:  # an int past the float range
-            raise DomainError("matrix contains non-finite entries") from None
-        if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
-            raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
+        return _checked(V.tolist())
+    return _checked(_float_rows(V))
+
+
+def _float_rows(V) -> list[list[float]]:
+    """Any other V as four rows of four floats, or DomainError naming why not."""
+    rows = V.tolist() if getattr(V, "dtype", None) is not None else V
+    try:
+        rows = [list(map(float, row)) for row in rows if not isinstance(row, (str, bytes))]
+    except TypeError:  # rows are numbers, or hold sequences
+        rows = None
+    except ValueError:
+        raise DomainError("matrix contains non-numeric entries") from None
+    except OverflowError:  # an int past the float range
+        raise DomainError("matrix contains non-finite entries") from None
+    if rows is None or len(rows) != 4 or [len(row) for row in rows] != [4, 4, 4, 4]:
+        raise DomainError(f"expected 4x4 matrix, got {_shape_text(V)}")
+    return rows
+
+
+def _checked(rows) -> list[list[float]]:
+    """``rows`` when all sixteen are finite and symmetric to the gate's bound; else DomainError."""
     entries = rows[0] + rows[1] + rows[2] + rows[3]
     if not all(map(math.isfinite, entries)):
         raise DomainError("matrix contains non-finite entries")
@@ -171,8 +182,10 @@ def reduce_cm(V: np.ndarray) -> Reduction:
     whose block determinants pass the float range is reduced as its exact
     copy ``2^-k V`` (:func:`_reduce_scaled`).  Raises DomainError when V is
     not a 4x4 matrix of numbers, or when A or B is not positive definite.
+    An accepted CM's reduction is its :func:`validate_bona_fide` diagnosis's.
     """
-    return _reduce_rows(_cm_rows(V))
+    rows, diag = _read(V)
+    return diag.reduction if diag.reduction is not None else _reduce_rows(rows)
 
 
 def _reduce_rows(rows) -> Reduction:
@@ -410,10 +423,40 @@ def validate_bona_fide(V) -> BonaFideDiagnosis:
     A spectrum past the float range has ``nu_plus = inf``.
     """
     try:
-        rows = _cm_rows(V)
+        return _read(V)[1]
     except DomainError as exc:
         return BonaFideDiagnosis(False, None, str(exc))
-    return _diagnose(rows)
+
+
+# the last float64 CM that _read read: (its 128 bytes, its rows, its diagnosis)
+_last = (None, None, None)
+
+
+def _read(V) -> tuple[list[list[float]], BonaFideDiagnosis]:
+    """``(rows, diagnosis)`` of a CM: :func:`_cm_rows` and :func:`_diagnose`, read once per CM.
+
+    A 4x4 float64 array whose bytes equal those of the last one read gets
+    that read's rows and diagnosis, so the public calls a caller makes on one
+    CM read, reduce and judge it once.  The key is the exact bits, never the
+    values: ``-0.0 == 0.0``, and the reduction's ``atan2`` tells them apart.
+    Only native byte order is served, as a byte-swapped array with the same
+    bytes holds other values.  The slot is written in one assignment after
+    the work, so a raise leaves the previous entry whole.  Any other V is read
+    afresh.  Callers never mutate the rows.  Raises DomainError when V fails
+    the gate.
+    """
+    global _last
+    dtype = getattr(V, "dtype", None)
+    if dtype is None or dtype.char != "d" or not dtype.isnative or V.shape != (4, 4):
+        rows = _checked(_float_rows(V))
+        return rows, _diagnose(rows)
+    key = V.tobytes()
+    last_key, rows, diag = _last
+    if key != last_key:
+        rows = _checked(V.tolist())
+        diag = _diagnose(rows)
+        _last = key, rows, diag
+    return rows, diag
 
 
 def _diagnose(rows) -> BonaFideDiagnosis:

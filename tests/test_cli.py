@@ -132,6 +132,13 @@ class TestDiscordCommand:
         assert res.exit_code == 0
         assert abs(json.loads(res.stdout)["numeric"]["discord"] - 0.459148) < 1e-5
 
+    def test_undecodable_state_file_exits_2(self, run_cli, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe{")
+        res = run_cli(["discord", "--state", str(path)])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: validation: invalid JSON") and res.stderr.count("\n") == 1
+
     def test_not_bona_fide_exits_2(self, run_cli):
         res = run_cli(["discord", "--normal-form", "2,2,2,-2"])
         assert res.exit_code == 2
@@ -847,6 +854,19 @@ def test_command_loads_only_the_modules_it_runs(args, loaded, absent, tmp_path):
     assert res.returncode == 0 and code == "0" and res.stdout, res.stderr
     assert loaded <= modules
     assert not absent & modules, absent & modules
+
+
+def test_cold_commands_on_a_clean_interpreter_never_import_pathlib(tmp_path):
+    # under -S no site hook preloads pathlib, so what is loaded is the command's own;
+    # the discord state is a file, which _load_json reads through os.path and open
+    state = tmp_path / "state.json"
+    state.write_text(LOCAL_FRAME_STATE)
+    for args in (["classify", "--tau", "0.5", "--eta", "0.6"], ["discord", "--state", str(state)]):
+        res = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES_CLI, SRC, *args],
+                             cwd=tmp_path, capture_output=True, timeout=30)
+        code, *modules = res.stderr.decode().split()
+        assert (code, "pathlib" in modules) == ("0", False), res.stderr
+        assert res.stdout == run_module_cli(args, tmp_path).stdout
 
 
 def test_entropy_module_is_a_leaf(tmp_path):

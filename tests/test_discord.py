@@ -27,7 +27,7 @@ from gdiscord import (
     squeezer_matrix,
     validate_bona_fide,
 )
-from gdiscord import discord, symplectic
+from gdiscord import symplectic
 from gdiscord.discord import ROUTE_GAP_BOUND, _best_seed, _form, _scan_forms
 from gdiscord.family import _WITNESS_TOL, eta_from_a, tau_bounds
 from gdiscord.remote_prep import conditional_cm
@@ -561,23 +561,26 @@ class TestDiscordReports:
 @pytest.mark.parametrize("frame", [False, True], ids=["normal-form", "local-frame"])
 @pytest.mark.parametrize("with_diag", [False, True], ids=["validated-here", "diagnosis-passed"])
 def test_state_is_read_once(monkeypatch, frame, with_diag):
-    # validation and the routes share one read of V through the checked gate
+    # validation and the routes share one read and one reduction of V; a
+    # second public call on the same float64 V reads and reduces it no more
     V = WORKED_CM
     if frame:
         S = local_symplectic(np.random.default_rng(37))
         V = S @ V @ S.T
         V = 0.5 * (V + V.T)
+    validate_bona_fide(np.eye(4))  # another CM takes the last-read slot
     diag = validate_bona_fide(V) if with_diag else None
-    calls = []
-    cm_rows = symplectic._cm_rows
-    counted = lambda V: calls.append(V) or cm_rows(V)
-    monkeypatch.setattr(symplectic, "_cm_rows", counted)
-    monkeypatch.setattr(discord, "_cm_rows", counted)
+    reads, reductions = [], []
+    checked, reduce_rows = symplectic._checked, symplectic._reduce_rows
+    monkeypatch.setattr(symplectic, "_checked", lambda rows: reads.append(rows) or checked(rows))
+    monkeypatch.setattr(symplectic, "_reduce_rows",
+                        lambda rows: reductions.append(rows) or reduce_rows(rows))
     numeric, _, gap = discord_routes(V, diag)
-    assert len(calls) == 1 and gap <= 1e-9
-    if not with_diag:  # the numeric route alone reads V once too
-        calls.clear()
-        assert gaussian_discord_numeric(V) == numeric and len(calls) == 1
+    assert (len(reads), len(reductions)) == (1, 0 if with_diag else 1) and gap <= 1e-9
+    if not with_diag:  # the numeric route, on the same V, reads it 0 times
+        reads.clear()
+        reductions.clear()
+        assert gaussian_discord_numeric(V) == numeric and (len(reads), len(reductions)) == (0, 0)
     assert numeric.discord == pytest.approx(0.950067264945, abs=1e-9)
 
 

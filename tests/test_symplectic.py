@@ -1,9 +1,14 @@
 import decimal
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gdiscord
 from gdiscord import (
     DomainError,
     GaussianChannelParams,
@@ -16,6 +21,7 @@ from gdiscord import (
     conditional_entropy_measured,
     conditional_mean_map,
     conditioning_on_mode_A,
+    discord_routes,
     embed_normal_form,
     entropy_two_mode,
     epr_cm,
@@ -28,6 +34,7 @@ from gdiscord import (
     symplectic_spectrum_eigen,
     validate_bona_fide,
 )
+from gdiscord.errors import GDiscordError
 from gdiscord.symplectic import (
     _PATTERN_RTOL,
     SYMMETRY_RTOL,
@@ -563,3 +570,90 @@ def test_reduction_past_the_product_range_reads_a_scaled_copy():
         assert big.tb_inv == red.tb_inv
         diag = validate_bona_fide(2.0**600 * V)
         assert diag.bona_fide and diag.nu_min == 2.0**600 * validate_bona_fide(V).nu_min
+
+
+# the public calls that read a CM through the last-read memo of symplectic._read
+MEMO_READERS = (validate_bona_fide, reduce_cm, normal_form_from_cm, symplectic_spectrum,
+                gaussian_discord_numeric, discord_routes)
+# evaluates _outcomes(V, fresh=True) of each case on stdin, in an interpreter of its own
+FRESH_OUTCOMES = """
+import json, sys
+import test_symplectic as t
+print(json.dumps({name: t._outcomes(t._decode(item), fresh=True)
+                  for name, item in json.load(sys.stdin).items()}))
+"""
+
+
+def _outcomes(V, fresh=False):
+    """What each of MEMO_READERS returns or raises on V, as text that keeps every bit.
+
+    ``fresh`` has another CM read before each call, so no call finds V in the memo.
+    """
+    out = []
+    for fn in MEMO_READERS:
+        if fresh:
+            validate_bona_fide(np.eye(4))
+        try:
+            out.append(repr(fn(V)))
+        except GDiscordError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _encode(V):
+    """V as JSON: nested rows as they are, an array as its dtype, layout and bytes."""
+    if isinstance(V, list):
+        return V
+    return {"dtype": V.dtype.str, "fortran": not V.flags.c_contiguous, "hex": V.tobytes().hex()}
+
+
+def _decode(item):
+    if isinstance(item, list):
+        return item
+    V = np.frombuffer(bytes.fromhex(item["hex"]), item["dtype"]).reshape(4, 4)
+    return np.asfortranarray(V) if item["fortran"] else V
+
+
+def test_repeated_reads_equal_a_fresh_interpreter():
+    # each case is read right after the one before it, with the memo warm, and
+    # gets the bits a fresh interpreter gives it: the memo serves a float64 CM
+    # only when its bytes, read in native order, are those of the last one read
+    S = local_frame(squeezer_matrix(1.7) @ rotation_matrix(0.4),
+                    squeezer_matrix(0.6) @ rotation_matrix(2.1))
+    V = S @ embed_normal_form(NormalFormCM(3.0, 2.0, 1.5, -1.2)) @ S.T
+    V = 0.5 * (V + V.T)
+    zeros = np.array([[2.0, 0.0, 1.2, 0.0], [0.0, 3.0, 0.0, 0.5],
+                      [1.2, 0.0, 2.0, 0.0], [0.0, 0.5, 0.0, 2.0]])
+    minus_zero = zeros.copy()
+    minus_zero[2, 3] = -0.0  # == 0.0, but atan2 in the reduction tells them apart
+    rejected = np.diag([0.5, 0.5, 1.0, 1.0])
+    cases, seen = {}, {}
+
+    def read(name, W):
+        cases[name], seen[name] = _encode(W), _outcomes(W)
+
+    read("frame", V)
+    V[0, 0] = np.nextafter(V[0, 0], math.inf)
+    read("frame-one-ulp-in-place", V)
+    read("fortran-copy", np.asfortranarray(V))
+    read("zeros", zeros)
+    read("minus-zero", minus_zero)
+    read("byteswapped-view", minus_zero.view(minus_zero.dtype.newbyteorder()))
+    read("list", minus_zero.tolist())
+    read("float32", V.astype(np.float32))
+    read("not-bona-fide", rejected)
+    read("not-bona-fide-again", rejected)
+    read("asymmetric", zeros + np.triu(np.full((4, 4), 0.5), 1))
+    read("frame-after-a-gate-rejection", V)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gdiscord.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]))
+    fresh = json.loads(subprocess.run([sys.executable, "-c", FRESH_OUTCOMES], env=env, check=True,
+                                      input=json.dumps(cases), capture_output=True, text=True).stdout)
+    assert seen == fresh
+    # the cases that differ from the one before only in bits differ in outcome
+    for name, before in (("frame-one-ulp-in-place", "frame"), ("minus-zero", "zeros"),
+                         ("byteswapped-view", "minus-zero")):
+        assert seen[name] != seen[before], name
+    assert seen["fortran-copy"] == seen["frame-after-a-gate-rejection"]
+    assert seen["not-bona-fide"][0].startswith("BonaFideDiagnosis(bona_fide=False")
+    assert "reason='not symmetric (max asymmetry 5.000e-01)'" in seen["asymmetric"][0]
