@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from .channels import min_output_entropy
-from .entropy import H_CLAMP_TOL, h
+from .entropy import _above_vacuum, h
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .family import FamilyParams, family_cm_from_params, membership
 from .remote_prep import GaussianMeasurement, _conditioning
@@ -181,18 +181,6 @@ def _best_seed(forms, phi: float) -> tuple[float, float, float]:
     return best
 
 
-def _h_above_vacuum(nu: float, whose: str) -> float:
-    """``h`` of ``whose`` symplectic eigenvalue nu, which rounding may have put below the vacuum.
-
-    Raises NumericalFailure naming nu when it lies below ``h``'s domain
-    ``[1 - H_CLAMP_TOL, inf)``: no clamp lifts it to 1.
-    """
-    if nu < 1.0 - H_CLAMP_TOL:
-        raise NumericalFailure(f"{whose} symplectic eigenvalue {nu!r} is below 1: "
-                               "its determinant rounded below the vacuum's")
-    return h(nu)
-
-
 def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
     """:func:`conditional_entropy_measured` of the CM with row-major entries ``rows``.
 
@@ -203,7 +191,7 @@ def _entropy_measured(rows, x: float, y: float, phi: float) -> float:
     det = d00 * d11 - d01 * d10
     if not math.isfinite(det):
         raise NumericalFailure("conditional CM is not finite")
-    return _h_above_vacuum(math.sqrt(max(det, 0.0)), "conditional CM's")
+    return h(_above_vacuum(math.sqrt(max(det, 0.0)), "conditional CM's"))
 
 
 def conditional_entropy_measured(V: np.ndarray, m: GaussianMeasurement) -> float:
@@ -292,7 +280,7 @@ def gaussian_discord_closed_form(fp: FamilyParams) -> DiscordReport:
     nf = family_cm_from_params(fp)
     nu = normal_form_spectrum(nf)
     s_min = min_output_entropy(fp)  # fp holds its channel's (tau, eta), already checked
-    s_ab = _h_above_vacuum(nu.nu_minus, "witness normal form's") + h(nu.nu_plus)
+    s_ab = h(_above_vacuum(nu.nu_minus, "witness normal form's")) + h(nu.nu_plus)
     return _report(h(nf.a), h(nf.b), s_ab, s_min, "closed_form")
 
 
@@ -317,8 +305,10 @@ def discord_routes(
     that read (``symplectic._read``).
     The numeric route runs first; then the closed form on the family witness
     of the diagnosis's normal form, with ``closed`` None when V lies outside
-    the family.  ``gap`` is ``|closed.discord - numeric.discord|``, None
-    outside the family; past ``ROUTE_GAP_BOUND`` the routes disagree.
+    the family; it shares the numeric report's S(A), S(B) and S(AB) and adds
+    only the family term ``h(|tau| + eta)``.  ``gap``, None outside the
+    family, is ``|closed.discord - numeric.discord|``: the two conditional
+    entropies' difference.  Past ``ROUTE_GAP_BOUND`` the routes disagree.
     """
     if diag is None:
         rows, diag = _read(V)
@@ -326,7 +316,8 @@ def discord_routes(
         rows = _cm_rows(V)
     numeric = _numeric_report(rows, diag)
     try:
-        closed = gaussian_discord_closed_form(membership(diag.reduction.nf))
+        fp = membership(diag.reduction.nf)
     except OutOfFamily:
         return numeric, None, None
+    closed = _report(numeric.s_a, numeric.s_b, numeric.s_ab, min_output_entropy(fp), "closed_form")
     return numeric, closed, abs(closed.discord - numeric.discord)

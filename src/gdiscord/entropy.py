@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 
 # Floating-point spectra of pure states may dip slightly below 1; values in
 # [1 - H_CLAMP_TOL, 1] are treated as exactly 1.  h must accept every
@@ -33,6 +33,17 @@ def h(x: float) -> float:
         return 0.0
     xm = 0.5 * (x - 1.0)
     return (math.log1p(xm) + xm * math.log1p(1.0 / xm)) / _LN2
+
+
+def _above_vacuum(nu: float, whose: str) -> float:
+    """``whose`` symplectic eigenvalue nu, checked against ``h``'s domain ``[1 - H_CLAMP_TOL, inf)``.
+
+    Raises NumericalFailure naming nu when rounding put it below: no clamp lifts it to 1.
+    """
+    if nu < 1.0 - H_CLAMP_TOL:
+        raise NumericalFailure(f"{whose} symplectic eigenvalue {nu!r} is below 1: "
+                               "its determinant rounded below the vacuum's")
+    return nu
 
 
 def entropy_two_mode(V) -> float:

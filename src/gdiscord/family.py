@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 from . import _numpy as np
 from .channels import GaussianChannelParams
+from .entropy import _above_vacuum
 from .errors import DomainError, NumericalFailure, OutOfFamily
 from .symplectic import (
     NormalFormCM,
@@ -51,6 +52,7 @@ from .symplectic import (
     _verdict,
     bona_fide_normal_form_mask,
     check_variance,
+    normal_form_spectrum,
     squeezed_thermal_bound,
 )
 
@@ -356,7 +358,8 @@ def membership(nf: NormalFormCM) -> FamilyParams:
     The candidate is accepted when it reproduces (a, c, cp) to within
     ``_WITNESS_TOL`` (relative to a), and OutOfFamily is raised otherwise;
     this forward check is the only verdict on a witness.  NumericalFailure is
-    raised when |tau| or eta overflows.
+    raised when |tau| or eta overflows, and when the witness's own normal
+    form has a negative discriminant or a nu- below ``1 - H_CLAMP_TOL``.
 
     States on the axes (exactly one of c, cp zero) are only reached in the
     infinite-entanglement limit and are reported OutOfFamily, as are
@@ -403,4 +406,5 @@ def membership(nf: NormalFormCM) -> FamilyParams:
         raise OutOfFamily(
             f"the closed-form witness misses (a, c, cp) by {err:.3e} (tolerance {_WITNESS_TOL:.1e})"
         )
+    _above_vacuum(normal_form_spectrum(out).nu_minus, "witness normal form's")
     return fp

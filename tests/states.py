@@ -9,6 +9,7 @@ it measures.  Nothing in ``src/`` or ``perfbench/`` imports this module.
 """
 
 import decimal
+import fractions
 import math
 
 import numpy as np
@@ -48,8 +49,8 @@ FRAME_DEPENDENT_WITNESS_NF = NormalFormCM(
     2.636796545476645, 3.9724079298444064, 2.5576493952517754, -2.678161171105045)
 # a family state whose ab - c^2 (about 194.6) is formed from products of about
 # 6.5e17, so both routes lose digits (items 2, 12 and 17): the numeric route
-# reads 0.6218 and the closed form -0.2542, where 80-digit mpmath of the
-# invariant formula (Adesso & Datta 2010) reads the value below
+# reads 0.6218 and the closed form -0.2542, where discord_reference, the
+# invariant formula (Adesso & Datta 2010) in decimal, reads the value below
 CANCELLING_NF = NormalFormCM(
     776597626.7080388, 835407354.672399, 805465932.8444784, -237423594.40312833)
 CANCELLING_DISCORD = 0.0275687256574229
@@ -194,10 +195,15 @@ def spectrum_reference(a, b, c, cp):
         return ((delta - root) / 2).sqrt(), ((delta + root) / 2).sqrt()
 
 
-def h_reference(x):
-    """h(x) in decimal arithmetic at log10(x) + 40 digits: the form cancels about log10(x) of them."""
+def h_reference(x, digits=40):
+    """h(x) in decimal arithmetic at log10(x) + digits: the form cancels about log10(x) of them.
+
+    x <= 1, the vacuum or a rounding step below it, gives 0.
+    """
+    if x <= 1:
+        return decimal.Decimal(0)
     with decimal.localcontext() as ctx:
-        ctx.prec = int(math.log10(x)) + 40
+        ctx.prec = int(math.log10(x)) + digits
         xp, xm = (decimal.Decimal(x) + 1) / 2, (decimal.Decimal(x) - 1) / 2
         return (xp * xp.ln() - xm * xm.ln()) / decimal.Decimal(2).ln()
 
@@ -208,3 +214,35 @@ def thermal_reference(tau, eta):
         ctx.prec = 40
         eta, d = decimal.Decimal(eta), abs(1 - decimal.Decimal(tau))
         return eta / d, (eta - d) / (2 * d)
+
+
+def discord_reference(a, b, c, cp):
+    """D(A|B) of V(a, b, c, cp), mode B measured, from its local invariants.
+
+    The formula of Adesso & Datta, PRL 105, 030501 (2010): ``h(sqrt det B) -
+    h(nu-) - h(nu+) + h(sqrt E_min)``.  det A, det B, det C and det V are exact
+    Fractions of the floats; nu+-, E_min and h are then evaluated in decimal at
+    40 + 2.2 x the largest decimal exponent of the entries, as the terms cancel
+    more the larger the state: a fixed 40 or 80 digits reads 3e100,... as
+    exactly 0.  Every root takes max(., 0).  b = 1 raises: that branch of E_min
+    divides by (det B - 1)^2.
+    """
+    digits = 40 + int(2.2 * max(0, *(decimal.Decimal(abs(x)).adjusted() for x in (a, b, c, cp))))
+    a, b, c, cp = map(fractions.Fraction, (a, b, c, cp))
+    dets = a * a, b * b, c * cp, (a * b - c * c) * (a * b - cp * cp)
+    zero = decimal.Decimal(0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        det_a, det_b, det_c, det_v = (decimal.Decimal(f.numerator) / f.denominator for f in dets)
+        delta = det_a + det_b + 2 * det_c
+        root = max(delta * delta - 4 * det_v, zero).sqrt()
+        c2 = det_c * det_c
+        if (det_v - det_a * det_b) ** 2 <= (1 + det_b) * c2 * (det_a + det_v):
+            x = (det_b - 1) * (det_v - det_a)
+            e_min = (2 * c2 + x + 2 * abs(det_c) * max(c2 + x, zero).sqrt()) / (det_b - 1) ** 2
+        else:
+            y = det_a * det_b - c2 + det_v
+            e_min = (y - max(y * y - 4 * det_a * det_b * det_v, zero).sqrt()) / (2 * det_b)
+        terms = (det_b, (delta - root) / 2, (delta + root) / 2, e_min)  # the squares of h's arguments
+        s_b, s_minus, s_plus, s_min = (h_reference(max(t, zero).sqrt(), digits) for t in terms)
+        return float(s_b - s_minus - s_plus + s_min)

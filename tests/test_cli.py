@@ -39,16 +39,16 @@ WORKED_DISCORD_OUTPUT = """\
     "phi_opt": 0.0
   },
   "closed_form": {
-    "s_a": 2.75488750247,
+    "s_a": 2.75488750216,
     "s_b": 1.37744375108,
-    "s_ab": 2.42737648653,
-    "i_ab": 1.70495476703,
+    "s_ab": 2.42737648606,
+    "i_ab": 1.70495476719,
     "s_min_cond": 2.00000000035,
-    "classical_corr": 0.75488750212,
-    "discord": 0.950067264908,
+    "classical_corr": 0.754887501809,
+    "discord": 0.950067265377,
     "method": "closed_form"
   },
-  "agreement_delta": 6.14175377223e-11,
+  "agreement_delta": 5.3110316145e-10,
   "in_family": true
 }
 """
@@ -546,10 +546,14 @@ HOSTILE_INPUTS = [
     pytest.param(["discord", "--normal-form",
                   "89892198.76922995,115051409.94953917,100494744.05535707,-101696726.65265156"], 4,
                  id="discord-conditional-below-vacuum"),
-    # an accepted family state whose witness normal form's nu- rounds below the vacuum's
+    # an accepted family state whose witness normal form's nu- rounds below the vacuum's:
+    # membership refuses the witness, for discord and for decompose
     pytest.param(["discord", "--normal-form",
                   "72359750755252.84,245003869751050.8,133148109071283.7,-133148109071253.8"], 4,
                  id="discord-closed-form-below-vacuum"),
+    pytest.param(["decompose", "--normal-form",
+                  "72359750755252.84,245003869751050.8,133148109071283.7,-133148109071253.8"], 4,
+                 id="decompose-witness-below-vacuum"),
     # det A (det S + 1) of the numeric route's scan past the float range (a*b past about
     # 1.3e154), which once ranked its candidates against inf and printed a wrong discord
     pytest.param(["discord", "--normal-form", "3e100,2e100,2.2e100,-2.2e100"], 4,

@@ -22,11 +22,13 @@ from gdiscord import (
     gaussian_discord_numeric,
     h,
     membership,
+    min_output_entropy,
     normal_form_from_cm,
     rotation_matrix,
     squeezer_matrix,
     validate_bona_fide,
 )
+from gdiscord import discord as discord_module
 from gdiscord import symplectic
 from gdiscord.discord import ROUTE_GAP_BOUND, _best_seed, _form, _scan_forms
 from gdiscord.family import _WITNESS_TOL, eta_from_a, tau_bounds
@@ -46,6 +48,7 @@ from states import (
     WORKED_CM,
     WORKED_NF,
     classed_normal_forms,
+    discord_reference,
     local_frame,
     local_symplectic,
     seeded_states,
@@ -426,17 +429,24 @@ def test_conditional_eigenvalue_below_the_vacuum_is_a_numerical_failure():
 
 
 # an accepted family state whose numeric route runs, but whose witness normal
-# form's nu- (nu_min 1.328 on the state) rounds below the vacuum's 1
+# form's nu- (nu_min 1.328 on the state) rounds below the vacuum's 1; and that
+# witness, built by hand
 CLOSED_FORM_BELOW_VACUUM_NF = NormalFormCM(72359750755252.84, 245003869751050.8,
                                            133148109071283.7, -133148109071253.8)
+CLOSED_FORM_BELOW_VACUUM_FP = FamilyParams(245003869751050.8, 0.030978910540439487,
+                                           0.29534125656366783, 1.0087507744730608)
 
 
 def test_closed_form_eigenvalue_below_the_vacuum_is_a_numerical_failure():
+    # membership refuses the witness, so discord and decompose end alike; the
+    # closed form refuses the hand-built witness with the same message
     nf = CLOSED_FORM_BELOW_VACUUM_NF
     assert validate_bona_fide(nf.rows()).bona_fide
-    with pytest.raises(NumericalFailure, match=r"witness normal form's symplectic eigenvalue "
-                       r"0\.7669939408799111 is below 1"):
-        gaussian_discord_closed_form(membership(nf))
+    for call, arg in ((membership, nf), (discord_routes, nf.rows()),
+                      (gaussian_discord_closed_form, CLOSED_FORM_BELOW_VACUUM_FP)):
+        with pytest.raises(NumericalFailure, match=r"witness normal form's symplectic eigenvalue "
+                           r"0\.7669939408799111 is below 1"):
+            call(arg)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2, 12 and 17: ab - c^2 cancels in both routes")
@@ -447,6 +457,42 @@ def test_cancelling_state_gets_its_discord(route):
     else:
         report = gaussian_discord_closed_form(membership(CANCELLING_NF))
     assert report.discord == pytest.approx(CANCELLING_DISCORD, abs=1e-6)
+
+
+# states whose discord the decimal oracle reproduces: the cancelling state, the
+# 3e30 and 3e100 members of its family of scaled states, a state whose printed
+# digits are not all true (ROADMAP item 12) and README's 10-digit worked state
+ORACLE_VALUES = [
+    (CANCELLING_NF, CANCELLING_DISCORD),
+    (NormalFormCM(3e30, 2e30, 2.2e30, -2.2e30), 3.00976034392e-30),
+    (NormalFormCM(3e100, 2e100, 2.2e100, -2.2e100), 3.00976034392e-100),
+    (NormalFormCM(300000.0, 200000.0, 1000.0, -500.0), 6.01126022844e-11),
+    (NormalFormCM(5.0, 2.0, 2.449489743, -2.449489743), 0.950067264846),
+]
+
+
+def test_discord_reference_reproduces_known_values():
+    for nf, value in ORACLE_VALUES:
+        assert discord_reference(*nf) == pytest.approx(value, rel=1e-11, abs=0.0), nf
+    with pytest.raises(ArithmeticError):  # E_min's first branch divides by (det B - 1)^2
+        discord_reference(2.0, 1.0, 0.0, 0.0)
+
+
+def test_routes_agree_with_the_decimal_oracle():
+    # bank states, in and out of the family, as normal forms and in the fixed frames;
+    # the worst gaps read about 1e-14
+    rng = np.random.default_rng(43)
+    closed_seen = 0
+    for nf in classed_normal_forms(rng, 100):
+        ref = discord_reference(*nf)
+        V = embed_normal_form(nf)
+        for W in (V, *(S @ V @ S.T for S in FIXED_FRAMES)):
+            numeric, closed, _ = discord_routes(W)
+            assert numeric.discord == pytest.approx(ref, abs=1e-12), nf
+            if closed is not None:
+                closed_seen += 1
+                assert closed.discord == pytest.approx(ref, abs=1e-12), nf
+    assert closed_seen == 3 * 100 * 4  # the three family classes, in all four frames
 
 
 class TestInputValidation:
@@ -572,6 +618,8 @@ def test_state_is_read_once(monkeypatch, frame, with_diag):
     diag = validate_bona_fide(V) if with_diag else None
     reads, reductions = [], []
     checked, reduce_rows = symplectic._checked, symplectic._reduce_rows
+    for name in ("family_cm_from_params", "normal_form_spectrum"):  # no witness CM is rebuilt
+        monkeypatch.setattr(discord_module, name, None)
     monkeypatch.setattr(symplectic, "_checked", lambda rows: reads.append(rows) or checked(rows))
     monkeypatch.setattr(symplectic, "_reduce_rows",
                         lambda rows: reductions.append(rows) or reduce_rows(rows))
@@ -673,7 +721,10 @@ def test_reports_keep_their_bits():
         assert routes == discord_routes(rows)
         numeric, closed, _ = routes
         assert numeric == gaussian_discord_numeric(rows)
+        if closed is not None:  # the closed form adds only its family term to the state's entropies
+            assert closed[:4] == numeric[:4]  # s_a, s_b, s_ab, i_ab
+            assert closed.s_min_cond == min_output_entropy(membership(diag.reduction.nf))
         folded += numeric.phi_opt == 0.5 * math.pi
         digest.update(repr((diag, numeric, closed)).encode())
     assert folded >= 10
-    assert digest.hexdigest()[:16] == "ff25b44fecea8df4"
+    assert digest.hexdigest()[:16] == "99e5012cc924e915"
